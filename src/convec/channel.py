@@ -5,7 +5,8 @@ Three ways to say which symbols get dropped:
 * run-length patterns like ``"20* 42v 14* 8v"``, star for an erased
   component and v for a correctly received one;
 * i.i.d. symbol erasures, ``"iid 0.25 seed=7"`` (the probability may
-  also come first);
+  also come first), drawn from Python's ``random.Random`` (Mersenne
+  Twister) seeded directly with the seed;
 * an explicit mask in the stream text format where only the ``?``
   marks matter and every other entry is ignored.
 
@@ -23,10 +24,6 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import LengthMismatch, ParseError
 from .stream import ErasureStream
-
-# the stochastic mode's generator, recorded in reports so runs can be
-# reproduced: Python's random.Random (Mersenne Twister), seeded directly
-RNG_NAME = "python-random-mt19937"
 
 _RUN = re.compile(r"^(\d+)([*v])$")
 

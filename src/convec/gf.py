@@ -10,7 +10,15 @@ field.
 Three arithmetic kernels are selected at construction time:
 
   * m = 1           : integers mod p
-  * p = 2, m >= 2   : bit-packed polynomials, carry-less multiply, xor add
+  * p = 2, m >= 2   : bit-packed polynomials with xor add and
+      - multiply: carry-less product over the shorter operand, bit by bit
+        under 16 bits and by a 4-bit comb (Lopez-Dahab) from 16 bits on;
+      - reduction: the excess above degree m folds back through the set
+        bits of the modulus's low part, so the sparse auto modulus takes
+        at most two rounds per product;
+      - inversion: shift-XOR extended Euclid (Hankerson-Menezes-Vanstone,
+        Guide to ECC, Alg. 2.48);
+      - squaring: bits spread apart through 256-entry byte tables;
   * general p^m     : coefficient-tuple arithmetic (correct but unhurried)
 
 Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
@@ -24,6 +32,11 @@ certified by factoring p^m - 1; when the factorization does not complete
 within the internal budget the field is flagged ``unverified_primitive`` and
 alpha is the first candidate passing all tests against the known prime
 factors.
+
+A field's identity is (p, m, modulus): two fields with the same modulus
+are equal, and their elements combine, whichever generator each designates.
+The generator is metadata, so a stream header (:meth:`Field.ref`), which
+names no generator, matches a code built with a nonstandard one.
 """
 
 from __future__ import annotations
@@ -54,58 +67,109 @@ PRIMITIVE_CANDIDATE_CAP = 4096
 # ---------------------------------------------------------------------------
 
 def _clmul(a: int, b: int) -> int:
+    """Carry-less product in GF(2)[x], looping over the shorter operand.
+
+    An operand under 16 bits is walked bit by bit.  From 16 bits on, a
+    4-bit comb (Lopez-Dahab) reads it one hex digit at a time, top digit
+    first, against the 16 multiples of the longer operand by the digit
+    polynomials 0..15.
+    """
+    if a < b:
+        a, b = b, a
+    if b < 1 << 15:
+        r = 0
+        while b:
+            if b & 1:
+                r ^= a
+            a <<= 1
+            b >>= 1
+        return r
+    t = [0] * 16
+    t[1] = a
+    for i in range(2, 16, 2):
+        t[i] = t[i >> 1] << 1
+        t[i + 1] = t[i] ^ a
+    digit = dict(zip("0123456789abcdef", t))
     r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
+    for c in format(b, "x"):
+        r = (r << 4) ^ digit[c]
     return r
 
 
+def _spread4(v: int) -> int:
+    """The low 4 bits of v moved to the even positions of a byte."""
+    return (v & 1) | (v & 2) << 1 | (v & 4) << 2 | (v & 8) << 3
+
+
+# squaring over GF(2) spreads the bits apart: byte b of a becomes the byte
+# pair (_SQ_LO[b], _SQ_HI[b]) of a^2, little-endian
+_SQ_LO = bytes(_spread4(b) for b in range(256))
+_SQ_HI = bytes(_spread4(b >> 4) for b in range(256))
+
+
 def _sq2(a: int) -> int:
-    # squaring over GF(2) just spreads the bits apart
-    if a == 0:
-        return 0
-    return int("0".join(bin(a)[2:]), 2)
+    n = (a.bit_length() + 7) // 8
+    s = a.to_bytes(n, "little")
+    out = bytearray(2 * n)
+    out[0::2] = s.translate(_SQ_LO)
+    out[1::2] = s.translate(_SQ_HI)
+    return int.from_bytes(out, "little")
 
 
-def _rem2(x: int, f: int, deg_f: int) -> int:
-    while True:
-        d = x.bit_length() - 1
-        if d < deg_f:
-            return x
-        x ^= f << (d - deg_f)
+def _fold_shifts(f: int, m: int) -> tuple[int, ...]:
+    """Positions of the set bits of the low part f ^ x^m of a degree-m f."""
+    low = f ^ (1 << m)
+    return tuple(k for k in range(low.bit_length()) if low >> k & 1)
 
 
-def _divmod2(a: int, b: int) -> tuple[int, int]:
-    db = b.bit_length() - 1
-    q = 0
-    while True:
-        d = a.bit_length() - 1 - db
-        if d < 0 or a == 0:
-            return q, a
-        q ^= 1 << d
-        a ^= b << d
+def _rem2(x: int, m: int, shifts: tuple[int, ...]) -> int:
+    """x mod f, where f has degree m and ``shifts == _fold_shifts(f, m)``.
+
+    Since x^m = sum(x^k for k in shifts) mod f, the part of x from degree m
+    up folds back as shifted copies.  Each round lowers the degree by at
+    least m - max(shifts), so a modulus with a short low part (the auto
+    modulus) finishes a product in at most two rounds; a modulus whose low
+    part reaches degree m - 1 lowers it by one per round.
+    """
+    mask = (1 << m) - 1
+    hi = x >> m
+    while hi:
+        x &= mask
+        for k in shifts:
+            x ^= hi << k
+        hi = x >> m
+    return x
 
 
 def _gcd2(a: int, b: int) -> int:
     while b:
-        a, b = b, _divmod2(a, b)[1]
+        d = a.bit_length() - b.bit_length()
+        if d < 0:
+            a, b = b, a
+        else:
+            a ^= b << d
     return a
 
 
-def _inv2(a: int, f: int, deg_f: int) -> int:
+def _inv2(a: int, f: int) -> int:
+    """Inverse of a modulo the irreducible f by shift-XOR extended Euclid.
+
+    Hankerson-Menezes-Vanstone, Guide to ECC, Alg. 2.48: a * g1 = u and
+    a * g2 = v (mod f) hold throughout, and g1, g2 stay below deg f.
+    """
     if a == 0:
         raise DivisionByZero("inverse of zero")
-    r0, r1 = f, a
-    t0, t1 = 0, 1
-    while r1:
-        q, r = _divmod2(r0, r1)
-        r0, r1 = r1, r
-        t0, t1 = t1, t0 ^ _clmul(q, t1)
-    # r0 = gcd(a, f) = 1 because f is irreducible and deg a < deg f
-    return _rem2(t0, f, deg_f)
+    u, v = a, f
+    g1, g2 = 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v = v, u
+            g1, g2 = g2, g1
+            j = -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 def _irreducible2(f: int, m: int) -> bool:
@@ -113,10 +177,11 @@ def _irreducible2(f: int, m: int) -> bool:
     if m == 1:
         return True
     checkpoints = {m // q for q in sympy.primefactors(m)}
+    shifts = _fold_shifts(f, m)
     x = 2
     t = x
     for i in range(1, m + 1):
-        t = _rem2(_sq2(t), f, m)
+        t = _rem2(_sq2(t), m, shifts)
         if i in checkpoints and _gcd2(t ^ x, f).bit_length() - 1 != 0:
             return False
     return t == x
@@ -434,12 +499,13 @@ class Field:
             self._vsq = lambda a: (a * a) % p
         elif self.kind == "binary":
             f = self.modulus_packed
+            shifts = _fold_shifts(f, m)
             self._vadd = lambda a, b: a ^ b
             self._vsub = lambda a, b: a ^ b
             self._vneg = lambda a: a
-            self._vmul = lambda a, b: _rem2(_clmul(a, b), f, m)
-            self._vinv = lambda a: _inv2(a, f, m)
-            self._vsq = lambda a: _rem2(_sq2(a), f, m)
+            self._vmul = lambda a, b: _rem2(_clmul(a, b), m, shifts)
+            self._vinv = lambda a: _inv2(a, f)
+            self._vsq = lambda a: _rem2(_sq2(a), m, shifts)
         else:
             fpoly = self.modulus
 
@@ -546,17 +612,15 @@ class Field:
     def random_element(self, rng) -> Element:
         return Element(self, rng.randrange(self.q))
 
-    def random_nonzero(self, rng) -> Element:
-        return Element(self, rng.randrange(1, self.q))
-
     # -- identity and serialization --------------------------------------
 
     def __eq__(self, other):
-        return (isinstance(other, Field) and self.p == other.p and self.m == other.m
-                and self.modulus == other.modulus and self.alpha.val == other.alpha.val)
+        return self is other or (
+            isinstance(other, Field) and self.p == other.p and self.m == other.m
+            and self.modulus_packed == other.modulus_packed)
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return hash((self.p, self.m, self.modulus_packed))
 
     def ref(self) -> str:
         """Compact textual handle: p^m:<modulus packed, hex>."""

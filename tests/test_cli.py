@@ -125,6 +125,32 @@ def test_guard_toggle(tmp_path):
     assert json.loads(off.read_text())["report"]["lost_intervals"] == [[2, 12]]
 
 
+def test_nonstandard_generator_pipeline(tmp_path):
+    # the code JSON designates x + 1 as generator; the stream header names
+    # only p, m and the modulus, and must still match the code
+    from convec import field
+    from convec.polymat import ConvCode, PolyMatrix
+    fld = field(2, 3)
+    code = ConvCode(2, 1, PolyMatrix.from_packed(
+        fld, [[[7, 4]], [[2, 1]], [[1, 3]]]))
+    spec = code.to_json()
+    spec["field"]["primitive"] = "3"
+    codef, msg = tmp_path / "code.json", tmp_path / "message.txt"
+    codef.write_text(json.dumps(spec))
+    u = PolyMatrix.from_packed(fld, [[[c]] for c in (3, 5, 6, 1, 2)])
+    msg.write_text(ErasureStream.from_codeword(u).to_text())
+    cw, noisy, rep = tmp_path / "cw.txt", tmp_path / "noisy.txt", tmp_path / "rep.json"
+    assert run(["encode", "--code", codef, "--message", msg, "--out", cw]) == 0
+    assert run(["corrupt", "--in", cw, "--pattern", "3v 1* 4v 1*",
+                "--out", noisy]) == 0
+    assert run(["decode", "--engine", "gm", "--code", codef, "--in", noisy,
+                "--report", rep]) == 0
+    doc = json.loads(rep.read_text())["report"]
+    assert doc["complete"]
+    assert doc["message"] == [[t, [format(c, "x")]]
+                              for t, c in enumerate((3, 5, 6, 1, 2))]
+
+
 # -- verify and construct ------------------------------------------------------
 
 def test_verify_flag_properties(ws, capsys):

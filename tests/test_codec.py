@@ -27,7 +27,7 @@ from convec.errors import (
     NoParityCheck,
     NotDelayFree,
 )
-from convec.polymat import ConvCode, PolyMatrix
+from convec.polymat import ConvCode, PolyMatrix, code_from_json
 from convec.stream import ErasureStream
 
 
@@ -168,6 +168,20 @@ def test_stream_code_mismatch(code522, c5):
         gm_decode_forward(code522, s)
     with pytest.raises(NoParityCheck):
         pc_decode_forward(code522, ErasureStream(code522.field, 5, []))
+
+
+def test_nonstandard_generator_decodes_own_stream(pair_2_1):
+    # a stream header names only p, m and the modulus; the code's JSON also
+    # designates a generator, which must not make the two fields differ
+    spec = pair_2_1(field(2, 3), (1, 2), (3, 1)).to_json()
+    spec["field"]["primitive"] = "3"
+    code = code_from_json(spec)
+    assert code.field.alpha.val == 3
+    u = rand_message(code.field, random.Random(4), 6)
+    text = ErasureStream.from_codeword(code.encode(u)).to_text()
+    s = erase(ErasureStream.from_text(text), [(), (2,), (), (1,)])
+    rep = gm_decode_forward(code, s)
+    assert rep.complete and rep.message() == u
 
 
 def test_not_delay_free_rejected(gf2):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from convec import field
 from convec.errors import (
@@ -14,7 +16,19 @@ from convec.errors import (
     NotPrime,
     Reducible,
 )
-from convec.gf import field_from_json, field_from_ref
+from convec.gf import (
+    Field,
+    _clmul,
+    _fold_shifts,
+    _inv2,
+    _irreducible2,
+    _pack,
+    _rem2,
+    _sq2,
+    _unpack,
+    field_from_json,
+    field_from_ref,
+)
 
 
 def test_auto_modulus_gf2():
@@ -193,3 +207,143 @@ def test_scalar_embedding():
     F = field(5, 2)
     assert F.scalar(7) == F.el(2)
     assert F.scalar(0) == F.zero
+
+
+def test_field_identity_ignores_generator():
+    spec = {"p": 2, "m": 3, "modulus": [1, 1, 0, 1], "primitive": "3"}
+    F = field_from_json(spec)
+    assert F.alpha.val == 3
+    G = field_from_ref(F.ref())
+    assert G.alpha.val == 2
+    assert F == G and hash(F) == hash(G)
+    assert F.alpha * G.one == F.alpha
+
+
+# -- differential tests of the GF(2)[x] kernels --------------------------------
+#
+# The references share no code with convec.gf: schoolbook multiply and
+# remainder on bit-packed ints, and sympy for irreducibility.
+
+def ref_mul(a: int, b: int) -> int:
+    r = 0
+    for i in range(b.bit_length()):
+        if b >> i & 1:
+            r ^= a << i
+    return r
+
+
+def ref_rem(x: int, f: int) -> int:
+    df = f.bit_length() - 1
+    for i in range(x.bit_length() - 1, df - 1, -1):
+        if x >> i & 1:
+            x ^= f << (i - df)
+    return x
+
+
+def sympy_irreducible(f: int) -> bool:
+    x = sympy.Symbol("x")
+    return sympy.Poly([int(c) for c in bin(f)[2:]], x, modulus=2).is_irreducible
+
+
+def compose_x_plus_1(f: int) -> int:
+    """f(x + 1); (x + 1)^k has a term x^j for every bit-submask j of k."""
+    r = 0
+    for k in range(f.bit_length()):
+        if f >> k & 1:
+            j = k
+            while True:
+                r ^= 1 << j
+                if j == 0:
+                    break
+                j = (j - 1) & k
+    return r
+
+
+# the auto moduli, pinned: they are part of every field's identity
+AUTO = {2: 0b111, 4: 0b10011, 8: 0x11B, 63: (1 << 63) | 0b11,
+        193: (1 << 193) | 503, 769: (1 << 769) | 0b1011000001}
+# irreducible moduli whose low part reaches degree m - 1, so the fold lowers
+# the degree by one bit per round; f -> f(x + 1) keeps irreducibility and,
+# for odd m, puts in the x^(m-1) term
+DENSE = {2: 0b111, 4: 0b11111, 8: 0b111111001,
+         **{m: compose_x_plus_1(AUTO[m]) for m in (63, 193, 769)}}
+MODULI = [(m, f) for m in AUTO for f in sorted({AUTO[m], DENSE[m]})]
+MODULI_IDS = [f"m{m}-{'auto' if f == AUTO[m] else 'dense'}" for m, f in MODULI]
+
+
+def test_reference_moduli():
+    for m, f in AUTO.items():
+        assert _pack(Field._auto_modulus(2, m), 2) == f
+    for m, f in DENSE.items():
+        assert f.bit_length() - 1 == m
+        assert (f ^ (1 << m)).bit_length() - 1 == m - 1
+        if m <= 63:
+            assert sympy_irreducible(f)
+
+
+def test_irreducible2_matches_sympy():
+    for f in range(2, 1 << 11):
+        assert _irreducible2(f, f.bit_length() - 1) == sympy_irreducible(f), bin(f)
+
+
+def check_kernels(m: int, f: int, a: int, b: int):
+    shifts = _fold_shifts(f, m)
+    assert _clmul(a, b) == ref_mul(a, b)
+    assert _rem2(_clmul(a, b), m, shifts) == ref_rem(ref_mul(a, b), f)
+    assert _sq2(a) == ref_mul(a, a)
+    assert _rem2(_sq2(a), m, shifts) == ref_rem(ref_mul(a, a), f)
+    if a:
+        inv = _inv2(a, f)
+        assert inv < 1 << m
+        assert ref_rem(ref_mul(a, inv), f) == 1
+
+
+@pytest.mark.parametrize("m,f", MODULI, ids=MODULI_IDS)
+def test_kernels_on_edge_operands(m, f):
+    edges = [0, 1, 1 << (m - 1), (1 << m) - 1]
+    for a in edges:
+        for b in edges:
+            check_kernels(m, f, a, b)
+    with pytest.raises(DivisionByZero):
+        _inv2(0, f)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(MODULI), st.data())
+def test_kernels_match_reference(mf, data):
+    m, f = mf
+    a = data.draw(st.integers(0, (1 << m) - 1))
+    b = data.draw(st.integers(0, (1 << m) - 1))
+    check_kernels(m, f, a, b)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 1 << 800), st.integers(0, 1 << 40))
+def test_clmul_unequal_lengths(a, b):
+    # operands of very different lengths, in both orders: the shorter one
+    # is walked bit by bit below 16 bits and by the comb above
+    assert _clmul(a, b) == ref_mul(a, b) == _clmul(b, a)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(MODULI), st.data())
+def test_rem2_matches_reference(mf, data):
+    m, f = mf
+    x = data.draw(st.integers(0, 1 << (3 * m)))
+    assert _rem2(x, m, _fold_shifts(f, m)) == ref_rem(x, f)
+
+
+@pytest.mark.parametrize("m", [8, 63])
+def test_dense_modulus_field(m):
+    F = field(2, m, modulus=_unpack(DENSE[m], 2, m + 1))
+    assert F.modulus_packed == DENSE[m]
+    rng = random.Random(m)
+    for _ in range(40):
+        a = F.random_element(rng)
+        b = F.random_element(rng)
+        assert (a * b).val == ref_rem(ref_mul(a.val, b.val), DENSE[m])
+        assert (a ** 2).val == ref_rem(ref_mul(a.val, a.val), DENSE[m])
+        if a:
+            assert a * a.inverse() == F.one
+    with pytest.raises(DivisionByZero):
+        F.zero.inverse()
