@@ -1,18 +1,31 @@
 """Erasure decoders over a shared stream model.
 
-Two decoders are provided.  The generator-matrix decoder recovers message
-coefficients directly: it slides a window, solves the received symbols
+Two decoders are provided.  The generator-matrix decoder (gm) recovers
+message coefficients directly: it solves the received symbols of a window
 against a punctured band of generator coefficients with the known message
-history moved to the right-hand side, and extracts the longest uniquely
-determined message prefix.  The parity-check decoder recovers erased
+history moved to the right-hand side, and keeps the longest uniquely
+determined message prefix.  The parity-check decoder (pc) recovers erased
 codeword symbols from syndrome equations and leaves message extraction to a
 separate step.
 
-Both decoders share the window-growth policy: starting from j = 0, the
-window grows while it contains at least d_j^c erasures, up to a latency cap
-J.  When no window is solvable the decoder declares the current position
-lost and scans forward for a position where a guard space can be rebuilt
-without any known history.
+Both run one sliding-window driver, _slide, the algorithm of Tomas,
+Rosenthal and Smarandache (IEEE Trans. IT 58(1), 2012), so their results
+differ only in the linear system each one solves.  Starting from j = 0 at
+the first unrecovered block t, the window grows while blocks t..t+j hold at
+least d_j^c erasures, up to a latency cap J.  Each engine supplies two
+callables:
+
+* window(t, j) solves the window and returns (record or None, next t or
+  None); None means stuck, and the driver widens the window while it may.
+  pc returns (None, t + 1) for a block without erasures.
+* attempt(t, j) tries to rebuild a guard space at t with no known history
+  and returns (record, first pinned block or None): t - mu for gm's
+  widened variant and t otherwise, t - nu for pc.
+
+When the window is stuck at its cap the driver scans later candidates and
+delays with attempt and resumes after the first success; the blocks from
+the stall up to the first pinned block form a lost interval, and without a
+success the rest of the stream is lost.
 
 Blocks outside the listed stream are structural zeros on both sides, so
 windows may run past the last block; the virtual zero blocks contribute
@@ -22,7 +35,7 @@ when the origin degree is not announced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -229,32 +242,29 @@ def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
     return a, received, unknown_times
 
 
-def _solve_prefix(a: Mat, b: Mat, k: int, ops: _Ops):
-    """Solve X A = B; return (prefix_count, values) where prefix_count is the
-    number of leading k-wide unknown groups pinned by every solution."""
-    ops.count(a.nrows, a.ncols)
+def _solve(a: Mat, b: Mat, ops: _Ops | None, message: str):
+    """Solve X A = B, metering the elimination; a contradiction raises
+    InconsistentStream with the caller's message."""
+    if ops is not None:
+        ops.count(a.nrows, a.ncols)
     res = solve_right(a, b)
     if res.status == "inconsistent":
-        raise InconsistentStream("received symbols are not consistent with the code")
-    groups = a.nrows // k
-    if res.status == "unique":
-        return groups, res.solution
+        raise InconsistentStream(message)
+    return res
+
+
+def _pinned(res) -> list[bool]:
+    """Per unknown of a consistent solve: whether every solution agrees on
+    it, i.e. its column of the kernel is zero."""
     ker = res.kernel
-    prefix = 0
-    for g in range(groups):
-        cols = range(g * k, (g + 1) * k)
-        if any(ker.data[r][c].val for r in range(ker.nrows) for c in cols):
-            break
-        prefix += 1
-    return prefix, res.solution
+    return [all(not row[i].val for row in ker.data) for i in range(ker.ncols)]
 
 
 def _fill_codeword_blocks(code: ConvCode, work: ErasureStream, known_u: dict,
-                          ubound, t0: int, t1: int) -> int:
+                          ubound, t0: int, t1: int) -> None:
     """Re-encode blocks t0..t1 from known message coefficients, filling
     erasures and cross-checking received symbols."""
     mu = code.G.degree
-    filled = 0
     for tb in range(t0, t1 + 1):
         if not 0 <= tb < len(work.blocks):
             continue
@@ -274,17 +284,81 @@ def _fill_codeword_blocks(code: ConvCode, work: ErasureStream, known_u: dict,
         for c in range(code.n):
             if blk[c] is None:
                 blk[c] = acc[c]
-                filled += 1
             elif blk[c] != acc[c]:
                 raise InconsistentStream(
                     f"block {tb} disagrees with the recovered message")
-    return filled
 
 
 def _distance_gate(distances, n: int, k: int, j: int) -> int:
     if distances is not None and j < len(distances):
         return distances[j]
     return column_bound(n, k, j)
+
+
+def _slide(code: ConvCode, work: ErasureStream, reach: int, max_delay,
+           distances, guard: bool, window, attempt):
+    """The sliding-window policy both engines share, as the module docstring
+    describes; reach is how far windows may run past the stream end (the
+    memory of the engine's matrix).  Returns (windows, lost intervals)."""
+    if work.n != code.n or work.field != code.field:
+        raise LengthMismatch("stream does not match the code")
+    n, k = code.n, code.k
+    J = L_of(n, k, code.delta) if max_delay is None else max_delay
+    windows: list[WindowRecord] = []
+    lost: list[tuple[int, int]] = []
+    T = len(work.blocks)
+    t = 0
+    while t < T:
+        j = 0
+        while True:
+            can_grow = j < J and t + j < T - 1 + reach
+            if can_grow and work.window_erasures(t, j) >= _distance_gate(
+                    distances, n, k, j):
+                j += 1
+                continue
+            rec, nxt = window(t, j)
+            if rec is not None:
+                windows.append(rec)
+            if nxt is not None or not can_grow:
+                break
+            j += 1
+        if nxt is not None:
+            t = nxt
+            continue
+        stall, first = t, None
+        if guard:
+            for cand in range(t + 1, T):
+                for jg in range(min(J, T - 1 - cand) + 1):
+                    rec, first = attempt(cand, jg)
+                    windows.append(rec)
+                    if first is not None:
+                        break
+                if first is not None:
+                    break
+        if first is None:
+            lost.append((stall, T - 1))
+            break
+        if first > stall:
+            lost.append((stall, first - 1))
+        t = cand + jg + 1
+    return windows, lost
+
+
+def _report(decoder: str, code: ConvCode, stream: ErasureStream,
+            work: ErasureStream, message: dict, windows, lost, ops: _Ops,
+            **extra) -> DecodeReport:
+    seen = stream.total_erasures
+    return DecodeReport(
+        decoder=decoder,
+        code_shape=(code.n, code.k, code.delta),
+        recovered_message=message,
+        corrected=work,
+        windows=windows,
+        lost_intervals=lost,
+        totals={"erasures_seen": seen,
+                "erasures_recovered": seen - work.total_erasures,
+                "solve_ops_estimate": ops.total, **extra},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -310,34 +384,25 @@ def gm_guard_recover(code: ConvCode, stream: ErasureStream, t_candidate: int,
     u_{t-2mu}, which pulls the surviving symbols of the preceding blocks
     into play.  Only a fully unique solve counts.
     """
-    ops = ops or _Ops()
     ubound = message_degree_bound(code, stream)
     mu = code.G.degree
     k = code.k
-    attempts = (("window", t_candidate),)
-    if mu:
-        attempts += (("extended", t_candidate - mu),)
-    last = None
-    for variant, v_start in attempts:
-        width = t_candidate + j + 1 - v_start
-        a, b, unknown_times = _gm_system(code, stream, {}, ubound,
-                                         v_start, width)
+    variants = ("window", "extended") if mu else ("window",)
+    for variant in variants:
+        v_start = t_candidate - (mu if variant == "extended" else 0)
+        a, b, unknown_times = _gm_system(code, stream, {}, ubound, v_start,
+                                         t_candidate + j + 1 - v_start)
         rec = WindowRecord(t_candidate, j, a.nrows, a.ncols,
                            "not_recoverable", f"gm_guard_{variant}")
-        last = GuardOutcome(False, t_candidate, j, None, None, rec)
         if a.nrows > a.ncols:
             continue  # cannot be unique, skip the solve
-        ops.count(a.nrows, a.ncols)
-        res = solve_right(a, b)
-        if res.status == "inconsistent":
-            raise InconsistentStream("guard window contradicts the code")
-        if res.status == "unique":
+        res = _solve(a, b, ops, "guard window contradicts the code")
+        if res.is_unique:
             values = {ut: tuple(res.solution.data[0][i * k:(i + 1) * k])
                       for i, ut in enumerate(unknown_times) if ut >= 0}
-            rec = WindowRecord(t_candidate, j, a.nrows, a.ncols,
-                               "guard_recovered", f"gm_guard_{variant}")
-            return GuardOutcome(True, t_candidate, j, variant, values, rec)
-    return last
+            return GuardOutcome(True, t_candidate, j, variant, values,
+                                replace(rec, outcome="guard_recovered"))
+    return GuardOutcome(False, t_candidate, j, None, None, rec)
 
 
 def gm_decode_forward(code: ConvCode, stream: ErasureStream,
@@ -354,123 +419,71 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
     """
     if rank(code.G.eval_at_zero()) < code.k:
         raise NotDelayFree("rank of G(0) is below k")
-    if stream.n != code.n or stream.field != code.field:
-        raise LengthMismatch("stream does not match the code")
-    n, k, mu = code.n, code.k, code.G.degree
-    J = L_of(n, k, code.delta) if max_delay is None else max_delay
+    k, mu = code.k, code.G.degree
     ops = _Ops()
     work = stream.copy()
     ubound = message_degree_bound(code, stream)
     known_u: dict[int, tuple[Element, ...]] = {}
-    windows: list[WindowRecord] = []
-    lost: list[tuple[int, int]] = []
-    T = len(work.blocks)
-    t = 0
-    while t < T:
-        j = 0
-        advanced = False
-        while True:
-            e = work.window_erasures(t, j)
-            can_grow = j < J and t + j < T - 1 + mu
-            if e >= _distance_gate(distances, n, k, j) and can_grow:
-                j += 1
-                continue
-            a, b, unknown_times = _gm_system(code, work, known_u, ubound,
-                                             t, j + 1)
-            prefix, sol = _solve_prefix(a, b, k, ops)
-            if prefix == len(unknown_times):
-                covered = t + j  # trailing structural zeros ride along
-            elif prefix:
-                covered = unknown_times[prefix - 1]
-            else:
-                covered = t - 1
-            outcome = ("recovered" if covered >= t + j
-                       else "partial" if covered >= t else "stalled")
-            windows.append(WindowRecord(t, j, a.nrows, a.ncols, outcome, "gm"))
-            if covered >= t:
-                for i, ut in enumerate(unknown_times[:prefix]):
-                    known_u[ut] = tuple(sol.data[0][i * k:(i + 1) * k])
-                _fill_codeword_blocks(code, work, known_u, ubound, t, covered)
-                t = covered + 1
-                advanced = True
-                break
-            if can_grow:
-                j += 1
-                continue
-            break
-        if advanced:
-            continue
-        # forward decoding is stuck: scan for a position where a guard space
-        # can be rebuilt, reporting the skipped blocks as lost
-        lost_start = t
-        resume = None
-        if guard:
-            for cand in range(t + 1, T):
-                for jg in range(min(J, T - 1 - cand) + 1):
-                    out = gm_guard_recover(code, work, cand, jg, ops)
-                    windows.append(out.record)
-                    if out.ok:
-                        resume = out
-                        break
-                if resume:
-                    break
-        if resume is None:
-            lost.append((lost_start, T - 1))
-            break
-        known_u.update(resume.values)
+
+    def window(t, j):
+        a, b, unknown_times = _gm_system(code, work, known_u, ubound, t, j + 1)
+        res = _solve(a, b, ops, "received symbols are not consistent with the code")
+        # leading whole k-groups of unknowns that every solution agrees on
+        prefix = (_pinned(res) + [False]).index(False) // k
+        if prefix == len(unknown_times):
+            covered = t + j  # trailing structural zeros ride along
+        elif prefix:
+            covered = unknown_times[prefix - 1]
+        else:
+            covered = t - 1
+        outcome = ("recovered" if covered >= t + j
+                   else "partial" if covered >= t else "stalled")
+        rec = WindowRecord(t, j, a.nrows, a.ncols, outcome, "gm")
+        if covered < t:
+            return rec, None
+        for i, ut in enumerate(unknown_times[:prefix]):
+            known_u[ut] = tuple(res.solution.data[0][i * k:(i + 1) * k])
+        _fill_codeword_blocks(code, work, known_u, ubound, t, covered)
+        return rec, covered + 1
+
+    def attempt(t, j):
+        out = gm_guard_recover(code, work, t, j, ops)
+        if not out.ok:
+            return out.record, None
+        known_u.update(out.values)
         # the widened variant pins the mu history blocks as well
-        fill_start = resume.t - (mu if resume.variant == "extended" else 0)
-        _fill_codeword_blocks(code, work, known_u, ubound,
-                              fill_start, resume.t + resume.j)
-        if fill_start > lost_start:
-            lost.append((lost_start, fill_start - 1))
-        t = resume.t + resume.j + 1
-    seen = stream.total_erasures
-    return DecodeReport(
-        decoder="gm",
-        code_shape=(n, k, code.delta),
-        recovered_message=known_u,
-        corrected=work,
-        windows=windows,
-        lost_intervals=lost,
-        totals={"erasures_seen": seen,
-                "erasures_recovered": seen - work.total_erasures,
-                "solve_ops_estimate": ops.total},
-    )
+        first = t - (mu if out.variant == "extended" else 0)
+        _fill_codeword_blocks(code, work, known_u, ubound, first, t + j)
+        return out.record, first
+
+    windows, lost = _slide(code, work, mu, max_delay, distances, guard,
+                           window, attempt)
+    return _report("gm", code, stream, work, known_u, windows, lost, ops)
 
 
 # ---------------------------------------------------------------------------
 # parity-check decoding
 # ---------------------------------------------------------------------------
 
-def _pc_window_solve(code: ConvCode, work: ErasureStream, t: int, j: int,
-                     ops: _Ops):
-    """Syndrome solve for erased symbols in blocks t..t+j assuming the
-    history v_{t-nu}..v_{t-1} is clean; returns (determined, record) where
-    determined maps (block, position) to the pinned value."""
+def _pc_system(code: ConvCode, stream: ErasureStream, t: int, j: int):
+    """Syndrome equations over blocks t-nu..t+j, every erased symbol an
+    unknown.  Returns (unknowns, equations, solve): unknowns lists the
+    erased (block, position) pairs and solve(ops) builds the right-hand
+    side and solves, so a caller can reject on the counts first."""
     nu = code.H.degree
     band = parity_band(code.H, j, nu=nu)
-    v_start = t - nu
-    known_cols, unknown_cols = _window_columns(work, v_start, j + 1 + nu)
-    he = band.take_cols(unknown_cols)
-    rhs = band.take_cols([c for c, _ in known_cols]) * Mat.row_vector(
-        code.field, [v for _, v in known_cols]).transpose()
-    a = he.transpose()
-    b = rhs.scale(-code.field.one).transpose()
-    ops.count(a.nrows, a.ncols)
-    res = solve_right(a, b)
-    if res.status == "inconsistent":
-        raise InconsistentStream("syndrome equations are contradictory")
-    ker = res.kernel
-    determined = {}
-    n = work.n
-    for i, col in enumerate(unknown_cols):
-        if all(ker.data[r][i].val == 0 for r in range(ker.nrows)):
-            determined[(v_start + col // n, col % n)] = res.solution.data[0][i]
-    outcome = ("recovered" if len(determined) == len(unknown_cols)
-               else "partial" if determined else "stalled")
-    return determined, WindowRecord(t, j, len(unknown_cols), band.nrows,
-                                    outcome, "pc")
+    known_cols, unknown_cols = _window_columns(stream, t - nu, j + 1 + nu)
+    n = stream.n
+    unknowns = [(t - nu + col // n, col % n) for col in unknown_cols]
+
+    def solve(ops):
+        a = band.take_cols(unknown_cols).transpose()
+        rhs = band.take_cols([c for c, _ in known_cols]) * Mat.row_vector(
+            code.field, [v for _, v in known_cols]).transpose()
+        return _solve(a, rhs.scale(-code.field.one).transpose(), ops,
+                      "syndrome equations are contradictory")
+
+    return unknowns, band.nrows, solve
 
 
 def pc_guard_recover(code: ConvCode, stream: ErasureStream, position: int,
@@ -479,34 +492,16 @@ def pc_guard_recover(code: ConvCode, stream: ErasureStream, position: int,
     with no clean history: every erased symbol in the window is unknown."""
     if code.H is None:
         raise NoParityCheck("no parity check supplied")
-    ops = ops or _Ops()
-    nu = code.H.degree
-    band = parity_band(code.H, j, nu=nu)
-    v_start = position - nu
-    known_cols, unknown_cols = _window_columns(stream, v_start, j + 1 + nu)
-    rec = WindowRecord(position, j, len(unknown_cols), band.nrows,
+    unknowns, equations, solve = _pc_system(code, stream, position, j)
+    rec = WindowRecord(position, j, len(unknowns), equations,
                        "not_recoverable", "pc_guard")
-    if len(unknown_cols) > band.nrows:
-        return GuardOutcome(False, position, j, None, None, rec)
-    he = band.take_cols(unknown_cols)
-    rhs = band.take_cols([c for c, _ in known_cols]) * Mat.row_vector(
-        code.field, [v for _, v in known_cols]).transpose()
-    a = he.transpose()
-    ops.count(a.nrows, a.ncols)
-    res = solve_right(a, rhs.scale(-code.field.one).transpose())
-    if res.status == "inconsistent":
-        raise InconsistentStream("syndrome equations are contradictory")
-    if res.status != "unique":
-        return GuardOutcome(False, position, j, None, None, rec)
-    n = stream.n
-    values = {}
-    for i, col in enumerate(unknown_cols):
-        tb = v_start + col // n
-        if tb >= 0:
-            values[(tb, col % n)] = res.solution.data[0][i]
-    rec = WindowRecord(position, j, len(unknown_cols), band.nrows,
-                       "guard_recovered", "pc_guard")
-    return GuardOutcome(True, position, j, "window", values, rec)
+    if len(unknowns) <= equations:  # more unknowns cannot be unique
+        res = solve(ops)
+        if res.is_unique:
+            values = dict(zip(unknowns, res.solution.data[0]))
+            return GuardOutcome(True, position, j, "window", values,
+                                replace(rec, outcome="guard_recovered"))
+    return GuardOutcome(False, position, j, None, None, rec)
 
 
 def pc_decode_forward(code: ConvCode, stream: ErasureStream,
@@ -516,87 +511,49 @@ def pc_decode_forward(code: ConvCode, stream: ErasureStream,
 
     Recovers codeword symbols rather than message coefficients; the
     report's message is extracted afterwards when the stream comes out
-    complete.  The zero state supplies the clean history at the start.
-    guard=False stops at the first stall as in gm_decode_forward.
+    complete.  Each window takes the history v_{t-nu}..v_{t-1} as clean,
+    and the zero state supplies it at the start.  guard=False stops at the
+    first stall as in gm_decode_forward.
     """
     if code.H is None:
         raise NoParityCheck("no parity check supplied")
-    if stream.n != code.n or stream.field != code.field:
-        raise LengthMismatch("stream does not match the code")
-    n, k, nu = code.n, code.k, code.H.degree
-    J = L_of(n, k, code.delta) if max_delay is None else max_delay
+    nu = code.H.degree
     ops = _Ops()
     work = stream.copy()
-    windows: list[WindowRecord] = []
-    lost: list[tuple[int, int]] = []
-    T = len(work.blocks)
-    t = 0
-    while t < T:
+
+    def fill(values):
+        for (tb, pos), val in values:
+            work.blocks[tb][pos] = val
+
+    def window(t, j):
         if not work.erased_positions(t):
-            t += 1
-            continue
-        j = 0
-        advanced = False
-        while True:
-            e = work.window_erasures(t, j)
-            can_grow = j < J and t + j < T - 1 + nu
-            if e >= _distance_gate(distances, n, k, j) and can_grow:
-                j += 1
-                continue
-            determined, rec = _pc_window_solve(code, work, t, j, ops)
-            windows.append(rec)
-            for (tb, pos), val in determined.items():
-                if 0 <= tb < T:
-                    work.blocks[tb][pos] = val
-            if not work.erased_positions(t):
-                advanced = True
-                break
-            if can_grow:
-                j += 1
-                continue
-            break
-        if advanced:
-            continue
-        lost_start = t
-        resume = None
-        if guard:
-            for cand in range(t + 1, T):
-                for jg in range(min(J, T - 1 - cand) + 1):
-                    out = pc_guard_recover(code, work, cand, jg, ops)
-                    windows.append(out.record)
-                    if out.ok:
-                        resume = out
-                        break
-                if resume:
-                    break
-        if resume is None:
-            lost.append((lost_start, T - 1))
-            break
-        for (tb, pos), val in resume.values.items():
-            if 0 <= tb < T:
-                work.blocks[tb][pos] = val
-        lost_end = resume.t - nu - 1
-        if lost_end >= lost_start:
-            lost.append((lost_start, lost_end))
-        t = resume.t + resume.j + 1
+            return None, t + 1  # clean blocks need no window
+        unknowns, equations, solve = _pc_system(code, work, t, j)
+        res = solve(ops)
+        determined = [(pos, val) for pos, val, pinned
+                      in zip(unknowns, res.solution.data[0], _pinned(res)) if pinned]
+        fill(determined)
+        outcome = ("recovered" if len(determined) == len(unknowns)
+                   else "partial" if determined else "stalled")
+        rec = WindowRecord(t, j, len(unknowns), equations, outcome, "pc")
+        return rec, None if work.erased_positions(t) else t + 1
+
+    def attempt(t, j):
+        out = pc_guard_recover(code, work, t, j, ops)
+        if not out.ok:
+            return out.record, None
+        fill(out.values.items())
+        return out.record, t - nu
+
+    windows, lost = _slide(code, work, nu, max_delay, distances, guard,
+                           window, attempt)
     message: dict[int, tuple[Element, ...]] = {}
     if not lost and work.is_complete:
         message = extract_message(code, work)
-    seen = stream.total_erasures
-    return DecodeReport(
-        decoder="pc",
-        code_shape=(n, k, code.delta),
-        recovered_message=message,
-        corrected=work,
-        windows=windows,
-        lost_intervals=lost,
-        totals={"erasures_seen": seen,
-                "erasures_recovered": seen - work.total_erasures,
-                "solve_ops_estimate": ops.total,
-                # the syndrome windows at the stream head borrow this many
-                # virtual zero blocks as their clean history
-                "zero_state_blocks": nu},
-    )
+    # the syndrome windows at the stream head borrow this many virtual zero
+    # blocks as their clean history
+    return _report("pc", code, stream, work, message, windows, lost, ops,
+                   zero_state_blocks=nu)
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +576,8 @@ def extract_message(code: ConvCode, stream: ErasureStream, start: int = 0,
     ubound = message_degree_bound(code, stream)
     a, b, unknown_times = _gm_system(code, stream, {}, ubound,
                                      start, end - start + 1)
-    res = solve_right(a, b)
-    if res.status == "inconsistent":
-        raise InconsistentStream("blocks are not a codeword window")
-    if res.status != "unique":
+    res = _solve(a, b, None, "blocks are not a codeword window")
+    if not res.is_unique:
         raise NonUnique("window too short to pin the message down")
     out = {}
     for i, ut in enumerate(unknown_times):

@@ -154,7 +154,7 @@ def staircase_certificate(n: int, k: int, delta: int) -> dict:
                 left = all(grid[i][l2] is None for l2 in range(l))
                 if not (below or left):
                     raise ValueError(f"zero at ({i},{l}) not closed off")
-            elif (1 << e) < 1:
+            elif e < 0:
                 raise ValueError(f"non-positive exponent at ({i},{l})")
     for i in range(nrows):
         prev = None

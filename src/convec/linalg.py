@@ -275,10 +275,7 @@ def solve_right(a: Mat, b: Mat) -> SolveResult:
     at = a.transpose()
     bt = b.transpose()
     work = [list(ra) + list(rb) for ra, rb in zip(at.data, bt.data)]
-    if not work:
-        work = []
     pivots = _rref(work, r + t)
-    piv_of_col = {c: rr for rr, c in pivots}
     for rr, c in pivots:
         if c >= r:
             return SolveResult("inconsistent", None, None)
@@ -289,36 +286,31 @@ def solve_right(a: Mat, b: Mat) -> SolveResult:
         for ti in range(t):
             sol_cols[c][ti] = work[rr][r + ti]
     solution = Mat(fld, [[sol_cols[v][ti] for v in range(r)] for ti in range(t)], r)
-    free = [v for v in range(r) if v not in piv_of_col]
-    kern_rows = []
-    for fv in free:
-        vec = [zero] * r
+    kernel = _kernel_rows(fld, work, pivots, r)
+    status = "unique" if not kernel.nrows else "underdetermined"
+    return SolveResult(status, solution, kernel)
+
+
+def _kernel_rows(fld: Field, work, pivots, width: int) -> Mat:
+    """Null-space basis of a reduced matrix over its first width columns:
+    one row per free column, pivot entries read off the reduced rows."""
+    piv_cols = {c for _, c in pivots}
+    rows = []
+    for fv in range(width):
+        if fv in piv_cols:
+            continue
+        vec = [fld.zero] * width
         vec[fv] = fld.one
         for rr, c in pivots:
             vec[c] = -work[rr][fv]
-        kern_rows.append(vec)
-    kernel = Mat(fld, kern_rows, r)
-    status = "unique" if not free else "underdetermined"
-    return SolveResult(status, solution, kernel)
+        rows.append(vec)
+    return Mat(fld, rows, width)
 
 
 def right_kernel(a: Mat) -> Mat:
     """Rows w with A * w^T = 0 (a basis of the right null space)."""
     work = [list(row) for row in a.data]
-    pivots = _rref(work, a.ncols)
-    piv_cols = {c for _, c in pivots}
-    fld = a.field
-    zero = fld.zero
-    rows = []
-    for fv in range(a.ncols):
-        if fv in piv_cols:
-            continue
-        vec = [zero] * a.ncols
-        vec[fv] = fld.one
-        for rr, c in pivots:
-            vec[c] = -work[rr][fv]
-        rows.append(vec)
-    return Mat(fld, rows, a.ncols)
+    return _kernel_rows(a.field, work, _rref(work, a.ncols), a.ncols)
 
 
 def left_kernel(a: Mat) -> Mat:

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from convec import field
+from convec import construct, field
 from convec.construct import (
     alpha_exponent_layout,
     build_complete_mdp,
@@ -121,6 +121,14 @@ def test_staircase_reference_grid():
     # the worst surviving minor term for these parameters
     cert = staircase_certificate(3, 1, 1)
     assert cert["max_term_exponent"] == 100 < 193
+
+
+def test_staircase_rejects_negative_exponent(monkeypatch):
+    grid = staircase_exponents(3, 1, 1)
+    grid[0][6] = -1
+    monkeypatch.setattr(construct, "staircase_exponents", lambda n, k, delta: grid)
+    with pytest.raises(ValueError, match="non-positive exponent at \\(0,6\\)"):
+        staircase_certificate(3, 1, 1)
 
 
 def test_random_code_first_sample():
