@@ -43,13 +43,12 @@ from .errors import (
     LengthMismatch,
     NonUnique,
     NoParityCheck,
-    NotDelayFree,
 )
 from .gf import Element
 from .linalg import Mat, rank, solve_right
 from .polymat import ConvCode, PolyMatrix
 from .sliding import generator_band, parity_band
-from .distance import L_of, column_bound
+from .distance import L_of, _require_delay_free, column_bound
 from .stream import ErasureStream
 
 
@@ -367,6 +366,9 @@ def _report(decoder: str, code: ConvCode, stream: ErasureStream,
 
 @dataclass(frozen=True)
 class GuardOutcome:
+    """One guard attempt.  record describes the last system tried: for gm,
+    the widened window whenever the plain one did not succeed and mu > 0."""
+
     ok: bool
     t: int
     j: int
@@ -382,7 +384,9 @@ def gm_guard_recover(code: ConvCode, stream: ErasureStream, t_candidate: int,
     First the plain window system over v_t..v_{t+j}, unknowns back to
     u_{t-mu}; then the widened one over v_{t-mu}..v_{t+j}, unknowns back to
     u_{t-2mu}, which pulls the surviving symbols of the preceding blocks
-    into play.  Only a fully unique solve counts.
+    into play.  Only a fully unique solve counts.  The returned record is
+    that of the last variant tried, so an attempt that solves both systems
+    leaves one record; ops meters every solve.
     """
     ubound = message_degree_bound(code, stream)
     mu = code.G.degree
@@ -417,8 +421,7 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
     the first stall instead of rebuilding a guard space, declaring the
     rest of the stream lost.
     """
-    if rank(code.G.eval_at_zero()) < code.k:
-        raise NotDelayFree("rank of G(0) is below k")
+    _require_delay_free(code)
     k, mu = code.k, code.G.degree
     ops = _Ops()
     work = stream.copy()

@@ -84,10 +84,6 @@ class NonUnique(ConvecError):
     pass
 
 
-class NotRecoverable(ConvecError):
-    pass
-
-
 class ParseError(ConvecError):
     pass
 

@@ -161,9 +161,16 @@ class Mat:
 # elimination
 # ---------------------------------------------------------------------------
 
-def _rref(data: list[list[Element]], ncols: int) -> list[tuple[int, int]]:
-    """In-place reduced row echelon form; returns (row, col) pivot pairs."""
+def _echelon(data: list[list[Element]], ncols: int):
+    """In-place forward elimination to row echelon form.
+
+    Pivot rows keep their leading entry; the rows below are cleared with
+    multiples of it.  Returns (row, col, inverse) triples, where inverse is
+    that of the pivot entry, or None when no row below needed clearing, and
+    whether the row swaps form an odd permutation.
+    """
     pivots = []
+    odd = False
     r = 0
     nrows = len(data)
     for c in range(ncols):
@@ -176,53 +183,51 @@ def _rref(data: list[list[Element]], ncols: int) -> list[tuple[int, int]]:
             continue
         if pr != r:
             data[pr], data[r] = data[r], data[pr]
-        inv = data[r][c].inverse()
-        data[r] = [inv * e for e in data[r]]
-        for i in range(nrows):
-            if i != r and not data[i][c].is_zero:
-                f = data[i][c]
+            odd = not odd
+        inv = None
+        for i in range(r + 1, nrows):
+            if not data[i][c].is_zero:
+                if inv is None:
+                    inv = data[r][c].inverse()
+                f = data[i][c] * inv
                 data[i] = [a - f * b for a, b in zip(data[i], data[r])]
-        pivots.append((r, c))
+        pivots.append((r, c, inv))
         r += 1
         if r == nrows:
             break
-    return pivots
+    return pivots, odd
+
+
+def _rref(data: list[list[Element]], ncols: int) -> list[tuple[int, int]]:
+    """In-place reduced row echelon form; returns (row, col) pivot pairs."""
+    pivots, _ = _echelon(data, ncols)
+    for r, c, inv in reversed(pivots):
+        if inv is None:
+            inv = data[r][c].inverse()
+        data[r] = [inv * e for e in data[r]]
+        for i in range(r):
+            if not data[i][c].is_zero:
+                f = data[i][c]
+                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+    return [(r, c) for r, c, _ in pivots]
 
 
 def rank(a: Mat) -> int:
     work = [list(row) for row in a.data]
-    return len(_rref(work, a.ncols))
+    return len(_echelon(work, a.ncols)[0])
 
 
 def det(a: Mat) -> Element:
     if a.nrows != a.ncols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    n = a.nrows
-    fld = a.field
-    if n == 0:
-        return fld.one
     work = [list(row) for row in a.data]
-    acc = fld.one
-    negate = False
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not work[i][c].is_zero:
-                pr = i
-                break
-        if pr is None:
-            return fld.zero
-        if pr != c:
-            work[pr], work[c] = work[c], work[pr]
-            negate = not negate
-        piv = work[c][c]
-        acc = acc * piv
-        inv = piv.inverse()
-        for i in range(c + 1, n):
-            if not work[i][c].is_zero:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return -acc if negate else acc
+    pivots, odd = _echelon(work, a.ncols)
+    if len(pivots) < a.nrows:
+        return a.field.zero
+    acc = a.field.one
+    for r, c, _ in pivots:
+        acc = acc * work[r][c]
+    return -acc if odd else acc
 
 
 def minor(a: Mat, rows, cols) -> Element:

@@ -6,11 +6,11 @@ a 1 x s PolyMatrix.  ConvCode bundles a k x n generator with an optional
 (n-k) x n parity check and derives its invariants once at construction.
 
 The external degree (the "delta" of an (n, k, delta) code) is the maximal
-degree of the full-size minors of G.  It is computed exactly by one of two
-routes: evaluation/interpolation at delta_max + 1 points when the field has
-enough of them, and fraction-free (Bareiss) elimination over F[z] otherwise.
-Both are exact; the former avoids intermediate polynomial blowup on the big
-fields the constructions live in.
+degree of the full-size minors of G, and G is non-catastrophic exactly when
+their gcd is a nonzero constant.  Both are read from one exact computation
+of the minors by fraction-free (Bareiss) elimination over F[z], which works
+over every field.  Each intermediate entry of that elimination is itself a
+minor of G, so its degree stays within the sum of the row degrees.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import Element, Field
-from .linalg import Mat, det, rank
+from .linalg import Mat, rank
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +150,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, divmod(a, b)[1]
     return a.monic()
-
-
-def interpolate(field: Field, points, values) -> Poly:
-    """Lagrange interpolation through (points[i], values[i])."""
-    n = len(points)
-    if len(values) != n:
-        raise DimensionMismatch("points and values differ in length")
-    acc = Poly.zero(field)
-    for i in range(n):
-        num = Poly.one(field)
-        denom = field.one
-        for j in range(n):
-            if j == i:
-                continue
-            num = num * Poly(field, (-points[j], field.one))
-            denom = denom * (points[i] - points[j])
-        scale = values[i] * denom.inverse()
-        acc = acc + Poly(field, [c * scale for c in num.coeffs])
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -347,38 +328,25 @@ def _bareiss_poly_det(entries: list[list[Poly]], field: Field) -> Poly:
 
 
 def full_size_minors(g: PolyMatrix) -> dict[tuple[int, ...], Poly]:
-    """All k x k minors of a k x n PolyMatrix as exact polynomials.
-
-    Keys are 0-based column tuples.  Uses evaluation/interpolation when the
-    field has more than delta_max points, Bareiss elimination otherwise.
-    """
+    """All k x k minors of a k x n PolyMatrix as exact polynomials, by
+    fraction-free elimination over F[z].  Keys are 0-based column tuples."""
     k, n = g.nrows, g.ncols
     if k > n:
         raise DimensionMismatch("wide matrix expected (k <= n)")
-    fld = g.field
-    dmax = sum(d for d in g.row_degrees() if d > 0)
+    entries = [[g.entry(i, j) for j in range(n)] for i in range(k)]
     out: dict[tuple[int, ...], Poly] = {}
-    if k == 1:
-        for j in range(n):
-            out[(j,)] = g.entry(0, j)
-        return out
-    if fld.q > dmax:
-        pts = [fld.el(v) for v in range(dmax + 1)]
-        evals = [g.eval(x) for x in pts]
-        for cols in itertools.combinations(range(n), k):
-            vals = [det(ev.take_cols(cols)) for ev in evals]
-            out[cols] = interpolate(fld, pts, vals)
-    else:
-        entries = [[g.entry(i, j) for j in range(n)] for i in range(k)]
-        for cols in itertools.combinations(range(n), k):
-            sub = [[entries[i][j] for j in cols] for i in range(k)]
-            out[cols] = _bareiss_poly_det(sub, fld)
+    for cols in itertools.combinations(range(n), k):
+        sub = [[row[j] for j in cols] for row in entries]
+        out[cols] = _bareiss_poly_det(sub, g.field)
     return out
 
 
 def degree_delta(g: PolyMatrix) -> int:
     """External degree: the maximum degree over all full-size minors of g."""
-    minors = full_size_minors(g)
+    return _max_minor_degree(full_size_minors(g))
+
+
+def _max_minor_degree(minors: dict[tuple[int, ...], Poly]) -> int:
     best = max((p.degree for p in minors.values()), default=-1)
     if best < 0:
         raise RankDeficient("matrix has no nonzero full-size minor")
@@ -416,7 +384,8 @@ class ConvCode:
         self.G = G
         self.H = H
         self.field = G.field
-        self.delta = degree_delta(G)
+        self._minors = full_size_minors(G)
+        self.delta = _max_minor_degree(self._minors)
         self.mu = G.degree
         self.nu = None
         if H is not None:
@@ -432,7 +401,6 @@ class ConvCode:
             self.nu = H.degree
         self.metadata = dict(metadata) if metadata else {}
         self._flags: StructuralFlags | None = None
-        self._minors: dict | None = None
         self._dcache: dict[int, int] = {}
 
     # -- derived structure -------------------------------------------------
@@ -442,20 +410,14 @@ class ConvCode:
         if self._flags is None:
             delay_free = rank(self.G.eval_at_zero()) == self.k
             row_reduced = rank(self.G.leading_row_matrix()) == self.k
-            minors = self._full_size_minors()
             g = Poly.zero(self.field)
-            for p in minors.values():
+            for p in self._minors.values():
                 g = poly_gcd(g, p)
                 if g.degree == 0:
                     break
             noncat = g.degree == 0  # gcd is a nonzero constant
             self._flags = StructuralFlags(delay_free, row_reduced, noncat)
         return self._flags
-
-    def _full_size_minors(self):
-        if self._minors is None:
-            self._minors = full_size_minors(self.G)
-        return self._minors
 
     def encode(self, u: PolyMatrix) -> PolyMatrix:
         """Codeword u(z) * G(z) for a 1 x k message."""

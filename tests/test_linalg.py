@@ -1,4 +1,9 @@
-"""Exact dense linear algebra: elimination, determinants, the left solver."""
+"""Exact dense linear algebra: elimination, determinants, the left solver.
+
+The differential tests at the end check rank, solve_right, the kernels and
+det against test-local oracles (row-span enumeration, plain products and
+permutation expansion) over prime, binary and general fields.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +11,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convec import field
 from convec.errors import DimensionMismatch, IndexOutOfRange
@@ -185,3 +191,88 @@ def test_matmul_shapes():
     b = Mat.zeros(F, 4, 2)
     with pytest.raises(DimensionMismatch):
         a * b
+
+
+# -- differential tests against test-local oracles ------------------------------
+
+def _rows(fld, vals, ncols):
+    """Element rows of a matrix from a flat list of packed values."""
+    return [[fld.el(v) for v in vals[i:i + ncols]] for i in range(0, len(vals), ncols)]
+
+
+def _product(x, a, fld):
+    """Plain row-by-matrix product of lists of Element rows."""
+    out = []
+    for xrow in x:
+        acc = [fld.zero] * len(a[0])
+        for xi, arow in zip(xrow, a):
+            acc = [s + xi * e for s, e in zip(acc, arow)]
+        out.append(acc)
+    return out
+
+
+def _span_size(fld, rows):
+    """Number of distinct vectors in the row span, by enumerating every
+    combination of the rows."""
+    span = set()
+    for coeffs in itertools.product(range(fld.q), repeat=len(rows)):
+        span.add(tuple(e.val for e in _product([[fld.el(c) for c in coeffs]], rows, fld)[0]))
+    return len(span)
+
+
+@st.composite
+def _matrices(draw, q, max_rows, max_cols):
+    r = draw(st.integers(1, max_rows))
+    c = draw(st.integers(1, max_cols))
+    return r, c, draw(st.lists(st.integers(0, q - 1), min_size=r * c, max_size=r * c))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_rank_counts_row_span(p, m, data):
+    F = field(p, m)
+    r, c, vals = data.draw(_matrices(F.q, 3, 4))
+    rows = _rows(F, vals, c)
+    assert F.q ** rank(Mat(F, rows)) == _span_size(F, rows)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 4), (3, 2)])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solve_and_kernels_satisfy_their_equations(p, m, data):
+    F = field(p, m)
+    r, c, vals = data.draw(_matrices(F.q, 5, 6))
+    a = _rows(F, vals, c)
+    t = data.draw(st.integers(1, 2))
+    x0 = _rows(F, data.draw(st.lists(st.integers(0, F.q - 1), min_size=t * r,
+                                      max_size=t * r)), r)
+    b = _product(x0, a, F)
+    if data.draw(st.booleans()):  # a right-hand side that may leave the row space
+        b[0][data.draw(st.integers(0, c - 1))] += F.one
+    res = solve_right(Mat(F, a), Mat(F, b))
+    rk = rank(Mat(F, a))
+    if res.status == "inconsistent":
+        assert rank(Mat(F, a + b)) > rk
+        return
+    assert _product(res.solution.data, a, F) == b
+    assert res.kernel.nrows == r - rk
+    assert res.is_unique == (rk == r)
+    zero_row = [F.zero] * c
+    assert all(row == zero_row for row in _product(res.kernel.data, a, F))
+    right = right_kernel(Mat(F, a)).data
+    assert len(right) == c - rk
+    at = [list(col) for col in zip(*a)]
+    assert all(row == [F.zero] * r for row in _product(right, at, F))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_det_matches_permutation_expansion_general_field(data):
+    F = field(3, 2)
+    n = data.draw(st.integers(1, 5))
+    vals = data.draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+    if n > 1 and data.draw(st.booleans()):  # a repeated row makes it singular
+        vals[-n:] = vals[:n]
+    a = Mat(F, _rows(F, vals, n))
+    assert det(a) == _perm_det(a)

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from convec import field
 from convec.errors import DegreeMismatch, DimensionMismatch, RankDeficient
@@ -13,11 +15,9 @@ from convec.polymat import (
     ConvCode,
     Poly,
     PolyMatrix,
-    _bareiss_poly_det,
     code_from_json,
     degree_delta,
     full_size_minors,
-    interpolate,
     poly_from_blocks,
     poly_gcd,
     poly_to_blocks,
@@ -56,16 +56,6 @@ def test_exact_div_raises_on_remainder():
     z = Poly.from_packed(F, [0, 1])
     with pytest.raises(DegreeMismatch):
         (z * z + Poly.one(F)).exact_div(z)
-
-
-def test_interpolation_round_trip():
-    F = field(7)
-    rng = random.Random(2)
-    for _ in range(20):
-        p = _rand_poly(F, rng, 4)
-        pts = [F.el(v) for v in range(5)]
-        vals = [p.eval(x) for x in pts]
-        assert interpolate(F, pts, vals) == p
 
 
 def test_polymatrix_trims_trailing_zeros():
@@ -156,22 +146,49 @@ def test_degree_delta_rank_deficient():
         degree_delta(g)
 
 
-def test_minor_paths_agree():
-    # interpolation route vs fraction-free elimination route
-    F = field(31)
-    rng = random.Random(13)
-    for _ in range(10):
-        g = PolyMatrix(F, 2, 4, [
-            Mat(F, [[F.random_element(rng) for _ in range(4)] for _ in range(2)])
-            for _ in range(3)
-        ])
-        if g.is_zero:
-            continue
-        via_interp = full_size_minors(g)
-        entries = [[g.entry(i, j) for j in range(4)] for i in range(2)]
-        for cols, p in via_interp.items():
-            sub = [[entries[i][j] for j in cols] for i in range(2)]
-            assert _bareiss_poly_det(sub, F) == p
+def _det_at(g, cols, x):
+    """det G(x) restricted to cols, by Horner evaluation of every entry and
+    permutation expansion; independent of linalg and of the minor route."""
+    fld = g.field
+    k = g.nrows
+    sub = []
+    for i in range(k):
+        row = []
+        for j in cols:
+            acc = fld.zero
+            for c in reversed(g.coeffs):
+                acc = acc * x + c.data[i][j]
+            row.append(acc)
+        sub.append(row)
+    total = fld.zero
+    for perm in itertools.permutations(range(k)):
+        term = fld.one
+        for i in range(k):
+            term = term * sub[i][perm[i]]
+        odd = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)) % 2
+        total = total - term if odd else total + term
+    return total
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 4), (3, 2)])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_full_size_minors_evaluate_to_determinants(p, m, data):
+    F = field(p, m)
+    k = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(k, k + 2))
+    d = data.draw(st.integers(0, 2))
+    vals = data.draw(st.lists(st.integers(0, F.q - 1), min_size=(d + 1) * k * n,
+                              max_size=(d + 1) * k * n))
+    grids = [[vals[(c * k + i) * n:(c * k + i + 1) * n] for i in range(k)]
+             for c in range(d + 1)]
+    g = PolyMatrix.from_packed(F, grids)
+    minors = full_size_minors(g)
+    assert list(minors) == list(itertools.combinations(range(n), k))
+    for cols, poly in minors.items():
+        for v in range(F.q):
+            x = F.el(v)
+            assert poly.eval(x) == _det_at(g, cols, x)
 
 
 def test_structural_flags_reference(code522):
