@@ -22,8 +22,6 @@ from .linalg import Mat, minor, rank
 from .polymat import ConvCode
 from .sliding import (
     IndexSet,
-    count_nontrivial,
-    enumerate_bounded,
     enumerate_nontrivial,
     generator_band,
     generator_truncation,
@@ -178,48 +176,7 @@ def distance_profile(code: ConvCode, upto: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# column optimality through minors of the truncated matrices
-# ---------------------------------------------------------------------------
-
-def _qualifying_generator_sets(n: int, k: int, j: int):
-    # column sets of G_j^c avoiding structural zeros: l_{sk+1} > sn
-    size, ncols = (j + 1) * k, (j + 1) * n
-    lo = {s * k + 1: s * n + 1 for s in range(1, j + 1)}
-    return enumerate_bounded(size, ncols, lo, {})
-
-
-def _qualifying_parity_sets(n: int, k: int, j: int):
-    # row-index driven sets of H_j^c: r_{s(n-k)} <= sn
-    size, ncols = (j + 1) * (n - k), (j + 1) * n
-    hi = {s * (n - k): s * n for s in range(1, j + 1)}
-    return enumerate_bounded(size, ncols, {}, hi)
-
-
-def is_column_optimal_via_g(code: ConvCode, j: int) -> bool:
-    """d_j^c attains (n-k)(j+1)+1, decided by minors of G_j^c."""
-    _require_delay_free(code)
-    m = generator_truncation(code.G, j)
-    rows = list(range(m.nrows))
-    return all(minor(m, rows, [c - 1 for c in cols]).val
-               for cols in _qualifying_generator_sets(code.n, code.k, j))
-
-
-def is_column_optimal_via_h(code: ConvCode, j: int) -> bool:
-    """The same criterion read off the parity check, via minors of H_j^c."""
-    if code.H is None:
-        raise NoParityCheck("no parity check supplied")
-    m = parity_truncation(code.H, j)
-    rows = list(range(m.nrows))
-    return all(minor(m, rows, [c - 1 for c in cols]).val
-               for cols in _qualifying_parity_sets(code.n, code.k, j))
-
-
-def is_mdp(code: ConvCode) -> bool:
-    return is_column_optimal_via_g(code, L_of(code.n, code.k, code.delta))
-
-
-# ---------------------------------------------------------------------------
-# complete j-MDP verification
+# the minor criteria: column optimality and complete j-MDP
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -251,11 +208,32 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     bad = None
     for iset in sets:
         checked += 1
-        if not minor(mat, rows, iset.zero_based()).val:
+        if not minor(mat, rows, [c - 1 for c in iset.indices]).val:
             bad = iset  # lexicographically first, since enumeration is lex
             break
     ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(prop, j, checked, bad is None, bad, ms)
+
+
+def is_column_optimal_via_g(code: ConvCode, j: int) -> bool:
+    """d_j^c attains (n-k)(j+1)+1, decided by minors of G_j^c."""
+    _require_delay_free(code)
+    sets = enumerate_nontrivial("generator_truncation", code.n, code.k, code.G.degree, j)
+    m = generator_truncation(code.G, j)
+    return _run_minor_check("column_optimal_via_g", j, m, sets).passed
+
+
+def is_column_optimal_via_h(code: ConvCode, j: int) -> bool:
+    """The same criterion read off the parity check, via minors of H_j^c."""
+    if code.H is None:
+        raise NoParityCheck("no parity check supplied")
+    sets = enumerate_nontrivial("parity_truncation", code.n, code.k, code.H.degree, j)
+    m = parity_truncation(code.H, j)
+    return _run_minor_check("column_optimal_via_h", j, m, sets).passed
+
+
+def is_mdp(code: ConvCode) -> bool:
+    return is_column_optimal_via_g(code, L_of(code.n, code.k, code.delta))
 
 
 def verify_complete_jmdp_via_g(code: ConvCode, j: int,
@@ -267,8 +245,8 @@ def verify_complete_jmdp_via_g(code: ConvCode, j: int,
     mu = code.delta // k
     if code.G.degree != mu:
         raise DegreeMismatch(f"generator degree {code.G.degree}, expected {mu}")
-    band = generator_band(code.G, j + mu, mu=mu)
     sets = enumerate_nontrivial("generator", n, k, mu, j, budget)
+    band = generator_band(code.G, j + mu, mu=mu)
     return _run_minor_check("complete_jmdp_via_g", j, band, sets)
 
 
@@ -283,44 +261,6 @@ def verify_complete_jmdp_via_h(code: ConvCode, j: int,
     nu = code.delta // (n - k)
     if code.H.degree != nu:
         raise DegreeMismatch(f"parity degree {code.H.degree}, expected {nu}")
-    band = parity_band(code.H, j, nu=nu)
     sets = enumerate_nontrivial("parity", n, k, nu, j, budget)
+    band = parity_band(code.H, j, nu=nu)
     return _run_minor_check("complete_jmdp_via_h", j, band, sets)
-
-
-def verify_complete_jmdp(code: ConvCode, j: int, side: str = "auto",
-                         budget: int | None = None) -> VerificationReport:
-    """Dispatch between the two criteria.
-
-    side "auto" picks whichever enumerates fewer index sets (requires the
-    matching divisibility; the generator side is used when only k | delta
-    holds, and vice versa).  side "both" runs the two checks and merges.
-    """
-    n, k, delta = code.n, code.k, code.delta
-    g_ok = delta % k == 0
-    h_ok = delta % (n - k) == 0 and code.H is not None
-    if side == "g":
-        return verify_complete_jmdp_via_g(code, j, budget)
-    if side == "h":
-        return verify_complete_jmdp_via_h(code, j, budget)
-    if side == "both":
-        a = verify_complete_jmdp_via_g(code, j, budget)
-        b = verify_complete_jmdp_via_h(code, j, budget)
-        return VerificationReport(
-            "complete_jmdp_via_both", j, a.sets_checked + b.sets_checked,
-            a.passed and b.passed,
-            a.counterexample if not a.passed else b.counterexample,
-            a.wall_time_ms + b.wall_time_ms)
-    if side != "auto":
-        raise ValueError(f"unknown side {side!r}")
-    if g_ok and h_ok:
-        cg = count_nontrivial("generator", n, k, delta // k, j)
-        ch = count_nontrivial("parity", n, k, delta // (n - k), j)
-        side = "g" if cg <= ch else "h"
-    elif g_ok:
-        side = "g"
-    elif h_ok:
-        side = "h"
-    else:
-        raise DivisibilityViolated("neither criterion applies")
-    return verify_complete_jmdp(code, j, side, budget)

@@ -401,7 +401,6 @@ class ConvCode:
             self.nu = H.degree
         self.metadata = dict(metadata) if metadata else {}
         self._flags: StructuralFlags | None = None
-        self._dcache: dict[int, int] = {}
 
     # -- derived structure -------------------------------------------------
 

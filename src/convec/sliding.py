@@ -12,16 +12,28 @@ Four block layouts are built from a k x n generator G of degree mu or an
   parity_band(H, j)            (j+1)(n-k) x (j+1+nu)n   rows slide [H_nu .. H_0]
   generator_band(G, j)         (j+1+mu)k  x (j+1)n      columns stack [G_mu .. G_0]
 
-A full-size minor of a band matrix is "trivially zero" when its column set
-forces a short row set against the band's zero pattern regardless of the
-coefficient values.  The predicates below characterize the complementary
-(non-trivial) column sets by per-position interval constraints, which is also
-what makes counting and lexicographic enumeration cheap.
+A full-size minor of one of these matrices is "trivially zero" when its
+column set forces a short row set against the layout's zero pattern
+regardless of the coefficient values.  The complementary (non-trivial)
+column sets l_1 < ... < l_size obey per-position interval bounds, which is
+also what makes counting and lexicographic enumeration cheap.  An index
+set's kind names its layout; "generator" sets at delay j belong to the
+depth mu+j band generator_band(G, mu+j):
+
+  "generator_truncation"  l_{sk+1} >= sn+1                             s = 1..j
+  "parity_truncation"     l_{s(n-k)} <= sn                             s = 1..j
+  "parity"                l_{s(n-k)+1} >= sn+1, l_{s(n-k)} <= (s+nu)n  s = 1..j
+  "generator"             l_{sk} <= sn, l_{(mu+s)k+1} >= sn+1          s = 1..j+mu
+
+The truncation sets decide column optimality (Gluesing-Luerssen, Rosenthal
+and Smarandache, IEEE Trans. IT 52(2), 2006), the band sets complete j-MDP
+(Tomas, Rosenthal and Smarandache, IEEE Trans. IT 58(1), 2012).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 from . import budget as _budget
@@ -152,28 +164,33 @@ def enumerate_bounded(size: int, ncols: int, lo: dict[int, int],
         yield ()
         return
     lo_arr, hi_arr = tighten_bounds(size, ncols, lo, hi)
-
-    def rec(pos: int, start: int, acc: list[int]):
-        if pos > size:
-            yield tuple(acc)
-            return
-        for v in range(max(start, lo_arr[pos]), hi_arr[pos] + 1):
-            acc.append(v)
-            yield from rec(pos + 1, v + 1, acc)
-            acc.pop()
-
-    yield from rec(1, 1, [])
+    # acc[pos] holds l_pos, or the value before the next one to try; acc[0]
+    # stands before position 1
+    acc = [0] * (size + 1)
+    acc[1] = lo_arr[1] - 1
+    pos = 1
+    while pos:
+        v = acc[pos] + 1
+        if v > hi_arr[pos]:
+            pos -= 1  # position exhausted: advance the one before it
+            continue
+        acc[pos] = v
+        if pos == size:
+            yield tuple(acc[1:])
+        else:
+            pos += 1
+            acc[pos] = max(v, lo_arr[pos] - 1)
 
 
 # ---------------------------------------------------------------------------
-# non-trivial column sets of the band matrices
+# non-trivial column sets of the four layouts
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IndexSet:
-    """A 1-based strictly increasing column set tagged with its band kind."""
+    """A 1-based strictly increasing column set tagged with its layout kind."""
 
-    kind: str  # "generator" or "parity"
+    kind: str  # "generator", "parity", "generator_truncation" or "parity_truncation"
     indices: tuple[int, ...]
 
     def __post_init__(self):
@@ -181,8 +198,28 @@ class IndexSet:
         if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
             raise IndexOutOfRange("indices must be strictly increasing")
 
-    def zero_based(self) -> tuple[int, ...]:
-        return tuple(i - 1 for i in self.indices)
+    @classmethod
+    def _enumerated(cls, kind: str, indices: tuple[int, ...]) -> "IndexSet":
+        """Wrap a tuple from enumerate_bounded, increasing by construction."""
+        iset = object.__new__(cls)
+        fields = iset.__dict__
+        fields["kind"] = kind
+        fields["indices"] = indices
+        return iset
+
+
+def generator_truncation_set_bounds(n: int, k: int, j: int):
+    """Bounds for non-trivial sets of G_j^c: block rows s..j vanish on the
+    first sn columns, so at most sk members sit there."""
+    lo = {s * k + 1: s * n + 1 for s in range(1, j + 1)}
+    return (j + 1) * k, (j + 1) * n, lo, {}
+
+
+def parity_truncation_set_bounds(n: int, k: int, j: int):
+    """Bounds for non-trivial sets of H_j^c: block rows 0..s-1 vanish past
+    the first sn columns, so at least s(n-k) members sit there."""
+    hi = {s * (n - k): s * n for s in range(1, j + 1)}
+    return (j + 1) * (n - k), (j + 1) * n, {}, hi
 
 
 def generator_set_bounds(n: int, k: int, mu: int, j: int):
@@ -221,10 +258,17 @@ def parity_set_bounds(n: int, k: int, nu: int, j: int):
 
 
 def _bounds_for(kind: str, n: int, k: int, deg: int, j: int):
+    # deg is the band length mu or nu; the truncation sets do not depend on it
+    if j < 0:
+        raise ValueError("j must be >= 0")
     if kind == "generator":
         return generator_set_bounds(n, k, deg, j)
     if kind == "parity":
         return parity_set_bounds(n, k, deg, j)
+    if kind == "generator_truncation":
+        return generator_truncation_set_bounds(n, k, j)
+    if kind == "parity_truncation":
+        return parity_truncation_set_bounds(n, k, j)
     raise ValueError(f"unknown index set kind {kind!r}")
 
 
@@ -261,7 +305,7 @@ def enumerate_nontrivial(kind: str, n: int, k: int, deg: int, j: int,
     if total > cap:
         raise BudgetExceeded(
             f"{total} {kind} sets exceed the budget of {cap}", estimate=total)
-    return (IndexSet(kind, t) for t in enumerate_bounded(size, ncols, lo, hi))
+    return map(IndexSet._enumerated, repeat(kind), enumerate_bounded(size, ncols, lo, hi))
 
 
 # ---------------------------------------------------------------------------

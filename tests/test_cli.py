@@ -286,3 +286,23 @@ def test_budget_env_cap(ws, capsys, monkeypatch):
                 "--j", "1", "--report", tmp / "rep.json"]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BudgetExceeded"
+
+
+def test_budget_env_caps_mdp(ws, capsys, monkeypatch):
+    tmp, code, _ = ws
+    monkeypatch.setenv("CONVEC_BUDGET", "1")
+    assert run(["verify", "--code", code, "--property", "mdp",
+                "--report", tmp / "rep.json"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "BudgetExceeded"
+    assert not (tmp / "rep.json").exists()
+
+
+@pytest.mark.parametrize("j", ["-1", "-3"])
+def test_negative_delay_error_json(ws, capsys, j):
+    tmp, code, _ = ws
+    assert run(["verify", "--code", code, "--property", "complete-jmdp:G",
+                "--j", j, "--report", tmp / "rep.json"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "j must be >= 0"}
+    assert not (tmp / "rep.json").exists()

@@ -29,7 +29,6 @@ from convec.distance import (
     is_column_optimal_via_h,
     is_mdp,
     singleton_bound,
-    verify_complete_jmdp,
     verify_complete_jmdp_via_g,
     verify_complete_jmdp_via_h,
 )
@@ -206,6 +205,26 @@ def test_zero_column_never_optimal(gf2):
     assert is_mdp(code) is False
 
 
+def test_column_optimality_budget(monkeypatch):
+    # the truncation criteria count their sets first, like the band ones
+    code = ConvCode(2, 1, PolyMatrix.from_packed(field(5), [[[1, 1]], [[1, 2]]]))
+    assert is_mdp(code)
+    monkeypatch.setenv("CONVEC_BUDGET", "1")
+    with pytest.raises(BudgetExceeded) as ei:
+        is_mdp(code)
+    assert ei.value.estimate == count_nontrivial("generator_truncation", 2, 1, 1, 2)
+
+
+def test_negative_delay_rejected(pair_2_1):
+    code = pair_2_1(field(5), [1, 1], [1, 2])
+    for check in (is_column_optimal_via_g, is_column_optimal_via_h,
+                  verify_complete_jmdp_via_g, verify_complete_jmdp_via_h):
+        check(code, 0)  # a valid delay runs
+        for j in (-1, -3):
+            with pytest.raises(ValueError, match="j must be >= 0"):
+                check(code, j)
+
+
 # ---------------------------------------------------------------------------
 # erasure-recovery link: prefix budgets keep the punctured window full rank
 # ---------------------------------------------------------------------------
@@ -285,7 +304,11 @@ def test_complete_jmdp_preconditions(gf2):
 
 
 def test_duality_at_n_equal_2k(pair_2_1):
-    # with a noncatastrophic pair, generator and parity criteria agree
+    # with a noncatastrophic pair, generator and parity criteria agree; the
+    # two set families are complementary, hence equinumerous
+    for d in (1, 2):
+        for j in (0, 1):
+            assert count_nontrivial("parity", 2, 1, d, j) == count_nontrivial("generator", 2, 1, d, j)
     rng = random.Random(3)
     fld = field(5)
     trials = agreements = passes = 0
@@ -306,38 +329,6 @@ def test_duality_at_n_equal_2k(pair_2_1):
             agreements += 1
             passes += a.passed
     assert agreements == 24 and 0 < passes < agreements
-
-
-def test_auto_side_picks_cheaper(pair_2_1):
-    fld = field(5)
-    # (3,1,2): the parity family is far smaller than the generator one
-    g = PolyMatrix.from_packed(fld, [[[1, 0, 0]], [[0, 1, 0]], [[0, 0, 1]]])
-    h = PolyMatrix.from_packed(fld, [[[0, 4, 0], [0, 0, 4]],
-                                     [[1, 0, 0], [0, 1, 0]]])
-    code = ConvCode(3, 1, g, h)
-    assert count_nontrivial("parity", 3, 1, 1, 0) < count_nontrivial("generator", 3, 1, 2, 0)
-    assert verify_complete_jmdp(code, 0).property == "complete_jmdp_via_h"
-    assert verify_complete_jmdp(code, 0, side="g").property == "complete_jmdp_via_g"
-    # at n = 2k the families are complementary, hence equinumerous; ties go
-    # to the generator side
-    assert count_nontrivial("parity", 2, 1, 1, 1) == count_nontrivial("generator", 2, 1, 1, 1)
-    pair = pair_2_1(fld, [1, 1], [1, 2])
-    assert verify_complete_jmdp(pair, 1).property == "complete_jmdp_via_g"
-    both = verify_complete_jmdp(pair, 1, side="both")
-    assert both.property == "complete_jmdp_via_both"
-    assert both.sets_checked == 2 * count_nontrivial("parity", 2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        verify_complete_jmdp(pair, 1, side="x")
-
-
-def test_auto_side_without_parity(gf2):
-    code = ConvCode(2, 1, PolyMatrix.from_packed(gf2, [[[1, 1]], [[1, 0]]]))
-    rep = verify_complete_jmdp(code, 0)  # only the generator side is possible
-    assert rep.property == "complete_jmdp_via_g"
-    odd = ConvCode(3, 2, PolyMatrix.from_packed(
-        gf2, [[[1, 0, 1], [0, 1, 1]], [[0, 0, 1], [0, 0, 0]]]))
-    with pytest.raises(DivisibilityViolated):
-        verify_complete_jmdp(odd, 0)  # k does not divide delta, no H given
 
 
 # ---------------------------------------------------------------------------

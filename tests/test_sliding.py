@@ -159,6 +159,9 @@ def test_index_set_validation():
         is_nontrivial_set(IndexSet("generator", (1, 2, 3, 10)), 3, 1, 1, 1)
     with pytest.raises(ValueError):
         count_nontrivial("other", 3, 1, 1, 1)
+    for kind in ("generator", "parity", "generator_truncation", "parity_truncation"):
+        with pytest.raises(ValueError, match="j must be >= 0"):
+            count_nontrivial(kind, 3, 1, 1, -1)
 
 
 @pytest.mark.parametrize("kind,n,k,deg,j", [
@@ -166,12 +169,18 @@ def test_index_set_validation():
     ("generator", 2, 1, 1, 2),
     ("parity", 3, 2, 2, 1),
     ("parity", 3, 1, 1, 2),
+    ("generator_truncation", 3, 1, 1, 3),
+    ("generator_truncation", 3, 2, 1, 2),
+    ("parity_truncation", 3, 1, 1, 3),
+    ("parity_truncation", 3, 2, 1, 2),
 ])
 def test_enumeration_matches_filter(kind, n, k, deg, j):
-    if kind == "generator":
-        size, ncols = (j + 1 + 2 * deg) * k, n * (j + 1 + deg)
-    else:
-        size, ncols = (j + 1) * (n - k), (j + 1 + deg) * n
+    size, ncols = {
+        "generator": ((j + 1 + 2 * deg) * k, n * (j + 1 + deg)),
+        "parity": ((j + 1) * (n - k), (j + 1 + deg) * n),
+        "generator_truncation": ((j + 1) * k, (j + 1) * n),
+        "parity_truncation": ((j + 1) * (n - k), (j + 1) * n),
+    }[kind]
     brute = [c for c in itertools.combinations(range(1, ncols + 1), size)
              if is_nontrivial_set(IndexSet(kind, c), n, k, deg, j)]
     got = [s.indices for s in enumerate_nontrivial(kind, n, k, deg, j)]
@@ -219,7 +228,9 @@ def test_enumeration_budget_env(monkeypatch):
 
 def test_trivial_sets_are_structurally_zero():
     # sets rejected by the bounds must give a singular submatrix for every
-    # coefficient choice; try random matrices over a couple of fields
+    # coefficient choice; try random matrices over a couple of fields, for
+    # the band and the truncation G_j^c (with j > mu, so blocks past G_mu
+    # are zero too)
     rng = random.Random(11)
     for fld in (field(2), field(3), field(7)):
         n, k, mu, j = 3, 1, 1, 1
@@ -227,12 +238,14 @@ def test_trivial_sets_are_structurally_zero():
             grids = [[[rng.randrange(fld.q) for _ in range(n)]]
                      for _ in range(mu + 1)]
             g = PolyMatrix.from_packed(fld, grids)
-            band = generator_band(g, j + mu, mu=mu)
-            rows = list(range(band.nrows))
-            for cols in itertools.combinations(range(1, band.ncols + 1), band.nrows):
-                if is_nontrivial_set(IndexSet("generator", cols), n, k, mu, j):
-                    continue
-                assert minor(band, rows, [c - 1 for c in cols]).val == 0
+            for kind, jj, mat in (
+                    ("generator", j, generator_band(g, j + mu, mu=mu)),
+                    ("generator_truncation", j + 1, generator_truncation(g, j + 1))):
+                rows = list(range(mat.nrows))
+                for cols in itertools.combinations(range(1, mat.ncols + 1), mat.nrows):
+                    if is_nontrivial_set(IndexSet(kind, cols), n, k, mu, jj):
+                        continue
+                    assert minor(mat, rows, [c - 1 for c in cols]).val == 0
 
 
 def test_trivial_parity_sets_are_structurally_zero():
@@ -243,12 +256,13 @@ def test_trivial_parity_sets_are_structurally_zero():
         grids = [[[rng.randrange(5) for _ in range(n)] for _ in range(n - k)]
                  for _ in range(nu + 1)]
         h = PolyMatrix.from_packed(fld, grids)
-        band = parity_band(h, j, nu=nu)
-        rows = list(range(band.nrows))
-        for cols in itertools.combinations(range(1, band.ncols + 1), band.nrows):
-            if is_nontrivial_set(IndexSet("parity", cols), n, k, nu, j):
-                continue
-            assert minor(band, rows, [c - 1 for c in cols]).val == 0
+        for kind, jj, mat in (("parity", j, parity_band(h, j, nu=nu)),
+                              ("parity_truncation", j + 1, parity_truncation(h, j + 1))):
+            rows = list(range(mat.nrows))
+            for cols in itertools.combinations(range(1, mat.ncols + 1), mat.nrows):
+                if is_nontrivial_set(IndexSet(kind, cols), n, k, nu, jj):
+                    continue
+                assert minor(mat, rows, [c - 1 for c in cols]).val == 0
 
 
 def test_nontrivial_sets_are_realizable():
