@@ -41,6 +41,8 @@ class PatternSpec:
             raise ValueError(f"unknown pattern kind {self.kind!r}")
         if self.kind == "runs" and not self.runs:
             raise ValueError("empty run list")
+        if self.kind == "mask" and not self.mask:
+            raise ValueError("empty mask")
         for count, _ in self.runs:
             if count < 1:
                 raise ValueError("run counts must be positive")

@@ -217,7 +217,7 @@ def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
     """
     fld, k = code.field, code.k
     mu = code.G.degree
-    band = generator_band(code.G, width - 1, mu=mu)
+    band = generator_band(code.G, width - 1)
     u_times = list(range(v_start - mu, v_start + width))
     unknown_times: list[int] = []
     row_idx: list[int] = []
@@ -474,7 +474,7 @@ def _pc_system(code: ConvCode, stream: ErasureStream, t: int, j: int):
     erased (block, position) pairs and solve(ops) builds the right-hand
     side and solves, so a caller can reject on the counts first."""
     nu = code.H.degree
-    band = parity_band(code.H, j, nu=nu)
+    band = parity_band(code.H, j)
     known_cols, unknown_cols = _window_columns(stream, t - nu, j + 1 + nu)
     n = stream.n
     unknowns = [(t - nu + col // n, col % n) for col in unknown_cols]

@@ -21,7 +21,6 @@ from .errors import (
 from .linalg import Mat, minor, rank
 from .polymat import ConvCode
 from .sliding import (
-    IndexSet,
     enumerate_nontrivial,
     generator_band,
     generator_truncation,
@@ -50,6 +49,11 @@ def singleton_bound(n: int, k: int, delta: int) -> int:
 def _require_delay_free(code: ConvCode):
     if rank(code.G.eval_at_zero()) < code.k:
         raise NotDelayFree("rank of G(0) is below k")
+
+
+def _require_nonnegative(j: int) -> None:
+    if j < 0:
+        raise ValueError("j must be >= 0")
 
 
 def _check_search_size(q: int, dims: int, budget: int | None) -> None:
@@ -89,6 +93,7 @@ def _min_weight(mat: Mat, nonzero_prefix: int) -> int:
 
 def column_distance(code: ConvCode, j: int, budget: int | None = None) -> int:
     """Exact d_j^c: least weight of a codeword window v_0..v_j with v_0 != 0."""
+    _require_nonnegative(j)
     _require_delay_free(code)
     _check_search_size(code.field.q, (j + 1) * code.k, budget)
     return _min_weight(generator_truncation(code.G, j), code.k)
@@ -101,6 +106,7 @@ def free_distance_bracket(code: ConvCode, search_degree: int,
     An upper bound for the free distance; exact once the searched degree is
     large enough, which is not certified here.
     """
+    _require_nonnegative(search_degree)
     _require_delay_free(code)
     _check_search_size(code.field.q, (search_degree + 1) * code.k, budget)
     mu = code.G.degree
@@ -161,6 +167,7 @@ def distance_profile(code: ConvCode, upto: int | None = None,
     n, k, delta = code.n, code.k, code.delta
     ell = L_of(n, k, delta)
     upto = ell if upto is None else upto
+    _require_nonnegative(upto)
     if search_degree is None:
         search_degree = delta + 2 * ell
     dcj = tuple(column_distance(code, j, budget) for j in range(upto + 1))
@@ -185,7 +192,7 @@ class VerificationReport:
     j: int
     sets_checked: int
     passed: bool
-    counterexample: IndexSet | None
+    counterexample: tuple[int, ...] | None  # 1-based column set
     wall_time_ms: float
 
     def to_json(self) -> dict:
@@ -197,7 +204,7 @@ class VerificationReport:
             "wall_time_ms": round(self.wall_time_ms, 3),
         }
         if self.counterexample is not None:
-            out["counterexample"] = list(self.counterexample.indices)
+            out["counterexample"] = list(self.counterexample)
         return out
 
 
@@ -206,10 +213,10 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     rows = list(range(mat.nrows))
     checked = 0
     bad = None
-    for iset in sets:
+    for cols in sets:
         checked += 1
-        if not minor(mat, rows, [c - 1 for c in iset.indices]).val:
-            bad = iset  # lexicographically first, since enumeration is lex
+        if not minor(mat, rows, [c - 1 for c in cols]).val:
+            bad = cols  # lexicographically first, since enumeration is lex
             break
     ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(prop, j, checked, bad is None, bad, ms)
@@ -246,7 +253,7 @@ def verify_complete_jmdp_via_g(code: ConvCode, j: int,
     if code.G.degree != mu:
         raise DegreeMismatch(f"generator degree {code.G.degree}, expected {mu}")
     sets = enumerate_nontrivial("generator", n, k, mu, j, budget)
-    band = generator_band(code.G, j + mu, mu=mu)
+    band = generator_band(code.G, j + mu)
     return _run_minor_check("complete_jmdp_via_g", j, band, sets)
 
 
@@ -262,5 +269,5 @@ def verify_complete_jmdp_via_h(code: ConvCode, j: int,
     if code.H.degree != nu:
         raise DegreeMismatch(f"parity degree {code.H.degree}, expected {nu}")
     sets = enumerate_nontrivial("parity", n, k, nu, j, budget)
-    band = parity_band(code.H, j, nu=nu)
+    band = parity_band(code.H, j)
     return _run_minor_check("complete_jmdp_via_h", j, band, sets)

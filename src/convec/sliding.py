@@ -1,8 +1,11 @@
 """Sliding-window matrices and the index sets whose minors decide optimality.
 
-Column indices in this module are 1-based, matching the inequality arithmetic
-the index-set criteria are stated in; they are converted to 0-based only at
-the matrix-slicing boundary.
+A column set is a plain strictly increasing tuple of 1-based indices,
+matching the inequality arithmetic the index-set criteria are stated in; it
+is converted to 0-based only at the matrix-slicing boundary.  A set carries
+no layout tag: every function that reads one takes the kind as its leading
+argument.  Puncturing a matrix is ``Mat.take_cols`` with the kept 0-based
+columns.
 
 Four block layouts are built from a k x n generator G of degree mu or an
 (n-k) x n parity check H of degree nu:
@@ -16,9 +19,9 @@ A full-size minor of one of these matrices is "trivially zero" when its
 column set forces a short row set against the layout's zero pattern
 regardless of the coefficient values.  The complementary (non-trivial)
 column sets l_1 < ... < l_size obey per-position interval bounds, which is
-also what makes counting and lexicographic enumeration cheap.  An index
-set's kind names its layout; "generator" sets at delay j belong to the
-depth mu+j band generator_band(G, mu+j):
+also what makes counting and lexicographic enumeration cheap.  The kind
+names the layout; "generator" sets at delay j belong to the depth mu+j band
+generator_band(G, mu+j):
 
   "generator_truncation"  l_{sk+1} >= sn+1                             s = 1..j
   "parity_truncation"     l_{s(n-k)} <= sn                             s = 1..j
@@ -32,17 +35,10 @@ and Smarandache, IEEE Trans. IT 52(2), 2006), the band sets complete j-MDP
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterator
 
 from . import budget as _budget
-from .errors import (
-    BadCardinality,
-    BudgetExceeded,
-    DimensionMismatch,
-    IndexOutOfRange,
-)
+from .errors import BadCardinality, BudgetExceeded, IndexOutOfRange
 from .linalg import Mat
 from .polymat import PolyMatrix
 
@@ -92,24 +88,20 @@ def parity_truncation(h: PolyMatrix, j: int) -> Mat:
                        lambda r, c: r - c if 0 <= r - c <= nu else None)
 
 
-def parity_band(h: PolyMatrix, j: int, nu: int | None = None) -> Mat:
+def parity_band(h: PolyMatrix, j: int) -> Mat:
     """(j+1)(n-k) x (j+1+nu)n band; block row i is [H_nu ... H_0] at offset i."""
-    nu = h.degree if nu is None else nu
-    if nu < h.degree:
-        raise DimensionMismatch("band length below the actual degree")
+    nu = h.degree
     return _block_grid(h, j + 1, j + 1 + nu,
                        lambda r, c: nu - (c - r) if 0 <= c - r <= nu else None)
 
 
-def generator_band(g: PolyMatrix, j: int, mu: int | None = None) -> Mat:
+def generator_band(g: PolyMatrix, j: int) -> Mat:
     """(j+1+mu)k x (j+1)n band; block column c is [G_mu ... G_0] at offset c.
 
     Row block r corresponds to the message coefficient u_{t-mu+r} when the
     window covers codeword blocks v_t .. v_{t+j}.
     """
-    mu = g.degree if mu is None else mu
-    if mu < g.degree:
-        raise DimensionMismatch("band length below the actual degree")
+    mu = g.degree
     return _block_grid(g, j + 1 + mu, j + 1,
                        lambda r, c: mu - (r - c) if 0 <= r - c <= mu else None)
 
@@ -186,28 +178,6 @@ def enumerate_bounded(size: int, ncols: int, lo: dict[int, int],
 # non-trivial column sets of the four layouts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IndexSet:
-    """A 1-based strictly increasing column set tagged with its layout kind."""
-
-    kind: str  # "generator", "parity", "generator_truncation" or "parity_truncation"
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        idx = self.indices
-        if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
-            raise IndexOutOfRange("indices must be strictly increasing")
-
-    @classmethod
-    def _enumerated(cls, kind: str, indices: tuple[int, ...]) -> "IndexSet":
-        """Wrap a tuple from enumerate_bounded, increasing by construction."""
-        iset = object.__new__(cls)
-        fields = iset.__dict__
-        fields["kind"] = kind
-        fields["indices"] = indices
-        return iset
-
-
 def generator_truncation_set_bounds(n: int, k: int, j: int):
     """Bounds for non-trivial sets of G_j^c: block rows s..j vanish on the
     first sn columns, so at most sk members sit there."""
@@ -273,18 +243,20 @@ def _bounds_for(kind: str, n: int, k: int, deg: int, j: int):
 
 
 def _check_members(indices, size: int, ncols: int, kind: str):
+    if any(indices[i] >= indices[i + 1] for i in range(len(indices) - 1)):
+        raise IndexOutOfRange("indices must be strictly increasing")
     if len(indices) != size:
         raise BadCardinality(f"{kind} set needs {size} indices, got {len(indices)}")
     if indices and (indices[0] < 1 or indices[-1] > ncols):
         raise IndexOutOfRange(f"indices must lie in 1..{ncols}")
 
 
-def is_nontrivial_set(iset: IndexSet, n: int, k: int, deg: int, j: int) -> bool:
-    size, ncols, lo, hi = _bounds_for(iset.kind, n, k, deg, j)
-    idx = iset.indices
-    _check_members(idx, size, ncols, iset.kind)
-    ok_lo = all(idx[pos - 1] >= v for pos, v in lo.items())
-    return ok_lo and all(idx[pos - 1] <= v for pos, v in hi.items())
+def is_nontrivial_set(kind: str, indices: tuple[int, ...], n: int, k: int,
+                      deg: int, j: int) -> bool:
+    size, ncols, lo, hi = _bounds_for(kind, n, k, deg, j)
+    _check_members(indices, size, ncols, kind)
+    ok_lo = all(indices[pos - 1] >= v for pos, v in lo.items())
+    return ok_lo and all(indices[pos - 1] <= v for pos, v in hi.items())
 
 
 def count_nontrivial(kind: str, n: int, k: int, deg: int, j: int) -> int:
@@ -293,7 +265,7 @@ def count_nontrivial(kind: str, n: int, k: int, deg: int, j: int) -> int:
 
 
 def enumerate_nontrivial(kind: str, n: int, k: int, deg: int, j: int,
-                         budget: int | None = None) -> Iterator[IndexSet]:
+                         budget: int | None = None) -> Iterator[tuple[int, ...]]:
     """Non-trivial column sets in lexicographic order.
 
     The count is computed up front; if it exceeds the budget (argument, then
@@ -305,46 +277,4 @@ def enumerate_nontrivial(kind: str, n: int, k: int, deg: int, j: int,
     if total > cap:
         raise BudgetExceeded(
             f"{total} {kind} sets exceed the budget of {cap}", estimate=total)
-    return map(IndexSet._enumerated, repeat(kind), enumerate_bounded(size, ncols, lo, hi))
-
-
-# ---------------------------------------------------------------------------
-# puncturing
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PunctureMask:
-    """Erased column positions (1-based) out of a given column count."""
-
-    total: int
-    erased: frozenset[int]
-
-    def __post_init__(self):
-        if self.total < 0:
-            raise DimensionMismatch("column count must be nonnegative")
-        bad = [i for i in self.erased if not 1 <= i <= self.total]
-        if bad:
-            raise IndexOutOfRange(f"erased positions {sorted(bad)} outside 1..{self.total}")
-
-    @classmethod
-    def of(cls, total: int, erased) -> "PunctureMask":
-        return cls(total, frozenset(erased))
-
-    @property
-    def kept(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.total + 1) if i not in self.erased)
-
-    def compose(self, other: "PunctureMask") -> "PunctureMask":
-        """Erasing under self, then erasing positions of the survivors."""
-        kept = self.kept
-        if other.total != len(kept):
-            raise DimensionMismatch("mask sizes do not chain")
-        extra = {kept[i - 1] for i in other.erased}
-        return PunctureMask(self.total, self.erased | extra)
-
-
-def puncture(a: Mat, mask: PunctureMask) -> Mat:
-    """Keep the surviving columns of a, in order."""
-    if a.ncols != mask.total:
-        raise DimensionMismatch(f"mask covers {mask.total} columns, matrix has {a.ncols}")
-    return a.take_cols([i - 1 for i in mask.kept])
+    return enumerate_bounded(size, ncols, lo, hi)

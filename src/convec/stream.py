@@ -7,10 +7,8 @@ each a hex field element or "?" for an erasure.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .errors import LengthMismatch, ParseError
-from .gf import Element, Field, field_from_ref
+from .gf import Field, field_from_ref
 from .polymat import PolyMatrix
 
 
@@ -79,11 +77,6 @@ class ErasureStream:
     @property
     def is_complete(self) -> bool:
         return self.total_erasures == 0
-
-    def symbols(self) -> Iterator[tuple[int, int, Element | None]]:
-        for t, block in enumerate(self.blocks):
-            for i, e in enumerate(block):
-                yield t, i, e
 
     def to_poly(self) -> PolyMatrix:
         if not self.is_complete:

@@ -268,6 +268,26 @@ def test_message_width_mismatch(ws, capsys):
     assert "k=2" in err["message"]
 
 
+@pytest.mark.parametrize("command", ["corrupt", "bench"])
+def test_empty_mask_error_json(ws, capsys, command):
+    # a mask file with a header and no blocks is an empty mask, which the
+    # cyclic repetition that both commands use cannot tile
+    tmp, code, msg = ws
+    cw, empty = tmp / "cw.txt", tmp / "empty.txt"
+    run(["encode", "--code", code, "--message", msg, "--out", cw])
+    empty.write_text("#n=5 field=2^1:3 deg=unknown\n")
+    capsys.readouterr()
+    argv = {
+        "corrupt": ["corrupt", "--in", cw, "--pattern", f"mask {empty}",
+                    "--cyclic", "--out", tmp / "o.txt"],
+        "bench": ["bench", "--code", code, "--pattern", f"mask {empty}",
+                  "--seed", "1", "--trials", "1", "--report", tmp / "b.json"],
+    }[command]
+    assert run(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "empty mask"}
+
+
 def test_iid_without_seed(ws, capsys):
     tmp, code, msg = ws
     cw = tmp / "cw.txt"

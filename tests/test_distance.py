@@ -17,7 +17,7 @@ from convec.errors import (
 )
 from convec.linalg import Mat, minor, rank, right_kernel
 from convec.polymat import ConvCode, Poly, PolyMatrix, poly_gcd
-from convec.sliding import PunctureMask, count_nontrivial, generator_truncation, puncture
+from convec.sliding import count_nontrivial, generator_truncation
 from convec.distance import (
     DistanceProfile,
     L_of,
@@ -114,6 +114,18 @@ def test_profile_invariants_random():
             if d[j] == prof.column_bound(j):
                 assert all(d[i] == prof.column_bound(i) for i in range(j))
         assert prof.dfree_lower <= prof.dfree_upper <= prof.singleton_free_bound
+
+
+@pytest.mark.parametrize("search", [
+    column_distance,
+    free_distance_bracket,
+    lambda code, j: distance_profile(code, upto=j, search_degree=1),
+], ids=["column_distance", "free_distance_bracket", "distance_profile"])
+def test_brute_force_distances_refuse_negative_delay(code522, search):
+    # the exhaustive searches refuse a negative delay as the minor route does
+    for j in (-1, -3):
+        with pytest.raises(ValueError, match="j must be >= 0"):
+            search(code522, j)
 
 
 def test_requires_delay_free(gf2):
@@ -241,7 +253,7 @@ def test_prefix_budget_gives_full_rank(code522):
         if any(counts[t] >= d[t] for t in range(j + 1)):
             continue
         accepted += 1
-        kept = puncture(m, PunctureMask.of(15, erased))
+        kept = m.take_cols([i for i in range(15) if i + 1 not in erased])
         assert rank(kept) == 6
 
 
@@ -254,7 +266,7 @@ def test_report_failure_pins_lex_smallest(gf2):
     rep = verify_complete_jmdp_via_g(code, 0)
     assert not rep.passed
     assert rep.sets_checked == 4
-    assert rep.counterexample.indices == (2, 3, 4)
+    assert rep.counterexample == (2, 3, 4)
     js = rep.to_json()
     assert js["property"] == "complete_jmdp_via_g"
     assert js["counterexample"] == [2, 3, 4]

@@ -106,8 +106,3 @@ def test_text_round_trip_extension_field():
 def test_from_text_errors(text, exc):
     with pytest.raises(exc):
         ErasureStream.from_text(text)
-
-
-def test_symbols_iterator(gf2):
-    s = ErasureStream(gf2, 2, [[gf2.one, None]])
-    assert list(s.symbols()) == [(0, 0, gf2.one), (0, 1, None)]

@@ -22,6 +22,7 @@ import pytest
 
 from convec import field
 from convec.codec import gm_decode_forward, pc_decode_forward
+from convec.errors import NoParityCheck
 from convec.polymat import ConvCode, PolyMatrix
 from convec.stream import ErasureStream
 
@@ -102,15 +103,16 @@ def _received(G, p, rng, blocks):
     return rx
 
 
-@pytest.mark.parametrize("name", sorted(CODES))
-def test_reported_values_are_forced(name):
-    p, G, H = CODES[name]
-    code = _convcode(p, G, H)
+def _check_forced(name, code, G, p, decoders):
+    """Decode 40 random received words with each decoder and check every
+    reported value against the oracle.  Returns the number of filled
+    symbols, how many of them came from streams with several consistent
+    messages, and the number of lost intervals."""
     fld = code.field
     mu, k = len(G) - 1, len(G[0])
     blocks = 5 if k == 2 else 6
     rng = random.Random(sum(map(ord, name)))
-    filled_ambiguous = lost_seen = 0
+    filled = filled_ambiguous = lost_seen = 0
     for trial in range(40):
         rx = _received(G, p, rng, blocks)
         msgs = consistent_messages(G, p, blocks, rx)
@@ -119,7 +121,7 @@ def test_reported_values_are_forced(name):
         stream = ErasureStream(
             fld, code.n, [[None if x is None else fld.el(x) for x in blk] for blk in rx],
             origin_degree=len(rx) - 1 if trial % 2 else None)
-        for decode in (gm_decode_forward, pc_decode_forward):
+        for decode in decoders:
             rep = decode(code, stream)
             lost_seen += len(rep.lost_intervals)
             for t, blk in enumerate(rep.corrected.blocks):
@@ -130,10 +132,35 @@ def test_reported_values_are_forced(name):
                         assert any(a <= t <= b for a, b in rep.lost_intervals), (t, i)
                         continue
                     assert {w[t][i] for w in words} == {val.val}, (decode.__name__, t, i)
+                    filled += 1
                     filled_ambiguous += len(msgs) > 1
             for t, vals in rep.recovered_message.items():
                 options = {u[t] if t < blocks else (0,) * k for u in msgs}
                 assert options == {tuple(e.val for e in vals)}, (decode.__name__, t)
             assert len(rep.corrected.blocks) == blocks + mu
+    return filled, filled_ambiguous, lost_seen
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_reported_values_are_forced(name):
+    p, G, H = CODES[name]
+    _, filled_ambiguous, lost_seen = _check_forced(
+        name, _convcode(p, G, H), G, p, (gm_decode_forward, pc_decode_forward))
     # the corpus must exercise partial knowledge and losses, not only easy streams
     assert filled_ambiguous > 0 and lost_seen > 0
+
+
+def test_gm_decodes_catastrophic_code():
+    # G = [1+z, 1+2z^2] over GF(3): 1+z divides both entries, so the code is
+    # catastrophic and has no polynomial parity check.  The gm engine needs
+    # neither a parity check nor non-catastrophicity; whatever it fills must
+    # still be forced.
+    p, G = 3, [[[1, 1]], [[1, 0]], [[0, 2]]]
+    fld = field(p)
+    code = ConvCode(2, 1, PolyMatrix.from_packed(fld, G))
+    assert code.flags.noncatastrophic_certified is False
+    with pytest.raises(NoParityCheck):
+        pc_decode_forward(code, ErasureStream(fld, 2, [[fld.one, None]]))
+    filled, filled_ambiguous, lost_seen = _check_forced(
+        "gf3_catastrophic", code, G, p, (gm_decode_forward,))
+    assert filled > 0 and filled_ambiguous > 0 and lost_seen > 0
