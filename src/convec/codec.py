@@ -84,6 +84,8 @@ def recovering_rates(n: int, k: int, delta: int, j: int) -> dict[str, Rate]:
     """
     if not 0 < k < n or j < 0:
         raise ValueError("need 0 < k < n and j >= 0")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     out = {"forward": Rate((n - k) * (j + 1), (j + 1) * n)}
     if delta % k == 0:
         mu = delta // k
@@ -301,6 +303,8 @@ def _slide(code: ConvCode, work: ErasureStream, reach: int, max_delay,
     memory of the engine's matrix).  Returns (windows, lost intervals)."""
     if work.n != code.n or work.field != code.field:
         raise LengthMismatch("stream does not match the code")
+    if max_delay is not None and max_delay < 0:
+        raise ValueError("max_delay must be >= 0")
     n, k = code.n, code.k
     J = L_of(n, k, code.delta) if max_delay is None else max_delay
     windows: list[WindowRecord] = []
@@ -366,12 +370,11 @@ def _report(decoder: str, code: ConvCode, stream: ErasureStream,
 
 @dataclass(frozen=True)
 class GuardOutcome:
-    """One guard attempt.  record describes the last system tried: for gm,
+    """One guard attempt.  record describes the last system tried, and its
+    t and j are the candidate block and delay of the attempt; for gm it is
     the widened window whenever the plain one did not succeed and mu > 0."""
 
     ok: bool
-    t: int
-    j: int
     variant: str | None  # "window" or "extended"
     values: dict | None
     record: WindowRecord
@@ -404,9 +407,9 @@ def gm_guard_recover(code: ConvCode, stream: ErasureStream, t_candidate: int,
         if res.is_unique:
             values = {ut: tuple(res.solution.data[0][i * k:(i + 1) * k])
                       for i, ut in enumerate(unknown_times) if ut >= 0}
-            return GuardOutcome(True, t_candidate, j, variant, values,
+            return GuardOutcome(True, variant, values,
                                 replace(rec, outcome="guard_recovered"))
-    return GuardOutcome(False, t_candidate, j, None, None, rec)
+    return GuardOutcome(False, None, None, rec)
 
 
 def gm_decode_forward(code: ConvCode, stream: ErasureStream,
@@ -502,9 +505,9 @@ def pc_guard_recover(code: ConvCode, stream: ErasureStream, position: int,
         res = solve(ops)
         if res.is_unique:
             values = dict(zip(unknowns, res.solution.data[0]))
-            return GuardOutcome(True, position, j, "window", values,
+            return GuardOutcome(True, "window", values,
                                 replace(rec, outcome="guard_recovered"))
-    return GuardOutcome(False, position, j, None, None, rec)
+    return GuardOutcome(False, None, None, rec)
 
 
 def pc_decode_forward(code: ConvCode, stream: ErasureStream,
@@ -563,22 +566,21 @@ def pc_decode_forward(code: ConvCode, stream: ErasureStream,
 # message extraction from a corrected stream
 # ---------------------------------------------------------------------------
 
-def extract_message(code: ConvCode, stream: ErasureStream, start: int = 0,
-                    end: int | None = None) -> dict[int, tuple[Element, ...]]:
-    """Solve the window system for message coefficients over known blocks.
+def extract_message(code: ConvCode,
+                    stream: ErasureStream) -> dict[int, tuple[Element, ...]]:
+    """Solve the whole-stream system for the message coefficients.
 
-    Blocks start..end must be erasure-free.  Returns every u_t with t >= 0
-    touching the window, structural zeros included; raises NonUnique when
-    the window does not pin the solution down.
+    Every block must be erasure-free.  Returns u_t for every
+    0 <= t < len(stream.blocks), structural zeros included; raises
+    NonUnique when the stream does not pin the message down.
     """
     k = code.k
-    end = len(stream.blocks) - 1 if end is None else end
-    for tb in range(start, end + 1):
+    T = len(stream.blocks)
+    for tb in range(T):
         if stream.erased_positions(tb):
             raise ValueError(f"block {tb} still has erasures")
     ubound = message_degree_bound(code, stream)
-    a, b, unknown_times = _gm_system(code, stream, {}, ubound,
-                                     start, end - start + 1)
+    a, b, unknown_times = _gm_system(code, stream, {}, ubound, 0, T)
     res = _solve(a, b, None, "blocks are not a codeword window")
     if not res.is_unique:
         raise NonUnique("window too short to pin the message down")
@@ -587,7 +589,7 @@ def extract_message(code: ConvCode, stream: ErasureStream, start: int = 0,
         if ut >= 0:
             out[ut] = tuple(res.solution.data[0][i * k:(i + 1) * k])
     if ubound is not None:
-        for ut in range(max(start - code.G.degree, 0), end + 1):
+        for ut in range(T):
             if ut > ubound and ut not in out:
                 out[ut] = (code.field.zero,) * k
     return out

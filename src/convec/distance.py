@@ -35,6 +35,8 @@ def L_of(n: int, k: int, delta: int) -> int:
     """Largest window index at which the column bound can still be attained."""
     if not 0 < k < n:
         raise ValueError("need 0 < k < n")
+    if delta < 0:
+        raise ValueError("delta must be >= 0")
     return delta // k + delta // (n - k)
 
 

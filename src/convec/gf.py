@@ -393,11 +393,6 @@ class Element:
     def is_zero(self) -> bool:
         return self.val == 0
 
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        """Coefficient vector over GF(p), constant term first, length m."""
-        return _unpack(self.val, self.field.p, self.field.m)
-
     def to_hex(self) -> str:
         return format(self.val, "x")
 
@@ -588,21 +583,8 @@ class Field:
             raise ValueError(f"packed value {val} out of range for {self}")
         return Element(self, val)
 
-    def from_coeffs(self, coeffs) -> Element:
-        coeffs = list(coeffs)
-        if len(coeffs) > self.m:
-            raise ValueError("too many coefficients")
-        coeffs += [0] * (self.m - len(coeffs))
-        if any(not (0 <= c < self.p) for c in coeffs):
-            coeffs = [c % self.p for c in coeffs]
-        return Element(self, _pack(coeffs, self.p))
-
     def from_hex(self, s: str) -> Element:
         return self.el(int(s, 16))
-
-    def scalar(self, i: int) -> Element:
-        """The image of the integer i in the prime subfield."""
-        return Element(self, i % self.p)
 
     def elements(self) -> Iterator[Element]:
         """All q elements in packed order; intended for small fields."""
@@ -677,4 +659,7 @@ def field_from_ref(ref: str) -> Field:
     except ValueError as exc:
         raise ValueError(f"malformed field reference {ref!r}") from exc
     modulus = _unpack(packed, p, m + 1)
+    # the m + 1 base-p digits re-pack to packed only when 0 <= packed < p^(m+1)
+    if _pack(modulus, p) != packed:
+        raise ValueError(f"malformed field reference {ref!r}")
     return field(p, m, modulus)

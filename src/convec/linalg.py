@@ -61,30 +61,7 @@ class Mat:
     def row_vector(cls, field: Field, entries) -> "Mat":
         return cls(field, [list(entries)])
 
-    @classmethod
-    def hstack(cls, blocks: list["Mat"]) -> "Mat":
-        if not blocks:
-            raise DimensionMismatch("nothing to stack")
-        nrows = blocks[0].nrows
-        if any(b.nrows != nrows for b in blocks):
-            raise DimensionMismatch("hstack with differing row counts")
-        data = [[e for b in blocks for e in b.data[i]] for i in range(nrows)]
-        return cls(blocks[0].field, data, sum(b.ncols for b in blocks))
-
-    @classmethod
-    def vstack(cls, blocks: list["Mat"]) -> "Mat":
-        if not blocks:
-            raise DimensionMismatch("nothing to stack")
-        ncols = blocks[0].ncols
-        if any(b.ncols != ncols for b in blocks):
-            raise DimensionMismatch("vstack with differing column counts")
-        data = [list(row) for b in blocks for row in b.data]
-        return cls(blocks[0].field, data, ncols)
-
     # -- basic ops ---------------------------------------------------------
-
-    def copy(self) -> "Mat":
-        return Mat(self.field, [list(r) for r in self.data], self.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
@@ -102,9 +79,6 @@ class Mat:
         return Mat(self.field,
                    [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
                    self.ncols)
-
-    def __neg__(self) -> "Mat":
-        return Mat(self.field, [[-a for a in row] for row in self.data], self.ncols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -316,7 +290,3 @@ def right_kernel(a: Mat) -> Mat:
     """Rows w with A * w^T = 0 (a basis of the right null space)."""
     work = [list(row) for row in a.data]
     return _kernel_rows(a.field, work, _rref(work, a.ncols), a.ncols)
-
-
-def left_kernel(a: Mat) -> Mat:
-    return right_kernel(a.transpose())

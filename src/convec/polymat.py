@@ -210,12 +210,6 @@ class PolyMatrix:
         return PolyMatrix(self.field, self.nrows, self.ncols,
                           [self.coeff(i) + other.coeff(i) for i in range(n)])
 
-    def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._compatible(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyMatrix(self.field, self.nrows, self.ncols,
-                          [self.coeff(i) - other.coeff(i) for i in range(n)])
-
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
@@ -237,12 +231,6 @@ class PolyMatrix:
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.ncols, self.nrows,
                           [c.transpose() for c in self.coeffs])
-
-    def eval(self, x: Element) -> Mat:
-        acc = Mat.zeros(self.field, self.nrows, self.ncols)
-        for c in reversed(self.coeffs):
-            acc = acc.scale(x) + c
-        return acc
 
     def eval_at_zero(self) -> Mat:
         return self.coeff(0)
@@ -279,23 +267,6 @@ class PolyMatrix:
             raise FieldMismatch("polynomial matrices over different fields")
         if self.nrows != other.nrows or self.ncols != other.ncols:
             raise DimensionMismatch("polynomial matrix shape mismatch")
-
-
-def poly_from_blocks(field: Field, blocks) -> PolyMatrix:
-    """1 x s PolyMatrix from its coefficient blocks (tuples of Elements)."""
-    blocks = [list(b) for b in blocks]
-    if not blocks:
-        raise DimensionMismatch("need at least one block")
-    width = len(blocks[0])
-    return PolyMatrix(field, 1, width, [Mat(field, [b], width) for b in blocks])
-
-
-def poly_to_blocks(v: PolyMatrix, upto: int | None = None) -> list[tuple[Element, ...]]:
-    """Coefficient blocks of a 1 x s PolyMatrix, optionally zero-padded."""
-    if v.nrows != 1:
-        raise DimensionMismatch("expected a row polynomial vector")
-    top = v.degree if upto is None else upto
-    return [tuple(v.coeff(i).data[0]) for i in range(top + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +312,6 @@ def full_size_minors(g: PolyMatrix) -> dict[tuple[int, ...], Poly]:
     return out
 
 
-def degree_delta(g: PolyMatrix) -> int:
-    """External degree: the maximum degree over all full-size minors of g."""
-    return _max_minor_degree(full_size_minors(g))
-
-
 def _max_minor_degree(minors: dict[tuple[int, ...], Poly]) -> int:
     best = max((p.degree for p in minors.values()), default=-1)
     if best < 0:
@@ -386,8 +352,6 @@ class ConvCode:
         self.field = G.field
         self._minors = full_size_minors(G)
         self.delta = _max_minor_degree(self._minors)
-        self.mu = G.degree
-        self.nu = None
         if H is not None:
             if H.field != G.field:
                 raise FieldMismatch("G and H over different fields")
@@ -398,7 +362,6 @@ class ConvCode:
                 raise DegreeMismatch("H * G^T != 0: not a parity check for G")
             if rank(H.eval_at_zero()) != n - k:
                 raise RankDeficient("H(0) must have full row rank")
-            self.nu = H.degree
         self.metadata = dict(metadata) if metadata else {}
         self._flags: StructuralFlags | None = None
 

@@ -201,6 +201,15 @@ def test_rates_lines(capsys):
     assert capsys.readouterr().out == "4/6 5/9 —\n"
 
 
+@pytest.mark.parametrize("delta, j", [("-2", "5"), ("-1", "0")])
+def test_rates_negative_delta_error_json(capsys, delta, j):
+    assert run(["rates", "--n", 3, "--k", 1, "--delta", delta, "--j", j]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError",
+                                        "message": "delta must be >= 0"}
+
+
 # -- bench -----------------------------------------------------------------------
 
 def scrub(doc):
@@ -316,6 +325,19 @@ def test_budget_env_caps_mdp(ws, capsys, monkeypatch):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "BudgetExceeded"
     assert not (tmp / "rep.json").exists()
+
+
+@pytest.mark.parametrize("engine", ["gm", "pc"])
+def test_negative_max_delay_error_json(tmp_path, code522h, msg522, capsys, engine):
+    code, noisy = tmp_path / "code.json", tmp_path / "noisy.txt"
+    code.write_text(json.dumps(code522h.to_json()))
+    noisy.write_text(erased_text(code522h, msg522))
+    rep = tmp_path / "rep.json"
+    assert run(["decode", "--engine", engine, "--code", code, "--in", noisy,
+                "--max-delay", "-1", "--report", rep]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "max_delay must be >= 0"}
+    assert not rep.exists()
 
 
 @pytest.mark.parametrize("j", ["-1", "-3"])

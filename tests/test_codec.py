@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from convec import field
+from convec.channel import corrupt, parse_pattern
 from convec.codec import (
     DecodeReport,
     Rate,
@@ -83,6 +84,12 @@ def test_rates_divisibility_gates():
         recovering_rates(3, 1, 1, -1)
     with pytest.raises(ValueError):
         Rate(1, 0)
+
+
+@pytest.mark.parametrize("delta, j", [(-2, 5), (-1, 0)])
+def test_rates_refuse_negative_delta(delta, j):
+    with pytest.raises(ValueError, match="^delta must be >= 0$"):
+        recovering_rates(3, 1, delta, j)
 
 
 # -- the hand-worked decode --------------------------------------------------
@@ -239,6 +246,22 @@ def test_guard_toggle_off(c5):
         rep = decode(c5, s, guard=False)
         assert rep.lost_intervals == [(2, T - 1)]
         assert not any("guard" in w.solver for w in rep.windows)
+
+
+@pytest.mark.parametrize("decode, lost", [(gm_decode_forward, [(3, 4)]),
+                                          (pc_decode_forward, [(3, 3)])])
+def test_negative_max_delay_refused(code522h, decode, lost):
+    rng = random.Random(3)
+    u = rand_message(code522h.field, rng, 19, k=2)
+    s = corrupt(ErasureStream.from_codeword(code522h.encode(u)),
+                parse_pattern("12v 10* 40v"))
+    # a zero delay cap still scans for a guard space after the stall
+    rep = decode(code522h, s, max_delay=0)
+    assert rep.lost_intervals == lost
+    assert sum("guard" in w.solver for w in rep.windows) == 2
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="^max_delay must be >= 0$"):
+            decode(code522h, s, max_delay=bad)
 
 
 def test_loss_to_stream_end(c5):
@@ -436,21 +459,24 @@ def test_extract_message_round_trip(c5):
     for t, val in got.items():
         want = u.coeff(t).data[0][0] if t <= u.degree else c5.field.zero
         assert val[0] == want
-    # a mid-stream slice still pins the overlapping history coefficient
-    part = extract_message(c5, s, start=4, end=7)
-    assert sorted(part) == [3, 4, 5, 6, 7]
-    assert all(part[t][0] == u.coeff(t).data[0][0] for t in part)
 
 
-def test_extract_message_window_too_short(pair_2_1):
+def test_extract_message_window_too_short(pair_2_1, gf2):
     gf3 = field(3)
     code = pair_2_1(gf3, (1, 0, 1), (1, 1, 1))  # memory two
     u = PolyMatrix.from_packed(gf3, [[[1]], [[2]], [[1]], [[0]], [[2]]])
     s = ErasureStream.from_codeword(code.encode(u))
-    with pytest.raises(NonUnique):
-        extract_message(code, s, start=3, end=3)
     got = extract_message(code, s)
     assert all(got[t][0] == u.coeff(t).data[0][0] for t in range(5))
+    # G = z (1, 1 + z) delays every message block by one, so with no origin
+    # degree announced the last listed u_t reaches no listed codeword block
+    delayed = ConvCode(2, 1, PolyMatrix.from_packed(gf2, [[[0, 0]], [[1, 1]], [[0, 1]]]),
+                       PolyMatrix.from_packed(gf2, [[[1, 1]], [[1, 0]]]))
+    u2 = PolyMatrix.from_packed(gf2, [[[1]], [[0]], [[1]], [[1]]])
+    s2 = ErasureStream.from_codeword(delayed.encode(u2))
+    s2.origin_degree = None
+    with pytest.raises(NonUnique):
+        extract_message(delayed, s2)
 
 
 def test_extract_message_requires_known_blocks(c5):

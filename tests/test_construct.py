@@ -43,7 +43,7 @@ def test_pinned_code_entries(built311):
     a = fld.el(2)
     assert [code.G.coeff(0).data[0][c] for c in range(3)] == [a, a ** 2, a ** 4]
     assert [code.G.coeff(1).data[0][c] for c in range(3)] == [a ** 8, a ** 16, a ** 32]
-    assert (code.n, code.k, code.delta, code.mu) == (3, 1, 1, 1)
+    assert (code.n, code.k, code.delta, code.G.degree) == (3, 1, 1, 1)
 
 
 def test_provenance_metadata(built311):

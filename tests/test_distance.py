@@ -58,6 +58,8 @@ def test_L_values():
     assert L_of(4, 2, 0) == 0
     with pytest.raises(ValueError):
         L_of(3, 3, 1)
+    with pytest.raises(ValueError, match="^delta must be >= 0$"):
+        L_of(3, 1, -2)
 
 
 def test_bounds():

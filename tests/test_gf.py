@@ -174,13 +174,6 @@ def test_serialization_round_trip():
     assert field_from_ref(F.ref()) == F
 
 
-def test_coeff_views():
-    F = field(3, 2)
-    a = F.from_coeffs([2, 1])  # 2 + x
-    assert a.coeffs == (2, 1)
-    assert a.val == 2 + 3
-
-
 def test_custom_primitive_via_json():
     F = field(7)
     spec = F.to_json()
@@ -201,12 +194,6 @@ def test_big_binary_field():
     assert (a ** (1 << 5)) * (a ** (1 << 5)) == a ** (1 << 6)
     b = F.el(0x1234567890ABCDEF)
     assert b * b.inverse() == F.one
-
-
-def test_scalar_embedding():
-    F = field(5, 2)
-    assert F.scalar(7) == F.el(2)
-    assert F.scalar(0) == F.zero
 
 
 def test_field_identity_ignores_generator():

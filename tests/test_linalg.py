@@ -18,7 +18,6 @@ from convec.errors import DimensionMismatch, IndexOutOfRange
 from convec.linalg import (
     Mat,
     det,
-    left_kernel,
     minor,
     rank,
     right_kernel,
@@ -168,21 +167,14 @@ def test_kernels():
         for row in rk.data:
             prod = a * Mat(F, [list(row)]).transpose()
             assert prod.is_zero
-        lk = left_kernel(a)
-        assert lk.nrows == a.nrows - rank(a)
-        if lk.nrows:
-            assert (lk * a).is_zero
 
 
 def test_stack_and_slice():
     F = field(2)
-    a = Mat.from_packed(F, [[1, 0], [0, 1]])
-    b = Mat.from_packed(F, [[1, 1], [0, 0]])
-    assert Mat.hstack([a, b]).to_packed() == [[1, 0, 1, 1], [0, 1, 0, 0]]
-    assert Mat.vstack([a, b]).to_packed() == [[1, 0], [0, 1], [1, 1], [0, 0]]
-    assert a.transpose().to_packed() == [[1, 0], [0, 1]]
-    assert Mat.hstack([a, b]).take_cols([0, 3]).to_packed() == [[1, 1], [0, 0]]
-    assert Mat.vstack([a, b]).take_rows([2]).to_packed() == [[1, 1]]
+    a = Mat.from_packed(F, [[1, 0, 1, 1], [0, 1, 0, 0]])
+    assert a.transpose().to_packed() == [[1, 0], [0, 1], [1, 0], [1, 0]]
+    assert a.take_cols([0, 3]).to_packed() == [[1, 1], [0, 0]]
+    assert a.take_rows([1]).to_packed() == [[0, 1, 0, 0]]
 
 
 def test_matmul_shapes():

@@ -106,3 +106,10 @@ def test_text_round_trip_extension_field():
 def test_from_text_errors(text, exc):
     with pytest.raises(exc):
         ErasureStream.from_text(text)
+
+
+@pytest.mark.parametrize("ref", ["2^3:1b", "2^3:fb", "2^3:-5", "2^1:-1"])
+def test_out_of_range_modulus_in_header(ref):
+    # each would re-read as a different in-range modulus (2^3:b or 2^1:3)
+    with pytest.raises(ValueError, match="^malformed field reference"):
+        ErasureStream.from_text(f"#n=2 field={ref} deg=0\n0 1\n")
