@@ -25,11 +25,9 @@ from __future__ import annotations
 
 import random
 
-import sympy
-
 from .distance import L_of, is_mdp, verify_complete_jmdp_via_g
 from .errors import DivisibilityViolated, FieldTooLarge, RankDeficient, SearchExhausted
-from .gf import Field, field
+from .gf import Field, _factorint, field
 from .linalg import rank
 from .polymat import ConvCode, PolyMatrix
 
@@ -193,7 +191,7 @@ def staircase_certificate(n: int, k: int, delta: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _prime_power(q: int) -> tuple[int, int]:
-    fac = sympy.factorint(q)
+    fac = _factorint(q)
     if len(fac) != 1:
         raise ValueError(f"q = {q} is not a prime power")
     (p, m), = fac.items()

@@ -21,6 +21,18 @@ Three arithmetic kernels are selected at construction time:
       - squaring: bits spread apart through 256-entry byte tables;
   * general p^m     : coefficient-tuple arithmetic (correct but unhurried)
 
+Fields of at most TABLE_MAX_Q = 2^16 elements then replace multiply,
+inverse and square by exp/log tables of alpha, built once through the
+kernel above; the general kind also adds, subtracts and negates through
+Zech logarithms.  The tables are an acceleration only: a packed value means
+the same element whichever kernel computed it, and whichever generator the
+tables were built from.
+
+``sympy`` is imported only for numbers of at least SMALL_INT = 2^32: the
+primality of p, the prime factors of m and the factorization of p^m - 1
+below that are found by trial division, so building and using a field
+below 2^32 elements never loads it.
+
 Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
 of degree m with the smallest packed value among those with a nonzero
 constant term; the constant-term rule only bites at m = 1, where it selects
@@ -44,9 +56,6 @@ from __future__ import annotations
 import functools
 from typing import Iterator
 
-import sympy
-from sympy.ntheory.factor_ import pollard_rho
-
 from .errors import (
     DivisionByZero,
     FieldMismatch,
@@ -60,6 +69,47 @@ FACTOR_TRIAL_LIMIT = 10_000
 FACTOR_RHO_STEPS = 20_000
 FACTOR_DIRECT_BITS = 48  # below this, factor completely without a budget
 PRIMITIVE_CANDIDATE_CAP = 4096
+# fields up to this order multiply, invert and square through exp/log tables
+TABLE_MAX_Q = 1 << 16
+# numbers below this are tested and factored by trial division; sympy is
+# imported only for larger ones
+SMALL_INT = 1 << 32
+
+
+# ---------------------------------------------------------------------------
+# primality and factoring: trial division below SMALL_INT, sympy above
+# ---------------------------------------------------------------------------
+
+def _trial_factor(n: int) -> dict[int, int]:
+    """Complete factorization of 1 <= n < SMALL_INT by trial division."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _factorint(n: int) -> dict[int, int]:
+    if n < SMALL_INT:
+        return _trial_factor(n)
+    import sympy
+    return dict(sympy.factorint(n))
+
+
+def _isprime(n: int) -> bool:
+    if n < SMALL_INT:
+        return n >= 2 and _trial_factor(n) == {n: 1}
+    import sympy
+    return bool(sympy.isprime(n))
+
+
+def _primefactors(n: int) -> list[int]:
+    return sorted(_factorint(n))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +226,7 @@ def _irreducible2(f: int, m: int) -> bool:
     """Rabin's test for a degree-m binary polynomial (deterministic)."""
     if m == 1:
         return True
-    checkpoints = {m // q for q in sympy.primefactors(m)}
+    checkpoints = {m // q for q in _primefactors(m)}
     shifts = _fold_shifts(f, m)
     x = 2
     t = x
@@ -270,7 +320,7 @@ def _irreducible_general(f: tuple[int, ...], p: int) -> bool:
     m = len(f) - 1
     if m == 1:
         return True
-    checkpoints = {m // q for q in sympy.primefactors(m)}
+    checkpoints = {m // q for q in _primefactors(m)}
     x = (0, 1)
     t = x
     for i in range(1, m + 1):
@@ -310,7 +360,10 @@ def _budgeted_factor(n: int) -> tuple[dict[int, int], bool]:
     if n <= 1:
         return {}, True
     if n.bit_length() <= FACTOR_DIRECT_BITS:
-        return dict(sympy.factorint(n)), True
+        return _factorint(n), True
+    import sympy
+    from sympy.ntheory.factor_ import pollard_rho
+
     found = sympy.factorint(n, limit=FACTOR_TRIAL_LIMIT)
     out: dict[int, int] = {}
     pending: list[tuple[int, int]] = []
@@ -409,7 +462,7 @@ class Field:
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None,
                  _primitive_val: int | None = None):
-        if not isinstance(p, int) or p < 2 or not sympy.isprime(p):
+        if not isinstance(p, int) or p < 2 or not _isprime(p):
             raise NotPrime(f"p = {p} is not prime")
         if not isinstance(m, int) or m < 1:
             raise ValueError(f"extension degree m = {m} must be a positive integer")
@@ -444,6 +497,9 @@ class Field:
             unverified = self._check_primitive_val(alpha_val)
         self.alpha = Element(self, alpha_val)
         self.unverified_primitive = unverified
+        if self.q <= TABLE_MAX_Q:
+            # q - 1 factors completely here, so alpha is certified primitive
+            self._bind_tables(alpha_val)
         self.zero = Element(self, 0)
         self.one = Element(self, 1)
 
@@ -530,6 +586,69 @@ class Field:
             self._vmul = vmul
             self._vinv = vinv
             self._vsq = lambda a: vmul(a, a)
+
+    def _bind_tables(self, alpha: int):
+        """Rebind mul, inv and square to exp/log tables of the generator,
+        built once through the kernels bound above; the general kind also
+        adds, subtracts and negates through Zech logarithms.
+
+        exp holds alpha^i for 0 <= i < 2(q-1), so a sum of two logs indexes
+        it without reduction.  zech[n] is log(1 + alpha^n), or -1 where
+        1 + alpha^n = 0 (Huber, IEEE Trans. IT 36(4), 1990); it is doubled
+        too, so a difference of two logs indexes it directly, negative
+        differences through Python's wrap-around.
+        """
+        p, q1 = self.p, self.q - 1
+        step = self._vmul
+        exp = [1] * (2 * q1)
+        for i in range(1, q1):
+            exp[i] = step(exp[i - 1], alpha)
+        exp[q1:] = exp[:q1]
+        log = [0] * (q1 + 1)
+        for i in range(q1):
+            log[exp[i]] = i
+
+        def vmul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def vinv(a):
+            if not a:
+                raise DivisionByZero("inverse of zero")
+            return exp[q1 - log[a]]
+
+        self._vmul = vmul
+        self._vinv = vinv
+        self._vsq = lambda a: exp[2 * log[a]] if a else 0
+        if self.kind != "general":
+            return
+        half = q1 // 2  # alpha^half = -1 in odd characteristic
+        # adding 1 changes only the constant digit of a packed value; 1 + v
+        # is zero exactly when v = p - 1
+        zech = [-1 if v == p - 1 else log[v + 1 if v % p != p - 1 else v - (p - 1)]
+                for v in exp[:q1]] * 2
+
+        def vadd(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return exp[la + z] if z >= 0 else 0
+
+        def vsub(a, b):
+            if not b:
+                return a
+            lb = log[b] + half  # the log of -b
+            if not a:
+                return exp[lb]
+            la = log[a]
+            z = zech[lb - la]
+            return exp[la + z] if z >= 0 else 0
+
+        self._vadd = vadd
+        self._vsub = vsub
+        self._vneg = lambda a: exp[log[a] + half] if a else 0
 
     def _vpow(self, a: int, e: int) -> int:
         if a == 0:
@@ -658,6 +777,8 @@ def field_from_ref(ref: str) -> Field:
         packed = int(mod_hex, 16)
     except ValueError as exc:
         raise ValueError(f"malformed field reference {ref!r}") from exc
+    if p < 2:
+        raise ValueError(f"malformed field reference {ref!r}")
     modulus = _unpack(packed, p, m + 1)
     # the m + 1 base-p digits re-pack to packed only when 0 <= packed < p^(m+1)
     if _pack(modulus, p) != packed:

@@ -3,6 +3,18 @@
 Matrices are lists of rows of field Elements.  Everything is exact; there is
 no pivoting strategy beyond "first nonzero", which is all a field needs.
 
+Elimination runs on packed ints: rank, det, minor, solve_right and
+right_kernel unpack the entries once into ``list[list[int]]``, eliminate
+through the field's bound kernels (``_vmul``, ``_vsub``, ``_vinv``; exp/log
+tables for fields up to 2^16 elements) and pack the result back once.  A row
+update starts at the pivot column, reads only the pivot row's nonzero
+entries and skips rows whose multiplier is zero.  Products and scalings
+work on packed values the same way.
+
+``Mat(...)`` checks that every entry is an Element of its field.  Matrices
+that this module derives from already-checked ones (slices, transposes,
+products, scalings and solver results) skip that check.
+
 The solver convention matches how the rest of the package states systems:
 ``solve_right(A, B)`` solves X * A = B for the row vector(s) X, i.e. the
 unknowns multiply A from the left.  Uniqueness is therefore equivalent to A
@@ -37,12 +49,26 @@ class Mat:
                 if not isinstance(e, Element) or e.field != field:
                     raise FieldMismatch("matrix entry from a different field")
 
+    @classmethod
+    def _derived(cls, field: Field, data: list[list[Element]], ncols: int) -> "Mat":
+        """A matrix whose entries are known to be Elements of field."""
+        out = cls.__new__(cls)
+        out.field = field
+        out.data = data
+        out.nrows = len(data)
+        out.ncols = ncols
+        return out
+
+    @classmethod
+    def _from_ints(cls, field: Field, rows: list[list[int]], ncols: int) -> "Mat":
+        return cls._derived(field, [[Element(field, v) for v in row] for row in rows], ncols)
+
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Mat":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._derived(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
@@ -86,33 +112,39 @@ class Mat:
         if self.ncols != other.nrows:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
-        zero = self.field.zero
-        ot = other.data
+        if other.field != self.field:
+            raise FieldMismatch(f"matrices over {self.field} and {other.field}")
+        fld = self.field
+        add, mul = fld._vadd, fld._vmul
+        ot = other.to_packed()
         out = []
         for row in self.data:
-            acc = [zero] * other.ncols
+            acc = [0] * other.ncols
             for j, a in enumerate(row):
-                if a.is_zero:
-                    continue
-                orow = ot[j]
-                acc = [s + a * b for s, b in zip(acc, orow)]
+                x = a.val
+                if x:
+                    acc = [add(s, mul(x, b)) if b else s for s, b in zip(acc, ot[j])]
             out.append(acc)
-        return Mat(self.field, out, other.ncols)
+        return Mat._from_ints(fld, out, other.ncols)
 
     def scale(self, c: Element) -> "Mat":
-        return Mat(self.field, [[c * a for a in row] for row in self.data], self.ncols)
+        x = self.field.one._peer(c)
+        mul = self.field._vmul
+        return Mat._from_ints(self.field, [[mul(x, e.val) for e in row] for row in self.data],
+                              self.ncols)
 
     def transpose(self) -> "Mat":
         if self.nrows == 0:
             # keep the column count as the new row count
-            return Mat(self.field, [[] for _ in range(self.ncols)], 0)
-        return Mat(self.field, [list(col) for col in zip(*self.data)], self.nrows)
+            return Mat._derived(self.field, [[] for _ in range(self.ncols)], 0)
+        return Mat._derived(self.field, [list(col) for col in zip(*self.data)], self.nrows)
 
     def take_rows(self, idx) -> "Mat":
-        return Mat(self.field, [list(self.data[i]) for i in idx], self.ncols)
+        return Mat._derived(self.field, [list(self.data[i]) for i in idx], self.ncols)
 
     def take_cols(self, idx) -> "Mat":
-        return Mat(self.field, [[row[j] for j in idx] for row in self.data], len(list(idx)))
+        idx = list(idx)
+        return Mat._derived(self.field, [[row[j] for j in idx] for row in self.data], len(idx))
 
     @property
     def is_zero(self) -> bool:
@@ -132,76 +164,91 @@ class Mat:
 
 
 # ---------------------------------------------------------------------------
-# elimination
+# elimination on packed ints
 # ---------------------------------------------------------------------------
 
-def _echelon(data: list[list[Element]], ncols: int):
+def _echelon(fld: Field, rows: list[list[int]], ncols: int):
     """In-place forward elimination to row echelon form.
 
     Pivot rows keep their leading entry; the rows below are cleared with
-    multiples of it.  Returns (row, col, inverse) triples, where inverse is
-    that of the pivot entry, or None when no row below needed clearing, and
-    whether the row swaps form an odd permutation.
+    multiples of it, over the pivot row's nonzero entries only.  Returns
+    (row, col, inverse) triples, where inverse is that of the pivot entry,
+    or None when no row below needed clearing, and whether the row swaps
+    form an odd permutation.
     """
+    mul, sub, vinv = fld._vmul, fld._vsub, fld._vinv
     pivots = []
     odd = False
     r = 0
-    nrows = len(data)
+    nrows = len(rows)
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not data[i][c].is_zero:
-                pr = i
-                break
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pr is None:
             continue
         if pr != r:
-            data[pr], data[r] = data[r], data[pr]
+            rows[pr], rows[r] = rows[r], rows[pr]
             odd = not odd
-        inv = None
+        prow = rows[r]
+        inv = span = None
         for i in range(r + 1, nrows):
-            if not data[i][c].is_zero:
+            row = rows[i]
+            if row[c]:
                 if inv is None:
-                    inv = data[r][c].inverse()
-                f = data[i][c] * inv
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+                    inv = vinv(prow[c])
+                    span = [(j, prow[j]) for j in range(c + 1, ncols) if prow[j]]
+                f = mul(row[c], inv)
+                row[c] = 0
+                for j, b in span:
+                    row[j] = sub(row[j], mul(f, b))
         pivots.append((r, c, inv))
         r += 1
-        if r == nrows:
-            break
     return pivots, odd
 
 
-def _rref(data: list[list[Element]], ncols: int) -> list[tuple[int, int]]:
+def _rref(fld: Field, rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:
     """In-place reduced row echelon form; returns (row, col) pivot pairs."""
-    pivots, _ = _echelon(data, ncols)
+    mul, sub, vinv = fld._vmul, fld._vsub, fld._vinv
+    pivots, _ = _echelon(fld, rows, ncols)
     for r, c, inv in reversed(pivots):
+        prow = rows[r]
         if inv is None:
-            inv = data[r][c].inverse()
-        data[r] = [inv * e for e in data[r]]
+            inv = vinv(prow[c])
+        prow[c] = 1
+        span = []
+        for j in range(c + 1, ncols):
+            if prow[j]:
+                prow[j] = mul(inv, prow[j])
+                span.append((j, prow[j]))
         for i in range(r):
-            if not data[i][c].is_zero:
-                f = data[i][c]
-                data[i] = [a - f * b for a, b in zip(data[i], data[r])]
+            row = rows[i]
+            f = row[c]
+            if f:
+                row[c] = 0
+                for j, b in span:
+                    row[j] = sub(row[j], mul(f, b))
     return [(r, c) for r, c, _ in pivots]
 
 
+def _det(fld: Field, rows: list[list[int]]) -> Element:
+    pivots, odd = _echelon(fld, rows, len(rows))
+    if len(pivots) < len(rows):
+        return fld.zero
+    acc = 1
+    for r, c, _ in pivots:
+        acc = fld._vmul(acc, rows[r][c])
+    return Element(fld, fld._vneg(acc) if odd else acc)
+
+
 def rank(a: Mat) -> int:
-    work = [list(row) for row in a.data]
-    return len(_echelon(work, a.ncols)[0])
+    return len(_echelon(a.field, a.to_packed(), a.ncols)[0])
 
 
 def det(a: Mat) -> Element:
     if a.nrows != a.ncols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    work = [list(row) for row in a.data]
-    pivots, odd = _echelon(work, a.ncols)
-    if len(pivots) < a.nrows:
-        return a.field.zero
-    acc = a.field.one
-    for r, c, _ in pivots:
-        acc = acc * work[r][c]
-    return -acc if odd else acc
+    return _det(a.field, a.to_packed())
 
 
 def minor(a: Mat, rows, cols) -> Element:
@@ -215,8 +262,8 @@ def minor(a: Mat, rows, cols) -> Element:
             raise IndexOutOfRange(f"{name} index out of range")
         if any(x >= y for x, y in zip(idx, idx[1:])):
             raise IndexOutOfRange(f"{name} indices must be strictly increasing")
-    sub = Mat(a.field, [[a.data[i][j] for j in cols] for i in rows], len(cols))
-    return det(sub)
+    data = a.data
+    return _det(a.field, [[data[i][j].val for j in cols] for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +298,18 @@ def solve_right(a: Mat, b: Mat) -> SolveResult:
     fld = a.field
     r, t = a.nrows, b.nrows
     # work on [A^T | B^T], shape c x (r + t)
-    at = a.transpose()
-    bt = b.transpose()
-    work = [list(ra) + list(rb) for ra, rb in zip(at.data, bt.data)]
-    pivots = _rref(work, r + t)
+    lhs = a.data + b.data
+    work = [[row[j].val for row in lhs] for j in range(a.ncols)]
+    pivots = _rref(fld, work, r + t)
     for rr, c in pivots:
         if c >= r:
             return SolveResult("inconsistent", None, None)
     # particular solution: pivot variables take the reduced rhs, free ones 0
-    zero = fld.zero
-    sol_cols = [[zero] * t for _ in range(r)]  # indexed [var][rhs]
+    sol = [[0] * r for _ in range(t)]
     for rr, c in pivots:
         for ti in range(t):
-            sol_cols[c][ti] = work[rr][r + ti]
-    solution = Mat(fld, [[sol_cols[v][ti] for v in range(r)] for ti in range(t)], r)
+            sol[ti][c] = work[rr][r + ti]
+    solution = Mat._from_ints(fld, sol, r)
     kernel = _kernel_rows(fld, work, pivots, r)
     status = "unique" if not kernel.nrows else "underdetermined"
     return SolveResult(status, solution, kernel)
@@ -278,15 +323,15 @@ def _kernel_rows(fld: Field, work, pivots, width: int) -> Mat:
     for fv in range(width):
         if fv in piv_cols:
             continue
-        vec = [fld.zero] * width
-        vec[fv] = fld.one
+        vec = [0] * width
+        vec[fv] = 1
         for rr, c in pivots:
-            vec[c] = -work[rr][fv]
+            vec[c] = fld._vneg(work[rr][fv])
         rows.append(vec)
-    return Mat(fld, rows, width)
+    return Mat._from_ints(fld, rows, width)
 
 
 def right_kernel(a: Mat) -> Mat:
     """Rows w with A * w^T = 0 (a basis of the right null space)."""
-    work = [list(row) for row in a.data]
-    return _kernel_rows(a.field, work, _rref(work, a.ncols), a.ncols)
+    work = a.to_packed()
+    return _kernel_rows(a.field, work, _rref(a.field, work, a.ncols), a.ncols)

@@ -88,22 +88,34 @@ def parity_truncation(h: PolyMatrix, j: int) -> Mat:
                        lambda r, c: r - c if 0 <= r - c <= nu else None)
 
 
+def _memo_band(pm: PolyMatrix, key: tuple[str, int], build) -> Mat:
+    band = pm._bands.get(key)
+    if band is None:
+        band = pm._bands[key] = build()
+    return band
+
+
 def parity_band(h: PolyMatrix, j: int) -> Mat:
-    """(j+1)(n-k) x (j+1+nu)n band; block row i is [H_nu ... H_0] at offset i."""
+    """(j+1)(n-k) x (j+1+nu)n band; block row i is [H_nu ... H_0] at offset i.
+
+    Built once per (h, j) and shared by every later call: callers read it
+    and must not modify it.
+    """
     nu = h.degree
-    return _block_grid(h, j + 1, j + 1 + nu,
-                       lambda r, c: nu - (c - r) if 0 <= c - r <= nu else None)
+    return _memo_band(h, ("parity", j), lambda: _block_grid(
+        h, j + 1, j + 1 + nu, lambda r, c: nu - (c - r) if 0 <= c - r <= nu else None))
 
 
 def generator_band(g: PolyMatrix, j: int) -> Mat:
     """(j+1+mu)k x (j+1)n band; block column c is [G_mu ... G_0] at offset c.
 
     Row block r corresponds to the message coefficient u_{t-mu+r} when the
-    window covers codeword blocks v_t .. v_{t+j}.
+    window covers codeword blocks v_t .. v_{t+j}.  Built once per (g, j)
+    and shared by every later call: callers read it and must not modify it.
     """
     mu = g.degree
-    return _block_grid(g, j + 1 + mu, j + 1,
-                       lambda r, c: mu - (r - c) if 0 <= r - c <= mu else None)
+    return _memo_band(g, ("generator", j), lambda: _block_grid(
+        g, j + 1 + mu, j + 1, lambda r, c: mu - (r - c) if 0 <= r - c <= mu else None))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,19 @@ def test_empty_mask_error_json(ws, capsys, command):
     assert err == {"error": "ValueError", "message": "empty mask"}
 
 
+@pytest.mark.parametrize("engine", ["gm", "pc"])
+def test_zero_characteristic_header_error_json(ws, capsys, engine):
+    tmp, code, _ = ws
+    bad = tmp / "bad.txt"
+    bad.write_text("#n=2 field=0^3:b deg=0\n0 1\n")
+    assert run(["decode", "--engine", engine, "--code", code, "--in", bad,
+                "--report", tmp / "rep.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": "malformed field reference '0^3:b'"}
+
+
 def test_iid_without_seed(ws, capsys):
     tmp, code, msg = ws
     cw = tmp / "cw.txt"

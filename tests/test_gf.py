@@ -17,12 +17,19 @@ from convec.errors import (
     Reducible,
 )
 from convec.gf import (
+    TABLE_MAX_Q,
     Field,
     _clmul,
+    _factorint,
     _fold_shifts,
     _inv2,
     _irreducible2,
+    _isprime,
     _pack,
+    _padd,
+    _pmulmod,
+    _psub,
+    _ptrim,
     _rem2,
     _sq2,
     _unpack,
@@ -334,3 +341,105 @@ def test_dense_modulus_field(m):
             assert a * a.inverse() == F.one
     with pytest.raises(DivisionByZero):
         F.zero.inverse()
+
+
+# -- table kernels against the polynomial arithmetic they replace --------------
+#
+# Fields up to TABLE_MAX_Q elements multiply, invert and square through
+# exp/log tables, and the general kind adds through Zech logarithms.  The
+# reference is the coefficient-tuple arithmetic (odd p) or the carry-less
+# product with fold reduction (p = 2) that every larger field still uses.
+
+def _poly_arith(F):
+    """(add, sub, neg, mul) on packed values without the tables."""
+    p, m = F.p, F.m
+    if p == 2:
+        shifts = _fold_shifts(F.modulus_packed, m)
+        return (lambda a, b: a ^ b, lambda a, b: a ^ b, lambda a: a,
+                lambda a, b: _rem2(_clmul(a, b), m, shifts))
+
+    def up(a):
+        return _ptrim(list(_unpack(a, p, m)))
+
+    return (lambda a, b: _pack(_padd(up(a), up(b), p), p),
+            lambda a, b: _pack(_psub(up(a), up(b), p), p),
+            lambda a: _pack(_psub((), up(a), p), p),
+            lambda a, b: _pack(_pmulmod(up(a), up(b), F.modulus, p), p))
+
+
+def _last_generator(F) -> Field:
+    """GF(q) with the largest primitive element as its designated alpha."""
+    n = F.q - 1
+    primes = _factorint(n)
+    for g in range(F.q - 1, 1, -1):
+        if all(F._vpow(g, n // r) != 1 for r in primes):
+            spec = F.to_json()
+            spec["primitive"] = format(g, "x")
+            return field_from_json(spec)
+    raise AssertionError("no generator")
+
+
+TABLE_FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (7, 1)]
+
+
+@pytest.mark.parametrize("p,m,generator", [(p, m, "auto") for p, m in TABLE_FIELDS]
+                         + [(3, 2, "last"), (3, 3, "last")])
+def test_table_kernels_match_polynomial_arithmetic(p, m, generator):
+    F = field(p, m)
+    if generator == "last":
+        F = _last_generator(F)
+        assert F.alpha.val != field(p, m).alpha.val and F == field(p, m)
+    # the kernels under test are the tables, not the arithmetic compared with
+    bound = [F._vmul, F._vinv, F._vsq]
+    if F.kind == "general":
+        bound += [F._vadd, F._vsub, F._vneg]
+    assert all("_bind_tables" in k.__qualname__ for k in bound)
+    add, sub, neg, mul = _poly_arith(F)
+    els = list(F.elements())
+    for x in els:
+        a = x.val
+        assert (-x).val == neg(a)
+        assert (x ** 2).val == mul(a, a)
+        for y in els:
+            b = y.val
+            assert (x + y).val == add(a, b)
+            assert (x - y).val == sub(a, b)
+            assert (x * y).val == mul(a, b)
+        if a:
+            inv = x.inverse().val
+            assert mul(a, inv) == 1
+            assert [b for b in range(1, F.q) if mul(a, b) == 1] == [inv]
+    with pytest.raises(DivisionByZero):
+        F.zero.inverse()
+    with pytest.raises(DivisionByZero):
+        F.one / F.zero
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (65521, 1), (2, 17), (65537, 1)])
+def test_largest_table_fields_sampled(p, m):
+    # the two largest table fields, and the two smallest above the cap,
+    # which keep the polynomial and modular kernels
+    F = field(p, m)
+    assert (F.q <= TABLE_MAX_Q) == ((p, m) in ((2, 16), (65521, 1)))
+    add, sub, neg, mul = _poly_arith(F) if m > 1 else (
+        lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+        lambda a: -a % p, lambda a, b: a * b % p)
+    rng = random.Random(F.q)
+    for _ in range(300):
+        x, y = F.random_element(rng), F.random_element(rng)
+        assert (x * y).val == mul(x.val, y.val)
+        assert (x + y).val == add(x.val, y.val)
+        assert (x - y).val == sub(x.val, y.val)
+        assert (-x).val == neg(x.val)
+        if x:
+            assert mul(x.val, x.inverse().val) == 1
+    assert F.alpha ** (F.q - 1) == F.one
+
+
+def test_small_number_theory_matches_sympy():
+    for n in list(range(1, 3000)) + [2 ** 31 - 1, 2 ** 32 - 5, 65536 * 65521, 3 ** 20 - 1]:
+        assert _factorint(n) == sympy.factorint(n), n
+        assert _isprime(n) == sympy.isprime(n), n
+    for n in (2 ** 32 + 15, 2 ** 61 - 1, 2 ** 64 - 1):
+        assert _factorint(n) == sympy.factorint(n), n
+        assert _isprime(n) == sympy.isprime(n), n

@@ -7,6 +7,9 @@ masks, tampered received symbols, and the decoder settings guard=False,
 max_delay, distances and an unknown origin degree.  Each case stores the
 canonical report JSON and the corrected stream text, or the exception type
 and message.  Two cases run ``convec decode`` through the command line.
+The gm cases of the catastrophic GF(3) code G = [1+z, 1+2z^2], which has
+no parity check, come last: they were appended after the rest and written
+from the source tree of that time.
 
 The expected file was written once by ``regenerate()``, from the source
 tree the outputs are meant to match:
@@ -157,6 +160,24 @@ def cases():
                        _stream(code, seed, blocks, ("tamper", (3, 0))), {})
 
 
+def catastrophic_cases():
+    """gm only: G = [1+z, 1+2z^2] over GF(3) shares the factor 1+z, so the
+    code is catastrophic and has no polynomial parity check."""
+    fld = field(3)
+    code = ConvCode(2, 1, PolyMatrix.from_packed(fld, [[[1, 1]], [[1, 0]], [[0, 2]]]))
+    cname = "gf3_catastrophic"
+    for mi, mask in enumerate([("iid", 0.3), ("ge", None), ("ge", None)]):
+        seed = 1000 * len(cname) + 17 * mi + sum(map(ord, cname))
+        for sname, kw in SETTINGS:
+            yield (f"{cname}/{mask[0]}{mi}/{sname}/gm", "gm", code,
+                   _stream(code, seed, 12, mask), kw)
+        yield (f"{cname}/{mask[0]}{mi}/unknown_degree/gm", "gm", code,
+               _stream(code, seed, 12, mask, known_degree=False), {})
+    for seed in (5, 6):
+        yield (f"{cname}/tamper{seed}/gm", "gm", code,
+               _stream(code, seed, 12, ("tamper", (3, 0))), {})
+
+
 def _outcome(engine, code, stream, kw) -> dict:
     try:
         rep = ENGINES[engine](code, stream, **kw)
@@ -189,13 +210,14 @@ def _cli_case(engine) -> dict:
 
 
 def corpus_lines() -> list[str]:
-    lines = []
-    for name, engine, code, stream, kw in cases():
-        lines.append(json.dumps({"case": name, **_outcome(engine, code, stream, kw)},
-                                sort_keys=True, separators=(",", ":")))
-    for engine in ENGINES:
-        lines.append(json.dumps({"case": f"cli/{engine}", **_cli_case(engine)},
-                                sort_keys=True, separators=(",", ":")))
+    def line(doc):
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+    lines = [line({"case": name, **_outcome(engine, code, stream, kw)})
+             for name, engine, code, stream, kw in cases()]
+    lines += [line({"case": f"cli/{engine}", **_cli_case(engine)}) for engine in ENGINES]
+    lines += [line({"case": name, **_outcome(engine, code, stream, kw)})
+              for name, engine, code, stream, kw in catastrophic_cases()]
     return lines
 
 

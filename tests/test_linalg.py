@@ -1,8 +1,11 @@
 """Exact dense linear algebra: elimination, determinants, the left solver.
 
 The differential tests at the end check rank, solve_right, the kernels and
-det against test-local oracles (row-span enumeration, plain products and
-permutation expansion) over prime, binary and general fields.
+det against test-local oracles (row-span enumeration, the largest nonzero
+minor, plain products and permutation expansion) over prime, binary and
+general fields on the exp/log table kernels, and over a prime and a binary
+field above the table cap, which eliminate through the modular and the
+comb/fold kernels.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convec import field
-from convec.errors import DimensionMismatch, IndexOutOfRange
+from convec.errors import DimensionMismatch, FieldMismatch, IndexOutOfRange
 from convec.linalg import (
     Mat,
     det,
@@ -219,23 +222,54 @@ def _matrices(draw, q, max_rows, max_cols):
     return r, c, draw(st.lists(st.integers(0, q - 1), min_size=r * c, max_size=r * c))
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)])
+def _minor_rank(fld, rows):
+    """Size of the largest square submatrix with a nonzero permutation
+    expansion."""
+    r, c = len(rows), len(rows[0])
+    for s in range(min(r, c), 0, -1):
+        for ri in itertools.combinations(range(r), s):
+            for ci in itertools.combinations(range(c), s):
+                sub = Mat(fld, [[rows[i][j] for j in ci] for i in ri])
+                if not _perm_det(sub).is_zero:
+                    return s
+    return 0
+
+
+def _dependent_last_row(data, fld, rows):
+    """Maybe replace the last row by a combination of the first and the one
+    before it, so that large fields also draw rank-deficient matrices."""
+    if len(rows) > 1 and data.draw(st.booleans()):
+        k = fld.el(data.draw(st.integers(0, fld.q - 1)))
+        rows[-1] = [k * x + y for x, y in zip(rows[0], rows[-2])]
+
+
+# GF(27) (the burst workload's general field), a prime above the table cap
+# and a large binary field
+KERNEL_FIELDS = [(3, 3), (65537, 1), (2, 67)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 2)] + KERNEL_FIELDS)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_rank_counts_row_span(p, m, data):
     F = field(p, m)
     r, c, vals = data.draw(_matrices(F.q, 3, 4))
     rows = _rows(F, vals, c)
-    assert F.q ** rank(Mat(F, rows)) == _span_size(F, rows)
+    _dependent_last_row(data, F, rows)
+    rk = rank(Mat(F, rows))
+    assert rk == _minor_rank(F, rows)
+    if F.q ** r <= 1024:
+        assert F.q ** rk == _span_size(F, rows)
 
 
-@pytest.mark.parametrize("p,m", [(5, 1), (2, 4), (3, 2)])
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 4), (3, 2)] + KERNEL_FIELDS)
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_solve_and_kernels_satisfy_their_equations(p, m, data):
     F = field(p, m)
     r, c, vals = data.draw(_matrices(F.q, 5, 6))
     a = _rows(F, vals, c)
+    _dependent_last_row(data, F, a)
     t = data.draw(st.integers(1, 2))
     x0 = _rows(F, data.draw(st.lists(st.integers(0, F.q - 1), min_size=t * r,
                                       max_size=t * r)), r)
@@ -268,3 +302,33 @@ def test_det_matches_permutation_expansion_general_field(data):
         vals[-n:] = vals[:n]
     a = Mat(F, _rows(F, vals, n))
     assert det(a) == _perm_det(a)
+
+
+@pytest.mark.parametrize("p,m", [(5, 1), (2, 4)] + KERNEL_FIELDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_det_matches_permutation_expansion_across_kernels(p, m, data):
+    F = field(p, m)
+    n = data.draw(st.integers(1, 5))
+    vals = data.draw(st.lists(st.integers(0, F.q - 1), min_size=n * n, max_size=n * n))
+    rows = _rows(F, vals, n)
+    _dependent_last_row(data, F, rows)
+    a = Mat(F, rows)
+    d = det(a)
+    assert d == _perm_det(a)
+    if n > 1:
+        assert minor(a, range(1, n), range(n - 1)) == _perm_det(
+            Mat(F, [row[:n - 1] for row in rows[1:]]))
+
+
+def test_foreign_entries_raise_field_mismatch():
+    F, G = field(3, 3), field(3, 3, modulus=[2, 2, 0, 1])  # x^3 + 2x + 2
+    assert F != G
+    with pytest.raises(FieldMismatch):
+        Mat(F, [[F.one, G.one]])
+    with pytest.raises(FieldMismatch):
+        Mat.from_packed(F, [[1, 2]]) * Mat.from_packed(G, [[1], [2]])
+    with pytest.raises(FieldMismatch):
+        Mat.from_packed(F, [[1, 2]]).scale(G.one)
+    with pytest.raises(FieldMismatch):
+        solve_right(Mat.identity(F, 2), Mat.from_packed(G, [[1, 2]]))

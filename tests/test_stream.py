@@ -113,3 +113,10 @@ def test_out_of_range_modulus_in_header(ref):
     # each would re-read as a different in-range modulus (2^3:b or 2^1:3)
     with pytest.raises(ValueError, match="^malformed field reference"):
         ErasureStream.from_text(f"#n=2 field={ref} deg=0\n0 1\n")
+
+
+@pytest.mark.parametrize("ref", ["0^3:b", "1^1:0", "-3^2:5"])
+def test_characteristic_below_two_in_header(ref):
+    # p = 0 used to reach a division by p before any check
+    with pytest.raises(ValueError, match="^malformed field reference"):
+        ErasureStream.from_text(f"#n=2 field={ref} deg=0\n0 1\n")
