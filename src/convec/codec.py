@@ -208,18 +208,19 @@ def _window_columns(stream: ErasureStream, t0: int, width: int):
 
 
 def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
-               ubound, v_start: int, width: int):
+               ubound, v_start: int, width: int, keep_band: bool = True):
     """Punctured message-recovery system over blocks v_start .. v_start+width-1.
 
     The unknown band reaches back mu blocks before the window.  Known
     message coefficients, structural zeros included, move to the right-hand
     side.  Returns (A, B, unknown_times): A is the unknown-row band
     restricted to received columns, B the received values minus the known
-    contribution.
+    contribution.  keep_band=False leaves the band out of the code's band
+    cache (see sliding.generator_band).
     """
     fld, k = code.field, code.k
     mu = code.G.degree
-    band = generator_band(code.G, width - 1)
+    band = generator_band(code.G, width - 1, keep_band)
     u_times = list(range(v_start - mu, v_start + width))
     unknown_times: list[int] = []
     row_idx: list[int] = []
@@ -580,7 +581,8 @@ def extract_message(code: ConvCode,
         if stream.erased_positions(tb):
             raise ValueError(f"block {tb} still has erasures")
     ubound = message_degree_bound(code, stream)
-    a, b, unknown_times = _gm_system(code, stream, {}, ubound, 0, T)
+    # kept, a whole-stream band would stay on the code for every stream length
+    a, b, unknown_times = _gm_system(code, stream, {}, ubound, 0, T, False)
     res = _solve(a, b, None, "blocks are not a codeword window")
     if not res.is_unique:
         raise NonUnique("window too short to pin the message down")

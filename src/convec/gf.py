@@ -21,12 +21,13 @@ Three arithmetic kernels are selected at construction time:
       - squaring: bits spread apart through 256-entry byte tables;
   * general p^m     : coefficient-tuple arithmetic (correct but unhurried)
 
-Fields of at most TABLE_MAX_Q = 2^16 elements then replace multiply,
-inverse and square by exp/log tables of alpha, built once through the
-kernel above; the general kind also adds, subtracts and negates through
-Zech logarithms.  The tables are an acceleration only: a packed value means
-the same element whichever kernel computed it, and whichever generator the
-tables were built from.
+Extension fields (m >= 2) of at most TABLE_MAX_Q = 2^8 elements then
+replace multiply, inverse and square by exp/log tables of alpha, built once
+through the kernel above; the general kind also adds, subtracts and negates
+through Zech logarithms.  Prime fields keep their one-operation modular
+kernel.  The tables are an acceleration only: a packed value means the same
+element whichever kernel computed it, and whichever generator the tables
+were built from.
 
 ``sympy`` is imported only for numbers of at least SMALL_INT = 2^32: the
 primality of p, the prime factors of m and the factorization of p^m - 1
@@ -69,8 +70,10 @@ FACTOR_TRIAL_LIMIT = 10_000
 FACTOR_RHO_STEPS = 20_000
 FACTOR_DIRECT_BITS = 48  # below this, factor completely without a budget
 PRIMITIVE_CANDIDATE_CAP = 4096
-# fields up to this order multiply, invert and square through exp/log tables
-TABLE_MAX_Q = 1 << 16
+# extension fields up to this order multiply, invert and square through
+# exp/log tables; the build steps q - 2 times through the polynomial kernel,
+# which at this cap costs a few milliseconds
+TABLE_MAX_Q = 1 << 8
 # numbers below this are tested and factored by trial division; sympy is
 # imported only for larger ones
 SMALL_INT = 1 << 32
@@ -497,7 +500,7 @@ class Field:
             unverified = self._check_primitive_val(alpha_val)
         self.alpha = Element(self, alpha_val)
         self.unverified_primitive = unverified
-        if self.q <= TABLE_MAX_Q:
+        if self.kind != "prime" and self.q <= TABLE_MAX_Q:
             # q - 1 factors completely here, so alpha is certified primitive
             self._bind_tables(alpha_val)
         self.zero = Element(self, 0)

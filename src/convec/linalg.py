@@ -6,10 +6,10 @@ no pivoting strategy beyond "first nonzero", which is all a field needs.
 Elimination runs on packed ints: rank, det, minor, solve_right and
 right_kernel unpack the entries once into ``list[list[int]]``, eliminate
 through the field's bound kernels (``_vmul``, ``_vsub``, ``_vinv``; exp/log
-tables for fields up to 2^16 elements) and pack the result back once.  A row
-update starts at the pivot column, reads only the pivot row's nonzero
-entries and skips rows whose multiplier is zero.  Products and scalings
-work on packed values the same way.
+tables for extension fields up to 2^8 elements) and pack the result back
+once.  A row update starts at the pivot column, reads only the pivot row's
+nonzero entries and skips rows whose multiplier is zero.  Products and
+scalings work on packed values the same way.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
@@ -46,8 +46,10 @@ class Mat:
             if len(row) != self.ncols:
                 raise DimensionMismatch("ragged rows")
             for e in row:
-                if not isinstance(e, Element) or e.field != field:
-                    raise FieldMismatch("matrix entry from a different field")
+                # the identity test is the fast path for entries of this field
+                if e.__class__ is not Element or e.field is not field:
+                    if not isinstance(e, Element) or e.field != field:
+                        raise FieldMismatch("matrix entry from a different field")
 
     @classmethod
     def _derived(cls, field: Field, data: list[list[Element]], ncols: int) -> "Mat":

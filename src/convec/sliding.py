@@ -88,10 +88,12 @@ def parity_truncation(h: PolyMatrix, j: int) -> Mat:
                        lambda r, c: r - c if 0 <= r - c <= nu else None)
 
 
-def _memo_band(pm: PolyMatrix, key: tuple[str, int], build) -> Mat:
+def _memo_band(pm: PolyMatrix, key: tuple[str, int], keep: bool, build) -> Mat:
     band = pm._bands.get(key)
     if band is None:
-        band = pm._bands[key] = build()
+        band = build()
+        if keep:
+            pm._bands[key] = band
     return band
 
 
@@ -102,19 +104,22 @@ def parity_band(h: PolyMatrix, j: int) -> Mat:
     and must not modify it.
     """
     nu = h.degree
-    return _memo_band(h, ("parity", j), lambda: _block_grid(
+    return _memo_band(h, ("parity", j), True, lambda: _block_grid(
         h, j + 1, j + 1 + nu, lambda r, c: nu - (c - r) if 0 <= c - r <= nu else None))
 
 
-def generator_band(g: PolyMatrix, j: int) -> Mat:
+def generator_band(g: PolyMatrix, j: int, keep: bool = True) -> Mat:
     """(j+1+mu)k x (j+1)n band; block column c is [G_mu ... G_0] at offset c.
 
     Row block r corresponds to the message coefficient u_{t-mu+r} when the
     window covers codeword blocks v_t .. v_{t+j}.  Built once per (g, j)
     and shared by every later call: callers read it and must not modify it.
+    keep=False builds a band that is not retained, for a one-off depth
+    such as a whole-stream system, so the retained bands stay the bounded
+    window depths.
     """
     mu = g.degree
-    return _memo_band(g, ("generator", j), lambda: _block_grid(
+    return _memo_band(g, ("generator", j), keep, lambda: _block_grid(
         g, j + 1 + mu, j + 1, lambda r, c: mu - (r - c) if 0 <= r - c <= mu else None))
 
 

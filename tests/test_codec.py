@@ -461,6 +461,27 @@ def test_extract_message_round_trip(c5):
         assert val[0] == want
 
 
+def test_band_cache_stays_bounded_across_stream_lengths(pair_2_1):
+    # one code decoding streams of many lengths keeps only the window-depth
+    # bands, never a whole-stream one per length
+    code = pair_2_1(field(5), (1, 1), (1, 2))
+    rng = random.Random(7)
+    sizes = []
+    for deg in range(6, 40, 3):
+        u = rand_message(code.field, rng, deg)
+        s = ErasureStream.from_codeword(code.encode(u))
+        for t in range(0, len(s), 4):
+            s.blocks[t][rng.randrange(2)] = None
+        gm = gm_decode_forward(code, s)
+        pc = pc_decode_forward(code, s)
+        assert gm.complete and pc.complete
+        assert gm.message() == pc.message() == u
+        sizes.append((len(code.G._bands), len(code.H._bands)))
+    L, mu = 2, code.G.degree
+    assert all(g <= L + mu + 1 and h <= L + 1 for g, h in sizes)
+    assert max(mat.nrows for mat in code.G._bands.values()) <= (L + 1 + mu) * code.k
+
+
 def test_extract_message_window_too_short(pair_2_1, gf2):
     gf3 = field(3)
     code = pair_2_1(gf3, (1, 0, 1), (1, 1, 1))  # memory two

@@ -345,8 +345,9 @@ def test_dense_modulus_field(m):
 
 # -- table kernels against the polynomial arithmetic they replace --------------
 #
-# Fields up to TABLE_MAX_Q elements multiply, invert and square through
-# exp/log tables, and the general kind adds through Zech logarithms.  The
+# Extension fields up to TABLE_MAX_Q elements multiply, invert and square
+# through exp/log tables, and the general kind adds through Zech logarithms.
+# Prime fields keep the modular kernel.  The
 # reference is the coefficient-tuple arithmetic (odd p) or the carry-less
 # product with fold reduction (p = 2) that every larger field still uses.
 
@@ -379,7 +380,7 @@ def _last_generator(F) -> Field:
     raise AssertionError("no generator")
 
 
-TABLE_FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (7, 1)]
+TABLE_FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 8), (3, 5)]
 
 
 @pytest.mark.parametrize("p,m,generator", [(p, m, "auto") for p, m in TABLE_FIELDS]
@@ -415,12 +416,13 @@ def test_table_kernels_match_polynomial_arithmetic(p, m, generator):
         F.one / F.zero
 
 
-@pytest.mark.parametrize("p,m", [(2, 16), (65521, 1), (2, 17), (65537, 1)])
-def test_largest_table_fields_sampled(p, m):
-    # the two largest table fields, and the two smallest above the cap,
-    # which keep the polynomial and modular kernels
+@pytest.mark.parametrize("p,m", [(2, 9), (3, 6), (251, 1), (65537, 1)])
+def test_fields_without_tables_sampled(p, m):
+    # the smallest extension fields above the cap keep the polynomial
+    # kernels, and prime fields of any size the modular one
     F = field(p, m)
-    assert (F.q <= TABLE_MAX_Q) == ((p, m) in ((2, 16), (65521, 1)))
+    assert (F.q > TABLE_MAX_Q) or m == 1
+    assert "_bind_tables" not in F._vmul.__qualname__
     add, sub, neg, mul = _poly_arith(F) if m > 1 else (
         lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
         lambda a: -a % p, lambda a, b: a * b % p)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from convec import field
 from convec.errors import DimensionMismatch, FieldMismatch, IndexOutOfRange
+from convec.gf import Field
 from convec.linalg import (
     Mat,
     det,
@@ -326,6 +327,10 @@ def test_foreign_entries_raise_field_mismatch():
     assert F != G
     with pytest.raises(FieldMismatch):
         Mat(F, [[F.one, G.one]])
+    with pytest.raises(FieldMismatch):
+        Mat(F, [[F.one, 1]])
+    # an equal field built separately is the same field
+    assert Mat(F, [[F.one, Field(3, 3).one]]).data[0][1] == F.one
     with pytest.raises(FieldMismatch):
         Mat.from_packed(F, [[1, 2]]) * Mat.from_packed(G, [[1], [2]])
     with pytest.raises(FieldMismatch):
