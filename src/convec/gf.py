@@ -226,18 +226,29 @@ def _inv2(a: int, f: int) -> int:
 
 
 def _irreducible2(f: int, m: int) -> bool:
-    """Rabin's test for a degree-m binary polynomial (deterministic)."""
+    """Ben-Or's test for a degree-m binary polynomial (deterministic).
+
+    f is irreducible exactly when gcd(x^(2^i) - x, f) = 1 for every
+    i <= m/2.  The factors x^(2^i) - x are multiplied up modulo f and the
+    gcd is taken at i = 1, 2, 4, ... and at m/2, so a candidate with a
+    small-degree factor is rejected after a few squarings (Ben-Or, FOCS
+    1981; Gao-Panario 1997).
+    """
     if m == 1:
         return True
-    checkpoints = {m // q for q in _primefactors(m)}
     shifts = _fold_shifts(f, m)
     x = 2
     t = x
-    for i in range(1, m + 1):
+    acc = 1
+    check = 1
+    for i in range(1, m // 2 + 1):
         t = _rem2(_sq2(t), m, shifts)
-        if i in checkpoints and _gcd2(t ^ x, f).bit_length() - 1 != 0:
-            return False
-    return t == x
+        acc = _rem2(_clmul(acc, t ^ x), m, shifts)
+        if i == check or i == m // 2:
+            if _gcd2(acc, f) != 1:
+                return False
+            check *= 2
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ through the field's bound kernels (``_vmul``, ``_vsub``, ``_vinv``; exp/log
 tables for extension fields up to 2^8 elements) and pack the result back
 once.  A row update starts at the pivot column, reads only the pivot row's
 nonzero entries and skips rows whose multiplier is zero.  Products and
-scalings work on packed values the same way.
+scalings work on packed values the same way.  ``_reduce_column`` is the
+column-wise counterpart that the minor checks extend one column at a time.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
@@ -207,6 +208,33 @@ def _echelon(fld: Field, rows: list[list[int]], ncols: int):
         pivots.append((r, c, inv))
         r += 1
     return pivots, odd
+
+
+def _reduce_column(fld: Field, col, pivots: list, extend: bool) -> bool:
+    """Whether a packed column lies outside the span of the reduced columns
+    in pivots.
+
+    Each pivot is (row, span): a column scaled to 1 at its pivot row and
+    zero at the pivot rows before it, with span its other nonzero
+    (row, value) entries.  col is reduced in pivot order, so every pivot row
+    ends up zero in it.  When extend holds and col is independent, its
+    reduced copy is scaled by one inverse and appended to pivots.
+    """
+    mul, sub = fld._vmul, fld._vsub
+    x = list(col)
+    for p, span in pivots:
+        f = x[p]
+        if f:
+            x[p] = 0
+            for r, b in span:
+                x[r] = sub(x[r], mul(f, b))
+    p = next((r for r, v in enumerate(x) if v), None)
+    if p is None:
+        return False
+    if extend:
+        inv = fld._vinv(x[p])
+        pivots.append((p, [(r, mul(inv, x[r])) for r in range(p + 1, len(x)) if x[r]]))
+    return True
 
 
 def _rref(fld: Field, rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:

@@ -17,9 +17,17 @@ from convec.errors import (
 )
 from convec.linalg import Mat, minor, rank, right_kernel
 from convec.polymat import ConvCode, Poly, PolyMatrix, poly_gcd
-from convec.sliding import count_nontrivial, generator_truncation
+from convec.sliding import (
+    count_nontrivial,
+    enumerate_nontrivial,
+    generator_band,
+    generator_truncation,
+    parity_band,
+    parity_truncation,
+)
 from convec.distance import (
     DistanceProfile,
+    _run_minor_check,
     L_of,
     column_bound,
     column_distance,
@@ -372,3 +380,121 @@ def test_complementary_minors_law():
                 r = ma / mb
                 ratios.add(r.val if sum(cols) % 2 == 0 else (-r).val)
         assert len(ratios) == 1
+
+
+# ---------------------------------------------------------------------------
+# the incremental minor loop against one minor per set
+# ---------------------------------------------------------------------------
+
+def minor_per_set(mat, sets):
+    """(passed, sets_checked, counterexample) from one linalg.minor per set."""
+    rows = range(mat.nrows)
+    checked = 0
+    for cols in sets:
+        checked += 1
+        if not minor(mat, rows, [c - 1 for c in cols]).val:
+            return False, checked, cols
+    return True, checked, None
+
+
+def systematic(fld, rng, n, k, d) -> ConvCode:
+    """G = (I | P(z)) and H = (-P(z)^T | I) with a random k x (n-k) P of
+    degree d."""
+    r = n - k
+    while True:
+        p = [[[rng.randrange(fld.q) for _ in range(r)] for _ in range(k)]
+             for _ in range(d + 1)]
+        if any(map(any, p[d])):
+            break
+    G = [[[int(i == 0 and a == b) for b in range(k)] + p[i][a] for a in range(k)]
+         for i in range(d + 1)]
+    H = [[[(-fld.el(p[i][a][c])).val for a in range(k)]
+          + [int(i == 0 and c == b) for b in range(r)] for c in range(r)]
+         for i in range(d + 1)]
+    return ConvCode(n, k, PolyMatrix.from_packed(fld, G), PolyMatrix.from_packed(fld, H))
+
+
+def four_checks(code, j):
+    """(kind, incremental outcome, per-set minor outcome) for the four set
+    kinds; the public checks must agree wherever their preconditions hold."""
+    n, k, mu, nu = code.n, code.k, code.G.degree, code.H.degree
+    for kind, mat, deg in (
+            ("generator_truncation", generator_truncation(code.G, j), mu),
+            ("parity_truncation", parity_truncation(code.H, j), nu),
+            ("generator", generator_band(code.G, j + mu), mu),
+            ("parity", parity_band(code.H, j), nu)):
+        rep = _run_minor_check(kind, j, mat, enumerate_nontrivial(kind, n, k, deg, j))
+        got = (rep.passed, rep.sets_checked, rep.counterexample)
+        want = minor_per_set(mat, enumerate_nontrivial(kind, n, k, deg, j))
+        yield kind, got, want
+    assert is_column_optimal_via_g(code, j) == minor_per_set(
+        generator_truncation(code.G, j),
+        enumerate_nontrivial("generator_truncation", n, k, mu, j))[0]
+    assert is_column_optimal_via_h(code, j) == minor_per_set(
+        parity_truncation(code.H, j),
+        enumerate_nontrivial("parity_truncation", n, k, nu, j))[0]
+    for check, kind, band, deg, div in (
+            (verify_complete_jmdp_via_g, "generator", generator_band(code.G, j + mu), mu, k),
+            (verify_complete_jmdp_via_h, "parity", parity_band(code.H, j), nu, n - k)):
+        if code.delta % div == 0 and deg == code.delta // div:
+            rep = check(code, j)
+            assert (rep.passed, rep.sets_checked, rep.counterexample) == minor_per_set(
+                band, enumerate_nontrivial(kind, n, k, deg, j))
+
+
+# (n, k, degree of P, largest j)
+DIFF_SHAPES = [(2, 1, 1, 3), (2, 1, 2, 3), (3, 1, 1, 2), (3, 2, 1, 3), (3, 2, 2, 2)]
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 3)],
+                         ids=["GF2", "GF3", "GF16", "GF27"])
+def test_incremental_minors_match_minor_per_set(p, m):
+    fld = field(p, m)
+    rng = random.Random(1000 * p + m)
+    outcomes = set()
+    for n, k, d, top in DIFF_SHAPES:
+        for _ in range(2):
+            code = systematic(fld, rng, n, k, d)
+            for j in range(top + 1):
+                for kind, got, want in four_checks(code, j):
+                    assert got == want, (kind, n, k, d, j)
+                    outcomes.add(want[0])
+    assert outcomes == {True, False}
+
+
+def test_incremental_minors_first_set_dependent(pair_2_1):
+    # H = (z + z^2 + z^3, 1 + z^2 + z^3): the first parity set (1,) meets a
+    # zero column of H_0, at every j
+    code = pair_2_1(field(2), [1, 0, 1, 1], [1, 1])
+    for j in range(4):
+        outcomes = {}
+        for kind, got, want in four_checks(code, j):
+            assert got == want, (kind, j)
+            outcomes[kind] = got
+        assert outcomes["parity"] == (False, 1, tuple(range(1, 2 * j + 2, 2)))
+
+
+def test_incremental_minors_deep_counterexample():
+    # G = (1 + z + z^2 + z^3, 2 + z + 2z^2, 1 + z^2 + z^3) over GF(3): the
+    # first vanishing band minor at j = 4 is set 52, and it shares its first
+    # eight columns with set 51, so only the last three are reduced anew
+    fld = field(3)
+    code = ConvCode(3, 1, PolyMatrix.from_packed(
+        fld, [[[1, 2, 1]], [[1, 1, 0]], [[1, 2, 1]], [[1, 0, 1]]]))
+    band = generator_band(code.G, 4 + 3)
+    sets = list(itertools.islice(enumerate_nontrivial("generator", 3, 1, 3, 4), 52))
+    bad = (1, 2, 3, 4, 5, 7, 10, 13, 21, 22, 23)
+    assert sets[-1] == bad
+    assert sets[-2][:8] == bad[:8] and sets[-2][8] != bad[8]
+    rep = verify_complete_jmdp_via_g(code, 4)
+    assert (rep.passed, rep.sets_checked, rep.counterexample) == (False, 52, bad)
+    assert minor_per_set(band, sets) == (False, 52, bad)
+
+
+def test_incremental_minors_catastrophic_gf3(pair_2_1):
+    # G = (1 + z, 1 + 2z^2): both entries vanish at z = 2
+    code = pair_2_1(field(3), [1, 1], [1, 0, 2])
+    assert not code.flags.noncatastrophic_certified
+    for j in range(5):
+        for kind, got, want in four_checks(code, j):
+            assert got == want, (kind, j)

@@ -275,9 +275,44 @@ def test_reference_moduli():
             assert sympy_irreducible(f)
 
 
+# auto moduli of large fields, pinned from Rabin's test, which _irreducible2
+# used before Ben-Or's: a new test must choose the same first irreducible
+AUTO_LARGE = {2305: (1 << 2305) | 0b101101, 2561: (1 << 2561) | 0b110101101}
+
+
+@pytest.mark.parametrize("m", sorted(AUTO_LARGE))
+def test_large_auto_moduli_unchanged(m):
+    assert _pack(Field._auto_modulus(2, m), 2) == AUTO_LARGE[m]
+
+
 def test_irreducible2_matches_sympy():
     for f in range(2, 1 << 11):
         assert _irreducible2(f, f.bit_length() - 1) == sympy_irreducible(f), bin(f)
+
+
+def rabin_irreducible(f: int) -> bool:
+    """Rabin's test on plain shift-XOR arithmetic: x^(2^m) = x mod f, and
+    x^(2^(m/q)) - x coprime to f for every prime q dividing m."""
+    m = f.bit_length() - 1
+    x = ref_rem(2, f)
+    t, powers = x, {}
+    for i in range(1, m + 1):
+        t = ref_rem(ref_mul(t, t), f)
+        powers[i] = t
+    if powers[m] != x:
+        return False
+    for q in sympy.primefactors(m):
+        a, b = powers[m // q] ^ x, f
+        while b:
+            a, b = b, ref_rem(a, b)
+        if a != 1:
+            return False
+    return True
+
+
+def test_irreducible2_matches_rabin():
+    for f in range(2, 1 << 13):
+        assert _irreducible2(f, f.bit_length() - 1) == rabin_irreducible(f), bin(f)
 
 
 def check_kernels(m: int, f: int, a: int, b: int):

@@ -9,6 +9,12 @@ over GF(5) with its parity check, a catastrophic code, and the code
 stores the exit status, stdout, stderr and the report, with input paths
 reduced to file names.
 
+After those come codes over GF(2) and GF(3) whose complete j-MDP checks
+fail deep in the enumeration: the first vanishing minor follows up to 51
+nonzero ones and shares a column prefix with the set before it.  They are
+checked for `mdp` (one of them passes) and for complete j-MDP at every j
+from 0 to L, on each side the code has.
+
 The expected file was written once by ``regenerate()``, from the source
 tree the outputs are meant to match:
 
@@ -82,6 +88,28 @@ def codes() -> dict[str, dict]:
     }.items()}
 
 
+def _rate_one_third(fld, entries) -> ConvCode:
+    """(3,1) code G = (g0, g1, g2) without a parity check; entries holds the
+    coefficient lists of g0, g1 and g2."""
+    d = max(len(e) for e in entries)
+    grids = [[[e[i] if i < len(e) else 0 for e in entries]] for i in range(d)]
+    return ConvCode(3, 1, PolyMatrix.from_packed(fld, grids))
+
+
+def deep_codes() -> dict[str, dict]:
+    """Code JSON documents whose first vanishing minor lies deep, by name."""
+    gf2, gf3 = field(2), field(3)
+    return {name: code.to_json() for name, code in {
+        "gf2_pair_deep": _pair(gf2, (1, 1, 1), (1, 0, 1)),
+        "gf2_pair3_deep": _pair(gf2, (1, 0, 1, 1), (1, 1)),
+        "gf2_311_deep": _rate_one_third(gf2, [(1, 0, 1), (1, 1), (1, 1, 1)]),
+        "gf3_pair_deep_g": _pair(gf3, (1, 0, 2, 1), (1, 2, 1, 1)),
+        "gf3_pair_deep_h": _pair(gf3, (2, 2, 2, 2), (1, 1, 1, 2)),
+        "gf3_311_mdp": _rate_one_third(gf3, [(2, 1), (2, 2), (1,)]),
+        "gf3_313_deep": _rate_one_third(gf3, [(1, 1, 1, 1), (2, 1, 2), (1, 0, 1, 1)]),
+    }.items()}
+
+
 def _cli(argv, out_name, files=None) -> dict:
     """Run the CLI in a temporary directory holding `files`; `{tmp}` in argv
     names that directory.  Returns status, stdout, stderr and the output
@@ -102,13 +130,8 @@ def _cli(argv, out_name, files=None) -> dict:
             "output": doc}
 
 
-def _verify_cases(name, code_text):
-    """(case name, outcome) for every property; complete j-MDP at j = 0 and L."""
-    code = code_from_json(json.loads(code_text))
-    runs = [(prop, None) for prop in FLAG_PROPERTIES]
-    for side in ("G", "H"):
-        runs += [(f"complete-jmdp:{side}", j)
-                 for j in sorted({0, L_of(code.n, code.k, code.delta)})]
+def _verify_runs(name, code_text, runs):
+    """(case name, outcome) for each (property, j or None) in runs."""
     for prop, j in runs:
         argv = ["verify", "--code", "{tmp}/code.json", "--property", prop,
                 "--report", "{tmp}/report.json"]
@@ -116,6 +139,26 @@ def _verify_cases(name, code_text):
             argv += ["--j", str(j)]
         yield (f"{name}/{prop}" + ("" if j is None else f"/j{j}"),
                _cli(argv, "report.json", {"code.json": code_text}))
+
+
+def _verify_cases(name, code_text):
+    """Every property; complete j-MDP at j = 0 and L."""
+    code = code_from_json(json.loads(code_text))
+    runs = [(prop, None) for prop in FLAG_PROPERTIES]
+    for side in ("G", "H"):
+        runs += [(f"complete-jmdp:{side}", j)
+                 for j in sorted({0, L_of(code.n, code.k, code.delta)})]
+    return _verify_runs(name, code_text, runs)
+
+
+def _deep_cases(name, code_text):
+    """mdp, then complete j-MDP at every j up to L on each side the code has."""
+    code = code_from_json(json.loads(code_text))
+    ell = L_of(code.n, code.k, code.delta)
+    runs = [("mdp", None)]
+    for side in ("G", "H") if code.H is not None else ("G",):
+        runs += [(f"complete-jmdp:{side}", j) for j in range(ell + 1)]
+    return _verify_runs(name, code_text, runs)
 
 
 def corpus_lines() -> list[str]:
@@ -126,6 +169,8 @@ def corpus_lines() -> list[str]:
     texts["construct_3_1_1_2"] = built["output"]
     for name, text in texts.items():
         cases.extend(_verify_cases(name, text))
+    for name, doc in deep_codes().items():
+        cases.extend(_deep_cases(name, json.dumps(doc)))
     return [json.dumps({"case": name, **outcome}, sort_keys=True, separators=(",", ":"))
             for name, outcome in cases]
 
