@@ -79,8 +79,8 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
         raise FieldTooLarge(
             f"construction needs GF({p}^{N}) but the cap is {max_extension_degree}; "
             f"pass max_extension_degree={N} to build anyway")
-    fld = field(p, N) if N > 1 else field(p)
-    alpha = fld.el(p) if N > 1 else fld.alpha
+    fld = field(p, N)
+    alpha = fld.el(p)
     layout = alpha_exponent_layout(n, k, mu)
     grids = [[[(alpha ** (1 << layout[i][r][c])).val for c in range(n)]
               for r in range(k)] for i in range(mu + 1)]

@@ -8,7 +8,7 @@ A full-size minor is nonzero exactly when its columns are linearly
 independent, so the minor checks compute no determinants.  They walk the
 non-trivial column sets in lexicographic order and keep the column
 elimination of the prefix each set shares with the one before it; only the
-columns after that prefix are reduced (``linalg._reduce_column``).  The
+columns after that prefix are reduced (``linalg._reduce``).  The
 first column that reduces to zero names the counterexample.
 """
 
@@ -25,7 +25,7 @@ from .errors import (
     NoParityCheck,
     NotDelayFree,
 )
-from .linalg import Mat, _reduce_column, rank
+from .linalg import Mat, _reduce, rank
 from .polymat import ConvCode
 from .sliding import (
     enumerate_nontrivial,
@@ -220,27 +220,28 @@ class VerificationReport:
 def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     """Check that each column set of mat spans a nonzero full-size minor.
 
-    mat is unpacked once into packed-int columns, and pivots[i] holds the
-    reduced i-th column of the current set.  A set keeps the pivots of the
-    prefix it shares with the set before it and reduces the rest; its last
-    column is never reused, so it is not normalised.  The first set with a
-    column that reduces to zero is the counterexample, which is the
-    lexicographically first one because the sets arrive in that order.
+    mat is unpacked once into packed-int columns; basis holds the reduced
+    columns of the current set by pivot row, in set order.  A set keeps
+    those of the prefix it shares with the set before it and reduces the
+    rest; its last column is never reused, so it does not join the basis.
+    The first set with a column that reduces to zero is the counterexample,
+    the lexicographically first because the sets arrive in that order.
     """
     t0 = time.perf_counter()
     fld = mat.field
     columns = list(zip(*mat.to_packed()))
-    pivots: list = []
+    basis: dict = {}
     prev: tuple[int, ...] = ()
     checked = 0
     bad = None
     for cols in sets:
         checked += 1
         keep = next((i for i, (a, b) in enumerate(zip(prev, cols)) if a != b), len(prev))
-        del pivots[keep:]
+        for _ in range(len(basis) - keep):
+            basis.popitem()
         last = len(cols) - 1
-        if not all(_reduce_column(fld, columns[cols[i] - 1], pivots, i < last)
-                   for i in range(keep, len(cols))):
+        if any(_reduce(fld, list(columns[cols[i] - 1]), basis, i < last) is None
+               for i in range(keep, len(cols))):
             bad = cols
             break
         prev = cols

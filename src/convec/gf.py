@@ -37,7 +37,8 @@ below 2^32 elements never loads it.
 Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
 of degree m with the smallest packed value among those with a nonzero
 constant term; the constant-term rule only bites at m = 1, where it selects
-x + 1.  Irreducibility is decided by Rabin's deterministic test.
+x + 1.  Irreducibility is decided by Ben-Or's test for p = 2 and by Rabin's
+test for odd p; both are deterministic.
 
 The designated generator alpha is the first element, in packed order starting
 at x (or at 1 for m = 1), whose multiplicative order is p^m - 1.  Orders are

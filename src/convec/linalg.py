@@ -3,14 +3,16 @@
 Matrices are lists of rows of field Elements.  Everything is exact; there is
 no pivoting strategy beyond "first nonzero", which is all a field needs.
 
-Elimination runs on packed ints: rank, det, minor, solve_right and
-right_kernel unpack the entries once into ``list[list[int]]``, eliminate
-through the field's bound kernels (``_vmul``, ``_vsub``, ``_vinv``; exp/log
-tables for extension fields up to 2^8 elements) and pack the result back
-once.  A row update starts at the pivot column, reads only the pivot row's
-nonzero entries and skips rows whose multiplier is zero.  Products and
-scalings work on packed values the same way.  ``_reduce_column`` is the
-column-wise counterpart that the minor checks extend one column at a time.
+Elimination runs on packed ints through one routine, ``_reduce``: it
+reduces a vector against a basis of normalised vectors keyed by pivot and
+may add it as a new one, through the field's bound kernels (``_vmul``,
+``_vsub``, ``_vinv``; exp/log tables for extension fields up to 2^8
+elements).  A vector update reads only the basis vector's nonzero entries
+and skips pivots where the vector is already zero.  rank, det, minor,
+solve_right and right_kernel unpack the entries once, build a basis over
+the rows and pack the result back once; the minor checks in distance.py
+extend one basis column by column.  Products and scalings work on packed
+values the same way.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
@@ -170,109 +172,78 @@ class Mat:
 # elimination on packed ints
 # ---------------------------------------------------------------------------
 
-def _echelon(fld: Field, rows: list[list[int]], ncols: int):
-    """In-place forward elimination to row echelon form.
+def _reduce(fld: Field, x: list[int], basis: dict, extend: bool):
+    """Reduce the packed vector x in place against basis; return the
+    (pivot, value) of its first nonzero entry left, or None if x is in
+    the span.
 
-    Pivot rows keep their leading entry; the rows below are cleared with
-    multiples of it, over the pivot row's nonzero entries only.  Returns
-    (row, col, inverse) triples, where inverse is that of the pivot entry,
-    or None when no row below needed clearing, and whether the row swaps
-    form an odd permutation.
-    """
-    mul, sub, vinv = fld._vmul, fld._vsub, fld._vinv
-    pivots = []
-    odd = False
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            rows[pr], rows[r] = rows[r], rows[pr]
-            odd = not odd
-        prow = rows[r]
-        inv = span = None
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            if row[c]:
-                if inv is None:
-                    inv = vinv(prow[c])
-                    span = [(j, prow[j]) for j in range(c + 1, ncols) if prow[j]]
-                f = mul(row[c], inv)
-                row[c] = 0
-                for j, b in span:
-                    row[j] = sub(row[j], mul(f, b))
-        pivots.append((r, c, inv))
-        r += 1
-    return pivots, odd
-
-
-def _reduce_column(fld: Field, col, pivots: list, extend: bool) -> bool:
-    """Whether a packed column lies outside the span of the reduced columns
-    in pivots.
-
-    Each pivot is (row, span): a column scaled to 1 at its pivot row and
-    zero at the pivot rows before it, with span its other nonzero
-    (row, value) entries.  col is reduced in pivot order, so every pivot row
-    ends up zero in it.  When extend holds and col is independent, its
-    reduced copy is scaled by one inverse and appended to pivots.
+    basis maps each pivot to the span of its vector, whose entries are 0
+    before the pivot and 1 at it: the nonzero (index, value) entries after
+    the pivot.  One left-to-right pass clears the pivots, since a vector
+    only changes entries right of its own pivot.  When extend holds and x
+    is independent, x scaled to 1 at its new pivot joins the basis; the
+    vector is then zero at every pivot inserted before it.
     """
     mul, sub = fld._vmul, fld._vsub
-    x = list(col)
-    for p, span in pivots:
-        f = x[p]
+    new = None
+    for i, f in enumerate(x):
         if f:
-            x[p] = 0
-            for r, b in span:
-                x[r] = sub(x[r], mul(f, b))
-    p = next((r for r, v in enumerate(x) if v), None)
-    if p is None:
-        return False
-    if extend:
-        inv = fld._vinv(x[p])
-        pivots.append((p, [(r, mul(inv, x[r])) for r in range(p + 1, len(x)) if x[r]]))
-    return True
-
-
-def _rref(fld: Field, rows: list[list[int]], ncols: int) -> list[tuple[int, int]]:
-    """In-place reduced row echelon form; returns (row, col) pivot pairs."""
-    mul, sub, vinv = fld._vmul, fld._vsub, fld._vinv
-    pivots, _ = _echelon(fld, rows, ncols)
-    for r, c, inv in reversed(pivots):
-        prow = rows[r]
-        if inv is None:
-            inv = vinv(prow[c])
-        prow[c] = 1
-        span = []
-        for j in range(c + 1, ncols):
-            if prow[j]:
-                prow[j] = mul(inv, prow[j])
-                span.append((j, prow[j]))
-        for i in range(r):
-            row = rows[i]
-            f = row[c]
-            if f:
-                row[c] = 0
+            span = basis.get(i)
+            if span is not None:
+                x[i] = 0
                 for j, b in span:
-                    row[j] = sub(row[j], mul(f, b))
-    return [(r, c) for r, c, _ in pivots]
+                    x[j] = sub(x[j], mul(f, b))
+            elif new is None:
+                new = i
+    if new is None:
+        return None
+    v = x[new]
+    if extend:
+        inv = fld._vinv(v)
+        basis[new] = [(j, mul(inv, x[j])) for j in range(new + 1, len(x)) if x[j]]
+    return new, v
+
+
+def _rref(fld: Field, rows: list[list[int]], ncols: int) -> dict:
+    """The reduced row echelon form of the row space as {pivot: span},
+    each vector zero at every other pivot; rows are reduced in place."""
+    basis: dict = {}
+    for row in rows:
+        _reduce(fld, row, basis, True)
+    # back substitution: the last vector is reduced already, and each one
+    # before it only against those inserted after it
+    done: dict = {}
+    for p, span in reversed(basis.items()):
+        x = [0] * ncols
+        x[p] = 1
+        for j, v in span:
+            x[j] = v
+        _reduce(fld, x, done, True)
+    return done
 
 
 def _det(fld: Field, rows: list[list[int]]) -> Element:
-    pivots, odd = _echelon(fld, rows, len(rows))
-    if len(pivots) < len(rows):
-        return fld.zero
+    """Each row reduced against the ones before it is zero at their pivots,
+    so the reduced rows, with columns permuted to their pivots, form a
+    triangular matrix of the same determinant up to the permutation's sign."""
+    basis: dict = {}
     acc = 1
-    for r, c, _ in pivots:
-        acc = fld._vmul(acc, rows[r][c])
+    pivots = []
+    for row in rows:
+        hit = _reduce(fld, row, basis, True)
+        if hit is None:
+            return fld.zero
+        pivots.append(hit[0])
+        acc = fld._vmul(acc, hit[1])
+    odd = sum(a > b for i, a in enumerate(pivots) for b in pivots[i + 1:]) % 2
     return Element(fld, fld._vneg(acc) if odd else acc)
 
 
 def rank(a: Mat) -> int:
-    return len(_echelon(a.field, a.to_packed(), a.ncols)[0])
+    basis: dict = {}
+    for row in a.to_packed():
+        _reduce(a.field, row, basis, True)
+    return len(basis)
 
 
 def det(a: Mat) -> Element:
@@ -330,38 +301,34 @@ def solve_right(a: Mat, b: Mat) -> SolveResult:
     # work on [A^T | B^T], shape c x (r + t)
     lhs = a.data + b.data
     work = [[row[j].val for row in lhs] for j in range(a.ncols)]
-    pivots = _rref(fld, work, r + t)
-    for rr, c in pivots:
-        if c >= r:
-            return SolveResult("inconsistent", None, None)
+    basis = _rref(fld, work, r + t)
+    if any(p >= r for p in basis):
+        return SolveResult("inconsistent", None, None)
     # particular solution: pivot variables take the reduced rhs, free ones 0
     sol = [[0] * r for _ in range(t)]
-    for rr, c in pivots:
-        for ti in range(t):
-            sol[ti][c] = work[rr][r + ti]
+    for p, span in basis.items():
+        for j, v in span:
+            if j >= r:
+                sol[j - r][p] = v
     solution = Mat._from_ints(fld, sol, r)
-    kernel = _kernel_rows(fld, work, pivots, r)
+    kernel = _kernel_rows(fld, basis, r)
     status = "unique" if not kernel.nrows else "underdetermined"
     return SolveResult(status, solution, kernel)
 
 
-def _kernel_rows(fld: Field, work, pivots, width: int) -> Mat:
+def _kernel_rows(fld: Field, basis: dict, width: int) -> Mat:
     """Null-space basis of a reduced matrix over its first width columns:
     one row per free column, pivot entries read off the reduced rows."""
-    piv_cols = {c for _, c in pivots}
-    rows = []
-    for fv in range(width):
-        if fv in piv_cols:
-            continue
-        vec = [0] * width
+    rows = {fv: [0] * width for fv in range(width) if fv not in basis}
+    for fv, vec in rows.items():
         vec[fv] = 1
-        for rr, c in pivots:
-            vec[c] = fld._vneg(work[rr][fv])
-        rows.append(vec)
-    return Mat._from_ints(fld, rows, width)
+    for p, span in basis.items():
+        for j, v in span:
+            if j < width:
+                rows[j][p] = fld._vneg(v)
+    return Mat._from_ints(fld, list(rows.values()), width)
 
 
 def right_kernel(a: Mat) -> Mat:
     """Rows w with A * w^T = 0 (a basis of the right null space)."""
-    work = a.to_packed()
-    return _kernel_rows(a.field, work, _rref(a.field, work, a.ncols), a.ncols)
+    return _kernel_rows(a.field, _rref(a.field, a.to_packed(), a.ncols), a.ncols)

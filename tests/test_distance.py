@@ -16,7 +16,7 @@ from convec.errors import (
     NotDelayFree,
 )
 from convec.linalg import Mat, minor, rank, right_kernel
-from convec.polymat import ConvCode, Poly, PolyMatrix, poly_gcd
+from convec.polymat import ConvCode, Poly, PolyMatrix, code_from_json, poly_gcd
 from convec.sliding import (
     count_nontrivial,
     enumerate_nontrivial,
@@ -459,6 +459,9 @@ def test_incremental_minors_match_minor_per_set(p, m):
                 for kind, got, want in four_checks(code, j):
                     assert got == want, (kind, n, k, d, j)
                     outcomes.add(want[0])
+                # the checks reduce copies; the memoized band is unchanged
+                fresh = code_from_json(code.to_json()).G
+                assert generator_band(code.G, j + d) == generator_band(fresh, j + d)
     assert outcomes == {True, False}
 
 

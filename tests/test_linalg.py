@@ -236,6 +236,13 @@ def _minor_rank(fld, rows):
     return 0
 
 
+def _free_unknowns(fld, rows):
+    """Indices i whose row lies in the span of the rows before it, by
+    _minor_rank of the growing prefixes."""
+    ranks = [0] + [_minor_rank(fld, rows[:i + 1]) for i in range(len(rows))]
+    return [i for i in range(len(rows)) if ranks[i + 1] == ranks[i]]
+
+
 def _dependent_last_row(data, fld, rows):
     """Maybe replace the last row by a combination of the first and the one
     before it, so that large fields also draw rank-deficient matrices."""
@@ -277,8 +284,18 @@ def test_solve_and_kernels_satisfy_their_equations(p, m, data):
     b = _product(x0, a, F)
     if data.draw(st.booleans()):  # a right-hand side that may leave the row space
         b[0][data.draw(st.integers(0, c - 1))] += F.one
-    res = solve_right(Mat(F, a), Mat(F, b))
-    rk = rank(Mat(F, a))
+    ma, mb = Mat(F, a), Mat(F, b)
+    s = min(r, c)
+    sq = Mat(F, [row[:s] for row in a[:s]])
+    before = [m.to_packed() for m in (ma, mb, sq)]
+    res = solve_right(ma, mb)
+    rk = rank(ma)
+    right = right_kernel(ma).data
+    assert det(sq) == _perm_det(sq)
+    assert [m.to_packed() for m in (ma, mb, sq)] == before
+    at = [list(col) for col in zip(*a)]
+    assert len(right) == c - rk
+    assert all(row == [F.zero] * r for row in _product(right, at, F))
     if res.status == "inconsistent":
         assert rank(Mat(F, a + b)) > rk
         return
@@ -287,10 +304,15 @@ def test_solve_and_kernels_satisfy_their_equations(p, m, data):
     assert res.is_unique == (rk == r)
     zero_row = [F.zero] * c
     assert all(row == zero_row for row in _product(res.kernel.data, a, F))
-    right = right_kernel(Mat(F, a)).data
-    assert len(right) == c - rk
-    at = [list(col) for col in zip(*a)]
-    assert all(row == [F.zero] * r for row in _product(right, at, F))
+    # the canonical form: free unknowns are 0 in the particular solution,
+    # and kernel rows, in order of their free unknown, are 1 at it and 0 at
+    # the other free unknowns
+    free = _free_unknowns(F, a)
+    assert all(row[j].is_zero for row in res.solution.data for j in free)
+    for kernel, free in ((res.kernel.data, free), (right, _free_unknowns(F, at))):
+        assert len(kernel) == len(free)
+        for row, fv in zip(kernel, free):
+            assert [row[j].val for j in free] == [int(j == fv) for j in free]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
