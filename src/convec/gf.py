@@ -7,7 +7,7 @@ packed value is also what the hex serialization encodes, which keeps "0" and
 "1" as the shorthand for the additive and multiplicative identities in any
 field.
 
-Three arithmetic kernels are selected at construction time:
+One builder, ``_kernels``, makes the arithmetic kernels of three kinds:
 
   * m = 1           : integers mod p
   * p = 2, m >= 2   : bit-packed polynomials with xor add and
@@ -30,15 +30,15 @@ element whichever kernel computed it, and whichever generator the tables
 were built from.
 
 ``sympy`` is imported only for numbers of at least SMALL_INT = 2^32: the
-primality of p, the prime factors of m and the factorization of p^m - 1
-below that are found by trial division, so building and using a field
-below 2^32 elements never loads it.
+primality of p and the factorization of p^m - 1 below that are found by
+trial division, so building and using a field below 2^32 elements never
+loads it.
 
 Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
 of degree m with the smallest packed value among those with a nonzero
 constant term; the constant-term rule only bites at m = 1, where it selects
-x + 1.  Irreducibility is decided by Ben-Or's test for p = 2 and by Rabin's
-test for odd p; both are deterministic.
+x + 1.  Irreducibility, of a candidate or of a supplied modulus, is decided
+for every p by Ben-Or's test on the same kernels; it is deterministic.
 
 The designated generator alpha is the first element, in packed order starting
 at x (or at 1 for m = 1), whose multiplicative order is p^m - 1.  Orders are
@@ -110,10 +110,6 @@ def _isprime(n: int) -> bool:
         return n >= 2 and _trial_factor(n) == {n: 1}
     import sympy
     return bool(sympy.isprime(n))
-
-
-def _primefactors(n: int) -> list[int]:
-    return sorted(_factorint(n))
 
 
 # ---------------------------------------------------------------------------
@@ -226,32 +222,6 @@ def _inv2(a: int, f: int) -> int:
     return g1
 
 
-def _irreducible2(f: int, m: int) -> bool:
-    """Ben-Or's test for a degree-m binary polynomial (deterministic).
-
-    f is irreducible exactly when gcd(x^(2^i) - x, f) = 1 for every
-    i <= m/2.  The factors x^(2^i) - x are multiplied up modulo f and the
-    gcd is taken at i = 1, 2, 4, ... and at m/2, so a candidate with a
-    small-degree factor is rejected after a few squarings (Ben-Or, FOCS
-    1981; Gao-Panario 1997).
-    """
-    if m == 1:
-        return True
-    shifts = _fold_shifts(f, m)
-    x = 2
-    t = x
-    acc = 1
-    check = 1
-    for i in range(1, m // 2 + 1):
-        t = _rem2(_sq2(t), m, shifts)
-        acc = _rem2(_clmul(acc, t ^ x), m, shifts)
-        if i == check or i == m // 2:
-            if _gcd2(acc, f) != 1:
-                return False
-            check *= 2
-    return True
-
-
 # ---------------------------------------------------------------------------
 # GF(p)[x] on coefficient tuples (constant term first, no trailing zeros)
 # ---------------------------------------------------------------------------
@@ -299,12 +269,13 @@ def _pdivmod(a, b, p):
     a = list(a)
     db = len(b) - 1
     lead_inv = pow(b[-1], -1, p)
+    terms = [(i, bc) for i, bc in enumerate(b) if bc]  # sparse moduli are common
     q = [0] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and any(a):
+    while len(a) > db:
         d = len(a) - 1 - db
         c = (a[-1] * lead_inv) % p
         q[d] = c
-        for i, bc in enumerate(b):
+        for i, bc in terms:
             a[d + i] = (a[d + i] - c * bc) % p
         while a and a[-1] == 0:
             a.pop()
@@ -315,36 +286,6 @@ def _pgcd(a, b, p):
     while b:
         a, b = b, _pdivmod(a, b, p)[1]
     return a
-
-
-def _pmulmod(a, b, f, p):
-    return _pdivmod(_pmul(a, b, p), f, p)[1]
-
-
-def _ppowmod(a, e, f, p):
-    r = (1,)
-    while e:
-        if e & 1:
-            r = _pmulmod(r, a, f, p)
-        a = _pmulmod(a, a, f, p)
-        e >>= 1
-    return r
-
-
-def _irreducible_general(f: tuple[int, ...], p: int) -> bool:
-    m = len(f) - 1
-    if m == 1:
-        return True
-    checkpoints = {m // q for q in _primefactors(m)}
-    x = (0, 1)
-    t = x
-    for i in range(1, m + 1):
-        t = _ppowmod(t, p, f, p)
-        if i in checkpoints:
-            g = _pgcd(_psub(t, x, p), f, p)
-            if len(g) - 1 != 0:
-                return False
-    return t == x
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +305,99 @@ def _unpack(v: int, p: int, m: int) -> tuple[int, ...]:
         v, c = divmod(v, p)
         out.append(c)
     return tuple(out)
+
+
+def _coeffs(v: int, p: int) -> tuple[int, ...]:
+    """The coefficient tuple of a packed value, without trailing zeros."""
+    out = []
+    while v:
+        v, c = divmod(v, p)
+        out.append(c)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# kernels on packed values, and the irreducibility test built on them
+# ---------------------------------------------------------------------------
+
+def _kernels(p: int, m: int, f: int):
+    """(add, sub, neg, mul, inv, sq) on packed values modulo the packed
+    monic f of degree m: integers mod p for m = 1, the GF(2)[x] kernels
+    for p = 2, and coefficient-tuple arithmetic otherwise."""
+    if m == 1:
+        def inv(a):
+            if a == 0:
+                raise DivisionByZero("inverse of zero")
+            return pow(a, -1, p)
+
+        return (lambda a, b: (a + b) % p, lambda a, b: (a - b) % p,
+                lambda a: (-a) % p, lambda a, b: (a * b) % p, inv,
+                lambda a: (a * a) % p)
+    if p == 2:
+        shifts = _fold_shifts(f, m)
+        return (lambda a, b: a ^ b, lambda a, b: a ^ b, lambda a: a,
+                lambda a, b: _rem2(_clmul(a, b), m, shifts),
+                lambda a: _inv2(a, f), lambda a: _rem2(_sq2(a), m, shifts))
+    fpoly = _coeffs(f, p)
+
+    def mul(a, b):
+        return _pack(_pdivmod(_pmul(_coeffs(a, p), _coeffs(b, p), p), fpoly, p)[1], p)
+
+    def inv(a):
+        if a == 0:
+            raise DivisionByZero("inverse of zero")
+        r0, r1 = fpoly, _coeffs(a, p)
+        t0, t1 = (), (1,)
+        while r1:
+            qt, r = _pdivmod(r0, r1, p)
+            r0, r1 = r1, r
+            t0, t1 = t1, _psub(t0, _pmul(qt, t1, p), p)
+        # normalize: r0 is a nonzero constant gcd
+        c = pow(r0[0], -1, p)
+        return _pack(_pdivmod(_pmul(t0, (c,), p), fpoly, p)[1], p)
+
+    return (lambda a, b: _pack(_padd(_coeffs(a, p), _coeffs(b, p), p), p),
+            lambda a, b: _pack(_psub(_coeffs(a, p), _coeffs(b, p), p), p),
+            lambda a: _pack(_psub((), _coeffs(a, p), p), p),
+            mul, inv, lambda a: mul(a, a))
+
+
+def _power(mul, sq, a: int, e: int) -> int:
+    """a^e for e >= 1 by top-down square-and-multiply, so that every
+    multiply is by a itself."""
+    r = a
+    for bit in bin(e)[3:]:
+        r = sq(r)
+        if bit == "1":
+            r = mul(r, a)
+    return r
+
+
+def _irreducible(p: int, m: int, f: int) -> bool:
+    """Ben-Or's test for the packed monic f of degree m over GF(p).
+
+    f is irreducible exactly when gcd(x^(p^i) - x, f) = 1 for every
+    i <= m/2.  The factors x^(p^i) - x are multiplied up modulo f and the
+    gcd is taken at i = 1, 2, 4, ... and at m/2, so a candidate with a
+    small-degree factor is rejected after a few Frobenius steps (Ben-Or,
+    FOCS 1981; Gao-Panario 1997).  The test is exact.
+    """
+    if m == 1:
+        return True
+    _, sub, _, mul, _, sq = _kernels(p, m, f)
+    x = t = p  # the packed value of x
+    acc = 1
+    check = 1
+    for i in range(1, m // 2 + 1):
+        t = _power(mul, sq, t, p)
+        acc = mul(acc, sub(t, x))
+        if i == check or i == m // 2:
+            g = (_gcd2(acc, f) if p == 2
+                 else _pack(_pgcd(_coeffs(f, p), _coeffs(acc, p), p), p))
+            if g >= p:  # the gcd has positive degree
+                return False
+            check *= 2
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +528,7 @@ class Field:
                 raise ValueError("modulus coefficients must lie in [0, p)")
             if modulus[-1] != 1:
                 raise ValueError("modulus must be monic")
-            if not self._is_irreducible(modulus, p):
+            if not _irreducible(p, m, _pack(modulus, p)):
                 raise Reducible(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
         self.modulus_packed = _pack(modulus, p)
@@ -504,7 +538,8 @@ class Field:
             self.kind = "prime"
         else:
             self.kind = "general"
-        self._bind_kernels()
+        (self._vadd, self._vsub, self._vneg, self._vmul, self._vinv,
+         self._vsq) = _kernels(p, m, self.modulus_packed)
         if _primitive_val is None:
             alpha_val, unverified = self._find_primitive()
         else:
@@ -522,85 +557,10 @@ class Field:
 
     @staticmethod
     def _auto_modulus(p: int, m: int) -> tuple[int, ...]:
-        if m == 1:
-            return (1, 1)  # x + 1; the modulus is inert for prime fields
-        if p == 2:
-            c = 1
-            while True:
-                f = (1 << m) | c
-                # skip multiples of x and of x+1 cheaply; they are reducible
-                if c & 1 and bin(f).count("1") % 2 == 1 and _irreducible2(f, m):
-                    return _unpack(f, 2, m) + (1,)
-                c += 2
-        c = 1
-        while c < p ** m:
-            if c % p != 0:
-                f = _unpack(c, p, m) + (1,)
-                if _irreducible_general(f, p):
-                    return f
-            c += 1
-        raise Reducible(f"no irreducible of degree {m} over GF({p})")  # unreachable
-
-    @staticmethod
-    def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
-        m = len(modulus) - 1
-        if p == 2:
-            return _irreducible2(_pack(modulus, 2), m)
-        return _irreducible_general(modulus, p)
-
-    def _bind_kernels(self):
-        p, m = self.p, self.m
-        if self.kind == "prime":
-            self._vadd = lambda a, b: (a + b) % p
-            self._vsub = lambda a, b: (a - b) % p
-            self._vneg = lambda a: (-a) % p
-            self._vmul = lambda a, b: (a * b) % p
-
-            def vinv(a):
-                if a == 0:
-                    raise DivisionByZero("inverse of zero")
-                return pow(a, -1, p)
-
-            self._vinv = vinv
-            self._vsq = lambda a: (a * a) % p
-        elif self.kind == "binary":
-            f = self.modulus_packed
-            shifts = _fold_shifts(f, m)
-            self._vadd = lambda a, b: a ^ b
-            self._vsub = lambda a, b: a ^ b
-            self._vneg = lambda a: a
-            self._vmul = lambda a, b: _rem2(_clmul(a, b), m, shifts)
-            self._vinv = lambda a: _inv2(a, f)
-            self._vsq = lambda a: _rem2(_sq2(a), m, shifts)
-        else:
-            fpoly = self.modulus
-
-            def up(a):
-                return _ptrim(list(_unpack(a, p, m)))
-
-            def vmul(a, b):
-                return _pack(_pmulmod(up(a), up(b), fpoly, p), p)
-
-            def vinv(a):
-                if a == 0:
-                    raise DivisionByZero("inverse of zero")
-                ap = up(a)
-                r0, r1 = fpoly, ap
-                t0, t1 = (), (1,)
-                while r1:
-                    qt, r = _pdivmod(r0, r1, p)
-                    r0, r1 = r1, r
-                    t0, t1 = t1, _psub(t0, _pmul(qt, t1, p), p)
-                # normalize: r0 is a nonzero constant gcd
-                c = pow(r0[0], -1, p)
-                return _pack(_pdivmod(_pmul(t0, (c,), p), fpoly, p)[1], p)
-
-            self._vadd = lambda a, b: _pack(_padd(up(a), up(b), p), p)
-            self._vsub = lambda a, b: _pack(_psub(up(a), up(b), p), p)
-            self._vneg = lambda a: _pack(_psub((), up(a), p), p)
-            self._vmul = vmul
-            self._vinv = vinv
-            self._vsq = lambda a: vmul(a, a)
+        f = p ** m + 1
+        while not _irreducible(p, m, f):
+            f += 2 if f % p == p - 1 else 1  # keep the constant term nonzero
+        return _unpack(f, p, m + 1)
 
     def _bind_tables(self, alpha: int):
         """Rebind mul, inv and square to exp/log tables of the generator,
@@ -672,16 +632,8 @@ class Field:
             if e < 0:
                 raise DivisionByZero("0 cannot be raised to a negative power")
             return 0
-        e %= self.q - 1 if self.q > 2 else 1
-        if self.q == 2:
-            return 1  # the only nonzero element
-        r = 1
-        while e:
-            if e & 1:
-                r = self._vmul(r, a)
-            a = self._vsq(a)
-            e >>= 1
-        return r
+        e %= self.q - 1
+        return _power(self._vmul, self._vsq, a, e) if e else 1
 
     def _find_primitive(self) -> tuple[int, bool]:
         fac, complete = _budgeted_factor(self.q - 1)
@@ -779,7 +731,7 @@ def field_from_json(obj: dict) -> Field:
         want = int(prim, 16)
         if want != f.alpha.val:
             # honor a nonstandard designated generator, re-validated
-            return Field(obj["p"], obj["m"], tuple(obj["modulus"]), _primitive_val=want)
+            return Field(f.p, f.m, f.modulus, _primitive_val=want)
     return f
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -149,6 +150,48 @@ def test_nonstandard_generator_pipeline(tmp_path):
     assert doc["complete"]
     assert doc["message"] == [[t, [format(c, "x")]]
                               for t, c in enumerate((3, 5, 6, 1, 2))]
+
+
+# a prime field; binary and general fields on tables; binary and general
+# fields past the table cap; and the explicit construction's GF(2^193)
+ROUND_TRIP_FIELDS = [(5, 1), (2, 4), (3, 3), (2, 9), (3, 6), (2, 193)]
+
+
+@pytest.mark.parametrize("p,m", ROUND_TRIP_FIELDS)
+def test_round_trip_every_field_kind(tmp_path, pair_2_1, p, m):
+    from convec import field
+    from convec.polymat import PolyMatrix
+    codef = tmp_path / "code.json"
+    if m == 193:
+        # build_complete_mdp(3, 1, 1, 2), which has no parity check
+        assert run(["construct", "--n", 3, "--k", 1, "--delta", 1, "--p", 2,
+                    "--out", codef]) == 0
+        fld = code_from_json(json.loads(codef.read_text())).field
+        engines = ["gm"]
+    else:
+        fld = field(p, m)
+        code = pair_2_1(fld, [1, 1], [1, fld.alpha.val])
+        codef.write_text(json.dumps(code.to_json()))
+        engines = ["gm", "pc"]
+    rng = random.Random(fld.q)
+    sent = [rng.randrange(fld.q) for _ in range(6)]
+    msg, cw, noisy = tmp_path / "msg.txt", tmp_path / "cw.txt", tmp_path / "noisy.txt"
+    u = PolyMatrix.from_packed(fld, [[[c]] for c in sent])
+    msg.write_text(ErasureStream.from_codeword(u).to_text())
+    assert run(["encode", "--code", codef, "--message", msg, "--out", cw]) == 0
+    assert run(["corrupt", "--in", cw, "--pattern", "3v 1* 5v 1* 3v 1*",
+                "--out", noisy]) == 0
+    assert noisy.read_text().count("?") == 3
+    for engine in engines:
+        rep = tmp_path / f"{engine}.json"
+        assert run(["decode", "--engine", engine, "--code", codef, "--in", noisy,
+                    "--report", rep]) == 0
+        doc = json.loads(rep.read_text())["report"]
+        assert doc["complete"], engine
+        # the codeword's tail blocks decode to zero message blocks
+        got = doc["message"]
+        assert got[:len(sent)] == [[t, [format(c, "x")]] for t, c in enumerate(sent)]
+        assert all(block == ["0"] for _, block in got[len(sent):])
 
 
 # -- verify and construct ------------------------------------------------------

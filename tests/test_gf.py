@@ -23,13 +23,10 @@ from convec.gf import (
     _factorint,
     _fold_shifts,
     _inv2,
-    _irreducible2,
+    _irreducible,
     _isprime,
+    _kernels,
     _pack,
-    _padd,
-    _pmulmod,
-    _psub,
-    _ptrim,
     _rem2,
     _sq2,
     _unpack,
@@ -187,6 +184,10 @@ def test_custom_primitive_via_json():
     spec["primitive"] = "5"  # 5 also generates GF(7)*
     G = field_from_json(spec)
     assert G.alpha.val == 5
+    # a spec without a modulus takes the auto modulus, also with a
+    # nonstandard generator
+    H = field_from_json({"p": 2, "m": 3, "primitive": "3"})
+    assert H == field(2, 3) and H.alpha.val == 3
     spec["primitive"] = "2"  # order 3, certainly not primitive
     with pytest.raises(NoPrimitiveFound):
         field_from_json(spec)
@@ -275,8 +276,9 @@ def test_reference_moduli():
             assert sympy_irreducible(f)
 
 
-# auto moduli of large fields, pinned from Rabin's test, which _irreducible2
-# used before Ben-Or's: a new test must choose the same first irreducible
+# auto moduli of large fields, pinned from Rabin's test, which decided
+# irreducibility before Ben-Or's: a new test must choose the same first
+# irreducible
 AUTO_LARGE = {2305: (1 << 2305) | 0b101101, 2561: (1 << 2561) | 0b110101101}
 
 
@@ -285,9 +287,38 @@ def test_large_auto_moduli_unchanged(m):
     assert _pack(Field._auto_modulus(2, m), 2) == AUTO_LARGE[m]
 
 
+# packed auto moduli in odd characteristic, pinned from Rabin's test, which
+# decided irreducibility for odd p before Ben-Or's
+AUTO_ODD = {
+    (3, 2): 10, (3, 3): 34, (3, 4): 86, (3, 5): 250, (3, 6): 734,
+    (3, 7): 2198, (3, 8): 6572, (3, 9): 19747, (3, 10): 59068,
+    (3, 11): 177158, (3, 12): 531452, (3, 41): 36472996377170786410,
+    (3, 97): 19088056323407827075424486287615602692670649034,
+    (5, 2): 27, (5, 3): 131, (5, 4): 627, (5, 5): 3146, (5, 6): 15632,
+    (5, 7): 78131, (5, 8): 390627,
+    (7, 2): 50, (7, 3): 345, (7, 4): 2409, (7, 5): 16817, (7, 6): 117651,
+}
+
+
+@pytest.mark.parametrize("p,m", sorted(AUTO_ODD))
+def test_odd_auto_moduli_unchanged(p, m):
+    assert _pack(Field._auto_modulus(p, m), p) == AUTO_ODD[p, m]
+
+
+@pytest.mark.parametrize("p,top", [(3, 5), (5, 4), (7, 3)])
+def test_irreducible_matches_sympy_odd(p, top):
+    # every monic polynomial of degree 1..top over GF(p)
+    x = sympy.Symbol("x")
+    for m in range(1, top + 1):
+        for f in range(p ** m, p ** (m + 1)):
+            coeffs = [int(c) for c in reversed(_unpack(f, p, m + 1))]
+            want = sympy.Poly(coeffs, x, modulus=p).is_irreducible
+            assert _irreducible(p, m, f) == want, (p, coeffs)
+
+
 def test_irreducible2_matches_sympy():
     for f in range(2, 1 << 11):
-        assert _irreducible2(f, f.bit_length() - 1) == sympy_irreducible(f), bin(f)
+        assert _irreducible(2, f.bit_length() - 1, f) == sympy_irreducible(f), bin(f)
 
 
 def rabin_irreducible(f: int) -> bool:
@@ -312,7 +343,7 @@ def rabin_irreducible(f: int) -> bool:
 
 def test_irreducible2_matches_rabin():
     for f in range(2, 1 << 13):
-        assert _irreducible2(f, f.bit_length() - 1) == rabin_irreducible(f), bin(f)
+        assert _irreducible(2, f.bit_length() - 1, f) == rabin_irreducible(f), bin(f)
 
 
 def check_kernels(m: int, f: int, a: int, b: int):
@@ -388,19 +419,7 @@ def test_dense_modulus_field(m):
 
 def _poly_arith(F):
     """(add, sub, neg, mul) on packed values without the tables."""
-    p, m = F.p, F.m
-    if p == 2:
-        shifts = _fold_shifts(F.modulus_packed, m)
-        return (lambda a, b: a ^ b, lambda a, b: a ^ b, lambda a: a,
-                lambda a, b: _rem2(_clmul(a, b), m, shifts))
-
-    def up(a):
-        return _ptrim(list(_unpack(a, p, m)))
-
-    return (lambda a, b: _pack(_padd(up(a), up(b), p), p),
-            lambda a, b: _pack(_psub(up(a), up(b), p), p),
-            lambda a: _pack(_psub((), up(a), p), p),
-            lambda a, b: _pack(_pmulmod(up(a), up(b), F.modulus, p), p))
+    return _kernels(F.p, F.m, F.modulus_packed)[:4]
 
 
 def _last_generator(F) -> Field:
