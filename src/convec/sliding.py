@@ -8,20 +8,27 @@ argument.  Puncturing a matrix is ``Mat.take_cols`` with the kept 0-based
 columns.
 
 Four block layouts are built from a k x n generator G of degree mu or an
-(n-k) x n parity check H of degree nu:
+(n-k) x n parity check H of degree nu.  Each is one entry of _LAYOUTS, the
+one source both for the builders and for the non-trivial column sets: its
+block-row and block-column counts at band length d and depth j, and the
+coefficient index of block (r, c), or None for a structural zero block.
 
   generator_truncation(G, j)   (j+1)k     x (j+1)n      upper block triangular
   parity_truncation(H, j)      (j+1)(n-k) x (j+1)n      lower block triangular
   parity_band(H, j)            (j+1)(n-k) x (j+1+nu)n   rows slide [H_nu .. H_0]
   generator_band(G, j)         (j+1+mu)k  x (j+1)n      columns stack [G_mu .. G_0]
 
-A full-size minor of one of these matrices is "trivially zero" when its
-column set forces a short row set against the layout's zero pattern
-regardless of the coefficient values.  The complementary (non-trivial)
-column sets l_1 < ... < l_size obey per-position interval bounds, which is
-also what makes counting and lexicographic enumeration cheap.  The kind
-names the layout; "generator" sets at delay j belong to the depth mu+j band
-generator_band(G, mu+j):
+A full-size minor of one of these matrices is "trivially zero" when no
+matching pairs every row with a chosen column through a nonzero block, so
+it vanishes regardless of the coefficient values.  Each block row meets one
+run of block columns, and the runs move right with the row, so a column set
+l_1 < ... < l_size is non-trivial exactly when every l_i lies in the block
+columns that row i's block row meets.  These per-position interval bounds
+also make counting and lexicographic enumeration cheap.  The kind names the
+layout; "generator" sets at delay j belong to the depth mu+j band
+generator_band(G, mu+j), and the truncation sets are those of the generic
+triangle, read at d = j where no band edge falls inside the window.  After
+the bounds implied by strict increase, the table yields:
 
   "generator_truncation"  l_{sk+1} >= sn+1                             s = 1..j
   "parity_truncation"     l_{s(n-k)} <= sn                             s = 1..j
@@ -35,7 +42,7 @@ and Smarandache, IEEE Trans. IT 52(2), 2006), the band sets complete j-MDP
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import budget as _budget
 from .errors import BadCardinality, BudgetExceeded, IndexOutOfRange
@@ -49,52 +56,69 @@ ENUM_BUDGET_DEFAULT = 10_000_000
 # block layouts
 # ---------------------------------------------------------------------------
 
-def _block_grid(pm: PolyMatrix, block_rows: int, block_cols: int, coeff_at) -> Mat:
-    """Assemble a block matrix; coeff_at(r, c) names the coefficient index or None."""
-    fld = pm.field
-    br, bc = pm.nrows, pm.ncols
-    zero = fld.zero
+class _Layout(NamedTuple):
+    """One block layout at band length d and depth j."""
+    parity: bool  # block rows are the n-k rows of H, else the k rows of G
+    shape: Callable[[int, int], tuple[int, int]]  # (d, j) -> block rows, block columns
+    index: Callable[[int, int, int], int]  # (d, r, c) -> power of z in block (r, c)
+    sets: Callable[[int, int], tuple[int, int]]  # (deg, j) -> (d, j) the sets are read at
+
+    def at(self, d: int, r: int, c: int) -> int | None:
+        """Coefficient index of block (r, c), or None for a structural zero."""
+        i = self.index(d, r, c)
+        return i if 0 <= i <= d else None
+
+
+_LAYOUTS = {
+    "generator_truncation": _Layout(False, lambda d, j: (j + 1, j + 1),
+                                    lambda d, r, c: c - r, lambda deg, j: (j, j)),
+    "parity_truncation": _Layout(True, lambda d, j: (j + 1, j + 1),
+                                 lambda d, r, c: r - c, lambda deg, j: (j, j)),
+    "parity": _Layout(True, lambda d, j: (j + 1, j + 1 + d),
+                      lambda d, r, c: d + r - c, lambda deg, j: (deg, j)),
+    "generator": _Layout(False, lambda d, j: (j + 1 + d, j + 1),
+                         lambda d, r, c: d + c - r, lambda deg, j: (deg, deg + j)),
+}
+
+
+def _build(kind: str, pm: PolyMatrix, j: int) -> Mat:
+    """The kind's layout of pm's coefficients at depth j."""
+    if j < 0:
+        raise ValueError("depth must be >= 0")
+    lay = _LAYOUTS[kind]
+    d = pm.degree
+    block_rows, block_cols = lay.shape(d, j)
+    bc = pm.ncols
+    zero = pm.field.zero
     data = []
     for r in range(block_rows):
-        rows = [[zero] * (block_cols * bc) for _ in range(br)]
+        rows = [[zero] * (block_cols * bc) for _ in range(pm.nrows)]
         for c in range(block_cols):
-            i = coeff_at(r, c)
-            if i is None:
-                continue
-            blk = pm.coeff(i)
-            if blk.is_zero:
-                continue
-            off = c * bc
-            for ii in range(br):
-                src = blk.data[ii]
-                dst = rows[ii]
-                for jj in range(bc):
-                    dst[off + jj] = src[jj]
+            i = lay.at(d, r, c)
+            if i is not None:
+                for dst, src in zip(rows, pm.coeff(i).data):
+                    dst[c * bc:(c + 1) * bc] = src
         data.extend(rows)
-    return Mat(fld, data, block_cols * bc)
+    return Mat._derived(pm.field, data, block_cols * bc)
+
+
+def _band(kind: str, pm: PolyMatrix, j: int, keep: bool) -> Mat:
+    band = pm._bands.get((kind, j))
+    if band is None:
+        band = _build(kind, pm, j)
+        if keep:
+            pm._bands[kind, j] = band
+    return band
 
 
 def generator_truncation(g: PolyMatrix, j: int) -> Mat:
     """(j+1)k x (j+1)n matrix taking (u_0..u_j) to (v_0..v_j)."""
-    mu = g.degree
-    return _block_grid(g, j + 1, j + 1,
-                       lambda r, c: c - r if 0 <= c - r <= mu else None)
+    return _build("generator_truncation", g, j)
 
 
 def parity_truncation(h: PolyMatrix, j: int) -> Mat:
     """(j+1)(n-k) x (j+1)n lower block triangular parity window."""
-    nu = h.degree
-    return _block_grid(h, j + 1, j + 1,
-                       lambda r, c: r - c if 0 <= r - c <= nu else None)
-
-
-def _memo_band(pm: PolyMatrix, key: tuple[str, int], keep: bool, build) -> Mat:
-    band = pm._bands.get(key)
-    if band is None:
-        band = build()
-        if keep:
-            pm._bands[key] = band
-    return band
+    return _build("parity_truncation", h, j)
 
 
 def parity_band(h: PolyMatrix, j: int) -> Mat:
@@ -103,9 +127,7 @@ def parity_band(h: PolyMatrix, j: int) -> Mat:
     Built once per (h, j) and shared by every later call: callers read it
     and must not modify it.
     """
-    nu = h.degree
-    return _memo_band(h, ("parity", j), True, lambda: _block_grid(
-        h, j + 1, j + 1 + nu, lambda r, c: nu - (c - r) if 0 <= c - r <= nu else None))
+    return _band("parity", h, j, True)
 
 
 def generator_band(g: PolyMatrix, j: int, keep: bool = True) -> Mat:
@@ -118,9 +140,7 @@ def generator_band(g: PolyMatrix, j: int, keep: bool = True) -> Mat:
     such as a whole-stream system, so the retained bands stay the bounded
     window depths.
     """
-    mu = g.degree
-    return _memo_band(g, ("generator", j), keep, lambda: _block_grid(
-        g, j + 1 + mu, j + 1, lambda r, c: mu - (r - c) if 0 <= r - c <= mu else None))
+    return _band("generator", g, j, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -195,68 +215,29 @@ def enumerate_bounded(size: int, ncols: int, lo: dict[int, int],
 # non-trivial column sets of the four layouts
 # ---------------------------------------------------------------------------
 
-def generator_truncation_set_bounds(n: int, k: int, j: int):
-    """Bounds for non-trivial sets of G_j^c: block rows s..j vanish on the
-    first sn columns, so at most sk members sit there."""
-    lo = {s * k + 1: s * n + 1 for s in range(1, j + 1)}
-    return (j + 1) * k, (j + 1) * n, lo, {}
-
-
-def parity_truncation_set_bounds(n: int, k: int, j: int):
-    """Bounds for non-trivial sets of H_j^c: block rows 0..s-1 vanish past
-    the first sn columns, so at least s(n-k) members sit there."""
-    hi = {s * (n - k): s * n for s in range(1, j + 1)}
-    return (j + 1) * (n - k), (j + 1) * n, {}, hi
-
-
-def generator_set_bounds(n: int, k: int, mu: int, j: int):
-    """Bounds for non-trivial sets of the depth mu+j generator band.
-
-    The band has (j+1+2*mu)k rows and n(j+1+mu) columns; a column set of full
-    row size avoids structural zeros exactly when, for every s = 1..j+mu, at
-    most sk of its members sit in the first sn columns and at least (mu+s)k
-    of them sit in the first sn columns' complement, i.e. l_{sk} <= sn and
-    l_{(mu+s)k+1} >= sn+1.
-    """
-    size = (j + 1 + 2 * mu) * k
-    ncols = n * (j + 1 + mu)
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for s in range(1, j + mu + 1):
-        hi[s * k] = s * n
-        lo[(mu + s) * k + 1] = s * n + 1
-    return size, ncols, lo, hi
-
-
-def parity_set_bounds(n: int, k: int, nu: int, j: int):
-    """Bounds for non-trivial sets of the depth j parity band.
-
-    Size (j+1)(n-k) out of (j+1+nu)n columns with, for s = 1..j,
-    l_{(n-k)s+1} >= sn+1 and l_{(n-k)s} <= n(s+nu).
-    """
-    size = (j + 1) * (n - k)
-    ncols = (j + 1 + nu) * n
-    lo: dict[int, int] = {}
-    hi: dict[int, int] = {}
-    for s in range(1, j + 1):
-        lo[(n - k) * s + 1] = s * n + 1
-        hi[(n - k) * s] = n * (s + nu)
-    return size, ncols, lo, hi
-
-
 def _bounds_for(kind: str, n: int, k: int, deg: int, j: int):
-    # deg is the band length mu or nu; the truncation sets do not depend on it
+    """Size, column count and per-position bounds of the kind's non-trivial
+    sets: l_i lies in the block columns that row i's block row meets."""
+    if not 0 < k < n:
+        raise ValueError("need 0 < k < n")
+    if deg < 0:
+        raise ValueError("deg must be >= 0")
     if j < 0:
         raise ValueError("j must be >= 0")
-    if kind == "generator":
-        return generator_set_bounds(n, k, deg, j)
-    if kind == "parity":
-        return parity_set_bounds(n, k, deg, j)
-    if kind == "generator_truncation":
-        return generator_truncation_set_bounds(n, k, j)
-    if kind == "parity_truncation":
-        return parity_truncation_set_bounds(n, k, j)
-    raise ValueError(f"unknown index set kind {kind!r}")
+    lay = _LAYOUTS.get(kind)
+    if lay is None:
+        raise ValueError(f"unknown index set kind {kind!r}")
+    d, depth = lay.sets(deg, j)
+    block_rows, block_cols = lay.shape(d, depth)
+    height = n - k if lay.parity else k
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for r in range(block_rows):
+        met = [c for c in range(block_cols) if lay.at(d, r, c) is not None]
+        for pos in range(r * height + 1, (r + 1) * height + 1):
+            lo[pos] = met[0] * n + 1
+            hi[pos] = (met[-1] + 1) * n
+    return block_rows * height, block_cols * n, lo, hi
 
 
 def _check_members(indices, size: int, ncols: int, kind: str):

@@ -146,6 +146,24 @@ def test_index_set_validation():
     for kind in ("generator", "parity", "generator_truncation", "parity_truncation"):
         with pytest.raises(ValueError, match="j must be >= 0"):
             count_nontrivial(kind, 3, 1, 1, -1)
+    # shapes L_of refuses: k outside 0 < k < n, or a negative degree
+    for kind, n, k, deg, j in [("parity", 3, 4, 1, 1), ("generator", 3, 3, 1, 1),
+                               ("generator", 3, 0, 1, 1), ("generator", 3, 1, -1, 1),
+                               ("parity_truncation", 3, 1, -1, 1)]:
+        with pytest.raises(ValueError):
+            count_nontrivial(kind, n, k, deg, j)
+        with pytest.raises(ValueError):
+            enumerate_nontrivial(kind, n, k, deg, j)
+        with pytest.raises(ValueError):
+            is_nontrivial_set(kind, (1,), n, k, deg, j)
+
+
+def test_negative_depth_is_refused(code522h):
+    for build, pm in ((generator_truncation, code522h.G), (generator_band, code522h.G),
+                      (parity_truncation, code522h.H), (parity_band, code522h.H)):
+        with pytest.raises(ValueError, match="depth must be >= 0"):
+            build(pm, -2)
+        assert all(depth >= 0 for _, depth in pm._bands)
 
 
 @pytest.mark.parametrize("kind,n,k,deg,j", [
@@ -249,6 +267,51 @@ def test_trivial_parity_sets_are_structurally_zero():
                 if is_nontrivial_set(kind, cols, n, k, nu, jj):
                     continue
                 assert minor(mat, rows, [c - 1 for c in cols]).val == 0
+
+
+def _has_perfect_matching(mat: Mat, cols) -> bool:
+    """Kuhn's augmenting paths: each row of mat gets its own column of cols
+    through a nonzero entry."""
+    owner: dict[int, int] = {}
+
+    def augment(row, seen):
+        for c in cols:
+            if mat.data[row][c - 1].val and c not in seen:
+                seen.add(c)
+                if c not in owner or augment(owner[c], seen):
+                    owner[c] = row
+                    return True
+        return False
+
+    return all(augment(row, set()) for row in range(mat.nrows))
+
+
+def test_nontrivial_sets_are_the_perfect_matchings():
+    # a set is non-trivial exactly when the layout's block pattern matches
+    # every row to its own chosen column; all-ones coefficients make every
+    # block that the layout can fill nonzero, and the truncations are read
+    # as the generic triangle (degree j)
+    def ones(rows, n, d):
+        return PolyMatrix.from_packed(field(2), [[[1] * n] * rows] * (d + 1))
+
+    checked = 0
+    for n in range(2, 5):
+        for k in range(1, n):
+            for deg in range(3):
+                for j in range(3):
+                    for kind, mat in (
+                            ("generator", generator_band(ones(k, n, deg), deg + j)),
+                            ("parity", parity_band(ones(n - k, n, deg), j)),
+                            ("generator_truncation", generator_truncation(ones(k, n, j), j)),
+                            ("parity_truncation", parity_truncation(ones(n - k, n, j), j))):
+                        if mat.ncols > 14:
+                            continue
+                        for cols in itertools.combinations(range(1, mat.ncols + 1),
+                                                           mat.nrows):
+                            assert (is_nontrivial_set(kind, cols, n, k, deg, j)
+                                    == _has_perfect_matching(mat, cols)), (kind, cols)
+                            checked += 1
+    assert checked == 22152
 
 
 def test_nontrivial_sets_are_realizable():
