@@ -55,6 +55,61 @@ def alpha_exponent_layout(n: int, k: int, mu: int) -> list:
             for i in range(mu + 1)]
 
 
+class _Provenance(dict):
+    """The provenance record of a built code, whose "alpha_primitive_verified"
+    entry is filled in on first read, since finding a large field's
+    generator factors p^N - 1.  Looking the entry up resolves it, and so
+    does reading the record whole: its items (which json.dump reads), its
+    values, iteration, copies, comparison and repr.  Setting the entry
+    drops the pending check; once it is deleted, nothing fills it in.
+    """
+
+    __slots__ = ("_fld",)
+    _FLAG = "alpha_primitive_verified"
+
+    def __init__(self, fld: Field, entries: dict):
+        super().__init__(entries)
+        self._fld = fld
+
+    def _resolve(self):
+        fld, self._fld = self._fld, None
+        if fld is not None and self._FLAG in self:
+            # alpha is the class of x, whose packed value is p
+            super().__setitem__(
+                self._FLAG, fld.alpha.val == fld.p and not fld.unverified_primitive)
+
+    def __getitem__(self, key):
+        if key == self._FLAG:
+            self._resolve()
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        if key == self._FLAG:
+            self._resolve()
+        return super().get(key, default)
+
+    def __setitem__(self, key, value):
+        if key == self._FLAG:
+            self._fld = None
+        super().__setitem__(key, value)
+
+
+def _resolving(name: str):
+    def method(self, *args, **kwargs):
+        self._resolve()
+        return getattr(dict, name)(self, *args, **kwargs)
+    method.__name__ = name
+    return method
+
+
+# every other dict method that reads values or replaces them wholesale
+for _name in ("items", "values", "__iter__", "copy", "__eq__", "__ne__", "__repr__",
+              "__or__", "__ior__", "__reduce_ex__", "pop", "popitem", "setdefault",
+              "update"):
+    setattr(_Provenance, _name, _resolving(_name))
+del _name
+
+
 def build_complete_mdp(n: int, k: int, delta: int, p: int,
                        max_extension_degree: int = 4096) -> ConvCode:
     """Explicit complete-MDP code over GF(p^N), N chosen past both caps.
@@ -64,6 +119,9 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
     under "provenance" records N, both bound figures, and whether alpha
     could be verified primitive (large fields usually cannot be checked;
     see the module docstring for why the code is certified regardless).
+    That flag is worked out when it is first read or serialized, not
+    while the code is built: it reads the field's generator, which a
+    large field finds only on first read, by factoring p^N - 1.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
@@ -87,16 +145,15 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
     G = PolyMatrix.from_packed(fld, grids)
     if rank(G.coeff(mu)) != k:
         raise RankDeficient("top coefficient block lost rank; construction invalid")
-    verified = fld.alpha.val == alpha.val and not fld.unverified_primitive
-    code = ConvCode(n, k, G, metadata={"provenance": {
+    code = ConvCode(n, k, G, metadata={"provenance": _Provenance(fld, {
         "construction": "doubling-exponent staircase",
         "N": N,
         "bound_general": general,
         "bound_coarse": coarse,
         "alpha": "x",
-        "alpha_primitive_verified": verified,
+        "alpha_primitive_verified": None,  # filled in on first read
         "field": fld.ref(),
-    }})
+    })})
     assert code.delta == delta
     return code
 

@@ -32,7 +32,7 @@ were built from.
 ``sympy`` is imported only for numbers of at least SMALL_INT = 2^32: the
 primality of p and the factorization of p^m - 1 below that are found by
 trial division, so building and using a field below 2^32 elements never
-loads it.
+loads it.  A larger field loads it only when its generator is read.
 
 Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
 of degree m with the smallest packed value among those with a nonzero
@@ -45,7 +45,12 @@ at x (or at 1 for m = 1), whose multiplicative order is p^m - 1.  Orders are
 certified by factoring p^m - 1; when the factorization does not complete
 within the internal budget the field is flagged ``unverified_primitive`` and
 alpha is the first candidate passing all tests against the known prime
-factors.
+factors.  alpha and ``unverified_primitive`` are found on first read and
+kept on the field: certifying them factors p^m - 1, which for a large field
+costs more than the rest of its build, and no arithmetic needs the
+generator.  A field with exp/log tables finds it when built, because its
+tables are its powers, and a generator supplied through
+:func:`field_from_json` is validated when loaded.
 
 A field's identity is (p, m, modulus): two fields with the same modulus
 are equal, and their elements combine, whichever generator each designates.
@@ -191,13 +196,41 @@ def _rem2(x: int, m: int, shifts: tuple[int, ...]) -> int:
     return x
 
 
+def _xpow2(e: int, b: int) -> int:
+    """x^e mod b in GF(2)[x] by square-and-multiply, top bit of e first,
+    each step reduced below deg b by shift-XOR."""
+    lb = b.bit_length()
+    r = 1
+    for bit in bin(e)[2:]:
+        r = _sq2(r) << (bit == "1")
+        d = r.bit_length() - lb
+        while d >= 0:
+            r ^= b << d
+            d = r.bit_length() - lb
+    return r
+
+
 def _gcd2(a: int, b: int) -> int:
+    """gcd in GF(2)[x] by shift-XOR Euclid, one leading bit per turn.
+
+    A leading term x^e of the longer operand a that has more zeros below it
+    than the about deg(b) * log2(e) turns :func:`_xpow2` takes is replaced
+    at once by x^e mod b.  So a sparse long operand against a short one, a
+    modulus against an early Ben-Or product, costs about deg(b) * log2(e)
+    turns rather than e.
+    """
     while b:
-        d = a.bit_length() - b.bit_length()
-        if d < 0:
+        la, lb = a.bit_length(), b.bit_length()
+        if la < lb:
             a, b = b, a
-        else:
-            a ^= b << d
+            continue
+        jump = lb * la.bit_length()
+        if la - lb > jump:
+            rest = a ^ (1 << (la - 1))
+            if la - rest.bit_length() > jump:
+                a = rest ^ _xpow2(la - 1, b)
+                continue
+        a ^= b << (la - lb)
     return a
 
 
@@ -505,8 +538,11 @@ class Element:
 class Field:
     """GF(p^m) with a fixed monic irreducible modulus and designated alpha.
 
-    Use the module-level :func:`field` factory, which caches instances so
-    elements of equal fields interoperate cheaply.
+    ``alpha`` and ``unverified_primitive`` are found on first read and then
+    kept, except in a field of at most TABLE_MAX_Q elements, whose exp/log
+    tables are built from alpha when the field is.  Use the module-level
+    :func:`field` factory, which caches instances so elements of equal
+    fields interoperate cheaply.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None,
@@ -540,18 +576,35 @@ class Field:
             self.kind = "general"
         (self._vadd, self._vsub, self._vneg, self._vmul, self._vinv,
          self._vsq) = _kernels(p, m, self.modulus_packed)
-        if _primitive_val is None:
-            alpha_val, unverified = self._find_primitive()
-        else:
-            alpha_val = _primitive_val
-            unverified = self._check_primitive_val(alpha_val)
-        self.alpha = Element(self, alpha_val)
-        self.unverified_primitive = unverified
+        self._generator = None if _primitive_val is None else (
+            Element(self, _primitive_val), self._check_primitive_val(_primitive_val))
         if self.kind != "prime" and self.q <= TABLE_MAX_Q:
             # q - 1 factors completely here, so alpha is certified primitive
-            self._bind_tables(alpha_val)
+            self._bind_tables(self.alpha.val)
         self.zero = Element(self, 0)
         self.one = Element(self, 1)
+
+    # -- the designated generator ----------------------------------------
+
+    def _designated(self) -> tuple[Element, bool]:
+        """(alpha, unverified_primitive), found on first read: certifying
+        the order of a large field's generator factors q - 1.  A plain
+        attribute holds it, not functools.cached_property: that writes
+        through the instance __dict__, after which every attribute load on
+        the field took about three times as long (measured on CPython
+        3.11)."""
+        if self._generator is None:
+            val, unverified = self._find_primitive()
+            self._generator = (Element(self, val), unverified)
+        return self._generator
+
+    @property
+    def alpha(self) -> Element:
+        return self._designated()[0]
+
+    @property
+    def unverified_primitive(self) -> bool:
+        return self._designated()[1]
 
     # -- construction helpers -------------------------------------------
 

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
 import time
 
 import pytest
 
-from convec import construct, field
+from convec import construct, field, gf
 from convec.construct import (
     alpha_exponent_layout,
     build_complete_mdp,
@@ -23,6 +26,7 @@ from convec.distance import (
     verify_complete_jmdp_via_g,
 )
 from convec.errors import DivisibilityViolated, FieldTooLarge, NotPrime, SearchExhausted
+from convec.stream import ErasureStream
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +59,58 @@ def test_provenance_metadata(built311):
     # 2^193 - 1 cannot be factored within budget, so no primitivity claim
     assert prov["alpha_primitive_verified"] is False
     assert prov["field"] == built311.field.ref()
+
+
+@pytest.fixture
+def cold_fields(monkeypatch):
+    """A field cache of the test's own, empty at the start."""
+    cache = functools.lru_cache(maxsize=None)(gf.Field)
+    monkeypatch.setattr(gf, "_cached_field", cache)
+    return cache
+
+
+def test_setup_does_no_factoring(cold_fields, monkeypatch):
+    # building and certifying a code, or parsing a large-field stream
+    # header, never reads the field's generator, whose certificate factors
+    # q - 1
+    def refuse(n):
+        raise AssertionError(f"factored a {n.bit_length()}-bit number")
+
+    monkeypatch.setattr(gf, "_budgeted_factor", refuse)
+    code = build_complete_mdp(3, 1, 1, 2)
+    rep = verify_complete_jmdp_via_g(code, 1)
+    assert rep.passed and rep.sets_checked > 0
+    modulus = (1 << 769) | 0b1011000001  # the GF(2^769) auto modulus
+    stream = ErasureStream.from_text(f"#n=1 field=2^769:{modulus:x} deg=0\n1\n")
+    assert stream.field.m == 769 and stream.blocks[0][0] == stream.field.one
+
+
+def test_lazy_generator_output_unchanged(cold_fields):
+    prov = build_complete_mdp(3, 1, 1, 2).metadata["provenance"]
+    assert dict(prov) == {
+        "construction": "doubling-exponent staircase", "N": 193,
+        "bound_general": 128, "bound_coarse": 192, "alpha": "x",
+        "alpha_primitive_verified": False,
+        "field": "2^193:20000000000000000000000000000000000000000000001f7"}
+    cold_fields.cache_clear()
+    doc = build_complete_mdp(3, 1, 1, 2).to_json()
+    assert doc["field"]["primitive"] == "2"
+    assert doc["metadata"]["provenance"]["alpha_primitive_verified"] is False
+    # the bytes `convec construct --n 3 --k 1 --delta 1 --p 2` wrote while
+    # the generator was found with the field
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a1af47ab136513fd888c7be5f09b1daaaae9a5e067c9fea785274d015f7a7ad3")
+    cold_fields.cache_clear()
+    build_complete_mdp(3, 1, 1, 2)
+    fld = field(2, 193)
+    assert fld.alpha.val == 2 and fld.unverified_primitive
+
+
+def test_provenance_flag_set_explicitly(cold_fields):
+    prov = build_complete_mdp(3, 1, 1, 2).metadata["provenance"]
+    prov["alpha_primitive_verified"] = True
+    assert json.loads(json.dumps(prov))["alpha_primitive_verified"] is True
 
 
 def test_certification_speed(built311):

@@ -22,6 +22,7 @@ from convec.gf import (
     _clmul,
     _factorint,
     _fold_shifts,
+    _gcd2,
     _inv2,
     _irreducible,
     _isprime,
@@ -383,6 +384,40 @@ def test_clmul_unequal_lengths(a, b):
     # operands of very different lengths, in both orders: the shorter one
     # is walked bit by bit below 16 bits and by the comb above
     assert _clmul(a, b) == ref_mul(a, b) == _clmul(b, a)
+
+
+def ref_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, ref_rem(a, b)
+    return a
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 1 << 800), st.integers(0, 800), st.integers(0, 1 << 40),
+       st.integers(1, 1 << 12), st.booleans())
+def test_gcd2_matches_reference(dense, e, short, common, sparse):
+    # a long operand, dense or a lone leading term over a short tail (as a
+    # sparse modulus is), against a short one, both multiples of a shared
+    # factor so the gcd is not always 1; both argument orders
+    if sparse:
+        a = (1 << e) ^ ref_rem(1 << e, common) ^ ref_mul(common, dense & 0xFF)
+    else:
+        a = ref_mul(dense, common)
+    b = ref_mul(short, common)
+    want = ref_gcd(a, b)
+    assert _gcd2(a, b) == want == _gcd2(b, a)
+
+
+def test_gcd2_of_auto_modulus_and_early_ben_or_products():
+    f = AUTO[769]
+    x = 2
+    acc, t = 1, x
+    for i in range(1, 5):  # the products at Ben-Or's first checkpoints
+        t = ref_mul(t, t)
+        acc = ref_rem(ref_mul(acc, t ^ x), f)
+        assert _gcd2(acc, f) == ref_gcd(f, acc) == 1
+    assert _gcd2(f, ref_mul(0b111, 0b1011)) == 1
+    assert _gcd2(ref_mul(f, 0b111), ref_mul(0b111, 0b1011)) == 0b111
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
