@@ -45,7 +45,7 @@ from .errors import (
     NoParityCheck,
 )
 from .gf import Element
-from .linalg import Mat, rank, solve_right
+from .linalg import Mat, _solve_packed, rank, solve_right
 from .polymat import ConvCode, PolyMatrix
 from .sliding import generator_band, parity_band
 from .distance import L_of, _require_delay_free, column_bound
@@ -208,19 +208,17 @@ def _window_columns(stream: ErasureStream, t0: int, width: int):
 
 
 def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
-               ubound, v_start: int, width: int, keep_band: bool = True):
+               ubound, v_start: int, width: int):
     """Punctured message-recovery system over blocks v_start .. v_start+width-1.
 
-    The unknown band reaches back mu blocks before the window.  Known
-    message coefficients, structural zeros included, move to the right-hand
-    side.  Returns (A, B, unknown_times): A is the unknown-row band
-    restricted to received columns, B the received values minus the known
-    contribution.  keep_band=False leaves the band out of the code's band
-    cache (see sliding.generator_band).
+    The unknown band reaches back mu blocks before the window.  Known message
+    coefficients, structural zeros included, move to the right-hand side.
+    Returns (A, B, unknown_times): A is the unknown-row band restricted to
+    received columns, B the received values minus the known contribution.
     """
     fld, k = code.field, code.k
     mu = code.G.degree
-    band = generator_band(code.G, width - 1, keep_band)
+    band = generator_band(code.G, width - 1)
     u_times = list(range(v_start - mu, v_start + width))
     unknown_times: list[int] = []
     row_idx: list[int] = []
@@ -297,13 +295,17 @@ def _distance_gate(distances, n: int, k: int, j: int) -> int:
     return column_bound(n, k, j)
 
 
+def _check_match(code: ConvCode, stream: ErasureStream) -> None:
+    if stream.n != code.n or stream.field != code.field:
+        raise LengthMismatch("stream does not match the code")
+
+
 def _slide(code: ConvCode, work: ErasureStream, reach: int, max_delay,
            distances, guard: bool, window, attempt):
     """The sliding-window policy both engines share, as the module docstring
     describes; reach is how far windows may run past the stream end (the
     memory of the engine's matrix).  Returns (windows, lost intervals)."""
-    if work.n != code.n or work.field != code.field:
-        raise LengthMismatch("stream does not match the code")
+    _check_match(code, work)
     if max_delay is not None and max_delay < 0:
         raise ValueError("max_delay must be >= 0")
     n, k = code.n, code.k
@@ -571,27 +573,32 @@ def extract_message(code: ConvCode,
                     stream: ErasureStream) -> dict[int, tuple[Element, ...]]:
     """Solve the whole-stream system for the message coefficients.
 
-    Every block must be erasure-free.  Returns u_t for every
-    0 <= t < len(stream.blocks), structural zeros included; raises
-    NonUnique when the stream does not pin the message down.
+    Each symbol v_t[c] gives sum_s u_{t-s} G_s[:, c] = v_t[c], u_t unknown for
+    0 <= t < top (the stream length, or message_degree_bound + 1 if smaller)
+    and zero otherwise; returns u_t for every block t.  Raises LengthMismatch
+    (n or field not the code's), ValueError (a block with erasures),
+    InconsistentStream (not a codeword) or NonUnique (message not pinned).
     """
-    k = code.k
+    _check_match(code, stream)
+    fld, k = code.field, code.k
     T = len(stream.blocks)
-    for tb in range(T):
-        if stream.erased_positions(tb):
-            raise ValueError(f"block {tb} still has erasures")
     ubound = message_degree_bound(code, stream)
-    # kept, a whole-stream band would stay on the code for every stream length
-    a, b, unknown_times = _gm_system(code, stream, {}, ubound, 0, T, False)
-    res = _solve(a, b, None, "blocks are not a codeword window")
+    top = T if ubound is None else max(0, min(T, ubound + 1))
+    # cols[s][c] is column c of G_s; rows are [A^T | B^T], A's at u_0 .. u_{top-1}
+    cols = [list(zip(*g.to_packed())) for g in code.G.coeffs]
+    rows = []
+    for tb, blk in enumerate(stream.blocks):
+        if any(v is None for v in blk):
+            raise ValueError(f"block {tb} still has erasures")
+        for c, v in enumerate(blk):
+            row = [0] * (top * k) + [v.val]
+            for s in range(max(0, tb - top + 1), min(len(cols), tb + 1)):
+                row[(tb - s) * k:(tb - s + 1) * k] = cols[s][c]
+            rows.append(row)
+    res = _solve_packed(fld, rows, top * k, 1)
+    if res.status == "inconsistent":
+        raise InconsistentStream("blocks are not a codeword window")
     if not res.is_unique:
         raise NonUnique("window too short to pin the message down")
-    out = {}
-    for i, ut in enumerate(unknown_times):
-        if ut >= 0:
-            out[ut] = tuple(res.solution.data[0][i * k:(i + 1) * k])
-    if ubound is not None:
-        for ut in range(T):
-            if ut > ubound and ut not in out:
-                out[ut] = (code.field.zero,) * k
-    return out
+    u, zeros = res.solution.data[0], (fld.zero,) * k
+    return {t: tuple(u[t * k:(t + 1) * k]) if t < top else zeros for t in range(T)}

@@ -10,7 +10,8 @@ may add it as a new one, through the field's bound kernels (``_vmul``,
 elements).  A vector update reads only the basis vector's nonzero entries
 and skips pivots where the vector is already zero.  rank, det, minor,
 solve_right and right_kernel unpack the entries once, build a basis over
-the rows and pack the result back once; the minor checks in distance.py
+the rows and pack the result back once; codec.extract_message builds its
+rows packed for solve_right's core, and the minor checks in distance.py
 extend one basis column by column.  Products and scalings work on packed
 values the same way.
 
@@ -296,11 +297,14 @@ def solve_right(a: Mat, b: Mat) -> SolveResult:
     if a.ncols != b.ncols:
         raise DimensionMismatch(
             f"A has {a.ncols} columns but B has {b.ncols}")
-    fld = a.field
-    r, t = a.nrows, b.nrows
-    # work on [A^T | B^T], shape c x (r + t)
+    # work on [A^T | B^T], one row per column of A
     lhs = a.data + b.data
     work = [[row[j].val for row in lhs] for j in range(a.ncols)]
+    return _solve_packed(a.field, work, a.nrows, b.nrows)
+
+
+def _solve_packed(fld: Field, work: list[list[int]], r: int, t: int) -> SolveResult:
+    """solve_right on [A^T | B^T] packed, r + t columns; reduces work in place."""
     basis = _rref(fld, work, r + t)
     if any(p >= r for p in basis):
         return SolveResult("inconsistent", None, None)

@@ -102,13 +102,10 @@ def _build(kind: str, pm: PolyMatrix, j: int) -> Mat:
     return Mat._derived(pm.field, data, block_cols * bc)
 
 
-def _band(kind: str, pm: PolyMatrix, j: int, keep: bool) -> Mat:
-    band = pm._bands.get((kind, j))
-    if band is None:
-        band = _build(kind, pm, j)
-        if keep:
-            pm._bands[kind, j] = band
-    return band
+def _band(kind: str, pm: PolyMatrix, j: int) -> Mat:
+    if (kind, j) not in pm._bands:
+        pm._bands[kind, j] = _build(kind, pm, j)
+    return pm._bands[kind, j]
 
 
 def generator_truncation(g: PolyMatrix, j: int) -> Mat:
@@ -127,20 +124,17 @@ def parity_band(h: PolyMatrix, j: int) -> Mat:
     Built once per (h, j) and shared by every later call: callers read it
     and must not modify it.
     """
-    return _band("parity", h, j, True)
+    return _band("parity", h, j)
 
 
-def generator_band(g: PolyMatrix, j: int, keep: bool = True) -> Mat:
+def generator_band(g: PolyMatrix, j: int) -> Mat:
     """(j+1+mu)k x (j+1)n band; block column c is [G_mu ... G_0] at offset c.
 
     Row block r corresponds to the message coefficient u_{t-mu+r} when the
     window covers codeword blocks v_t .. v_{t+j}.  Built once per (g, j)
     and shared by every later call: callers read it and must not modify it.
-    keep=False builds a band that is not retained, for a one-off depth
-    such as a whole-stream system, so the retained bands stay the bounded
-    window depths.
     """
-    return _band("generator", g, j, keep)
+    return _band("generator", g, j)
 
 
 # ---------------------------------------------------------------------------
