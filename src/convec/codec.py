@@ -45,7 +45,7 @@ from .errors import (
     NoParityCheck,
 )
 from .gf import Element
-from .linalg import Mat, _solve_packed, rank, solve_right
+from .linalg import Mat, _rref, _solve_packed, rank, solve_right
 from .polymat import ConvCode, PolyMatrix
 from .sliding import generator_band, parity_band
 from .distance import L_of, _require_delay_free, column_bound
@@ -578,20 +578,95 @@ def extract_message(code: ConvCode,
     and zero otherwise; returns u_t for every block t.  Raises LengthMismatch
     (n or field not the code's), ValueError (a block with erasures),
     InconsistentStream (not a codeword) or NonUnique (message not pinned).
+
+    Every block is checked for erasures before anything is solved.  When G_0
+    has rank k (every delay-free code) the system is block-triangular with
+    injective diagonal blocks, so the message is unique if it exists and is
+    read off by forward substitution, one block at a time: u_t from the
+    pivot columns of v_t - sum_{s>=1} u_{t-s} G_s, then the whole block
+    checked against u_t G_0 (against zero for t >= top).  Otherwise one
+    packed solve of the whole stream through linalg._solve_packed decides.
     """
     _check_match(code, stream)
     fld, k = code.field, code.k
     T = len(stream.blocks)
-    ubound = message_degree_bound(code, stream)
-    top = T if ubound is None else max(0, min(T, ubound + 1))
-    # cols[s][c] is column c of G_s; rows are [A^T | B^T], A's at u_0 .. u_{top-1}
-    cols = [list(zip(*g.to_packed())) for g in code.G.coeffs]
-    rows = []
     for tb, blk in enumerate(stream.blocks):
         if any(v is None for v in blk):
             raise ValueError(f"block {tb} still has erasures")
-        for c, v in enumerate(blk):
-            row = [0] * (top * k) + [v.val]
+    ubound = message_degree_bound(code, stream)
+    top = T if ubound is None else max(0, min(T, ubound + 1))
+    gs = [g.to_packed() for g in code.G.coeffs]
+    v = [[e.val for e in blk] for blk in stream.blocks]
+    inverse = _pivot_inverse(fld, gs[0], code.n)
+    if inverse is None:
+        u = _solve_whole_stream(fld, gs, v, top, k)
+    else:
+        u = _substitute(fld, gs, v, top, *inverse)
+    zeros = (fld.zero,) * k
+    return {t: tuple(Element(fld, x) for x in u[t]) if t < top else zeros
+            for t in range(T)}
+
+
+def _pivot_inverse(fld, g0: list[list[int]], n: int):
+    """(P, rows of G_0[:, P]^-1) for k pivot columns P of G_0, or None when
+    rank G_0 < k.  The reduced row echelon form of [G_0 | I] is [R | E] with
+    R = E G_0; when every pivot lies in G_0, R[:, P] = I, so E is the inverse."""
+    k = len(g0)
+    rows = [row + [int(i == j) for j in range(k)] for i, row in enumerate(g0)]
+    basis = _rref(fld, rows, n + k)
+    if any(p >= n for p in basis):
+        return None
+    pivots = sorted(basis)
+    inv = []
+    for p in pivots:
+        e = [0] * k
+        for j, x in basis[p]:
+            if j >= n:
+                e[j - n] = x
+        inv.append(e)
+    return pivots, inv
+
+
+def _substitute(fld, gs, v, top: int, pivots: list[int], inv: list[list[int]]):
+    """Forward substitution through G_0 = gs[0]: u_t solves u_t G_0 = v_t -
+    sum_{s>=1} u_{t-s} G_s on the pivot columns, and the whole block must
+    agree; u_t = 0 for t >= top.  Returns u_0 .. u_{top-1} packed."""
+    add, sub, mul = fld._vadd, fld._vsub, fld._vmul
+    k = len(pivots)
+
+    def minus(r, x, row):
+        return [sub(a, mul(x, b)) if b else a for a, b in zip(r, row)]
+
+    u: list[list[int]] = []
+    for t, r in enumerate(v):
+        for s in range(max(1, t - top + 1), min(len(gs), t + 1)):
+            for x, row in zip(u[t - s], gs[s]):
+                if x:
+                    r = minus(r, x, row)
+        if t < top:
+            ut = [0] * k
+            for p, e in zip(pivots, inv):
+                x = r[p]
+                if x:
+                    ut = [add(a, mul(x, b)) if b else a for a, b in zip(ut, e)]
+            for x, row in zip(ut, gs[0]):
+                if x:
+                    r = minus(r, x, row)
+            u.append(ut)
+        if any(r):
+            raise InconsistentStream("blocks are not a codeword window")
+    return u
+
+
+def _solve_whole_stream(fld, gs, v, top: int, k: int):
+    """One packed solve of the whole stream, for codes with rank G_0 < k.
+    Returns u_0 .. u_{top-1} packed."""
+    # cols[s][c] is column c of G_s; rows are [A^T | B^T], A's at u_0 .. u_{top-1}
+    cols = [list(zip(*g)) for g in gs]
+    rows = []
+    for tb, blk in enumerate(v):
+        for c, x in enumerate(blk):
+            row = [0] * (top * k) + [x]
             for s in range(max(0, tb - top + 1), min(len(cols), tb + 1)):
                 row[(tb - s) * k:(tb - s + 1) * k] = cols[s][c]
             rows.append(row)
@@ -600,5 +675,5 @@ def extract_message(code: ConvCode,
         raise InconsistentStream("blocks are not a codeword window")
     if not res.is_unique:
         raise NonUnique("window too short to pin the message down")
-    u, zeros = res.solution.data[0], (fld.zero,) * k
-    return {t: tuple(u[t * k:(t + 1) * k]) if t < top else zeros for t in range(T)}
+    sol = [e.val for e in res.solution.data[0]]
+    return [sol[t * k:(t + 1) * k] for t in range(top)]

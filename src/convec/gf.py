@@ -68,6 +68,7 @@ from .errors import (
     FieldMismatch,
     NoPrimitiveFound,
     NotPrime,
+    ParseError,
     Reducible,
 )
 
@@ -777,9 +778,40 @@ def field(p: int, m: int = 1, modulus=None) -> Field:
     return _cached_field(int(p), int(m), key)
 
 
+def _json_object(obj, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be a JSON object")
+
+
+def _json_int(obj: dict, key: str, what: str) -> int:
+    val = obj[key]
+    if not _json_nested(val, 0, int):
+        raise ParseError(f"{what} {key} must be an integer")
+    return val
+
+
+def _json_nested(val, depth: int, leaf: type) -> bool:
+    """Whether val is depth levels of nested lists (val itself when depth is
+    0) whose innermost entries have type leaf exactly: JSON true and false
+    load as bool, a subclass of int."""
+    if not depth:
+        return type(val) is leaf
+    return isinstance(val, list) and all(_json_nested(x, depth - 1, leaf) for x in val)
+
+
 def field_from_json(obj: dict) -> Field:
-    f = field(obj["p"], obj["m"], obj.get("modulus"))
+    """The field that Field.to_json wrote; a value of the wrong JSON type
+    raises ParseError and a missing p or m KeyError.  modulus and
+    primitive may be absent or null."""
+    _json_object(obj, "field")
+    p, m = _json_int(obj, "p", "field"), _json_int(obj, "m", "field")
+    modulus = obj.get("modulus")
+    if modulus is not None and not _json_nested(modulus, 1, int):
+        raise ParseError("field modulus must be a list of integers")
     prim = obj.get("primitive")
+    if prim is not None and not _json_nested(prim, 0, str):
+        raise ParseError("field primitive must be a hex string")
+    f = field(p, m, modulus)
     if prim is not None:
         want = int(prim, 16)
         if want != f.alpha.val:

@@ -10,10 +10,11 @@ may add it as a new one, through the field's bound kernels (``_vmul``,
 elements).  A vector update reads only the basis vector's nonzero entries
 and skips pivots where the vector is already zero.  rank, det, minor,
 solve_right and right_kernel unpack the entries once, build a basis over
-the rows and pack the result back once; codec.extract_message builds its
-rows packed for solve_right's core, and the minor checks in distance.py
-extend one basis column by column.  Products and scalings work on packed
-values the same way.
+the rows and pack the result back once.  codec.extract_message reduces
+[G_0 | I] through _rref for its forward substitution, and builds
+whole-stream rows packed for solve_right's core only for a code whose G_0
+has rank below k.  The minor checks in distance.py extend one basis column
+by column.  Products and scalings work on packed values the same way.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,

@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     FieldMismatch,
+    ParseError,
     RankDeficient,
 )
 from .gf import Element, Field
@@ -413,16 +414,25 @@ class ConvCode:
 
 
 def code_from_json(obj: dict) -> ConvCode:
-    from .gf import field_from_json
+    """The code that ConvCode.to_json wrote; a value of the wrong JSON type
+    raises ParseError and a missing key KeyError."""
+    from .gf import _json_int, _json_nested, _json_object, field_from_json
 
+    _json_object(obj, "code")
     fld = field_from_json(obj["field"])
 
-    def pm(grids, nrows, ncols):
+    def pm(key, nrows, ncols):
+        grids = obj[key]
+        if not _json_nested(grids, 3, str):
+            raise ParseError(f"code {key} must be a list of grids of hex strings")
         mats = [Mat(fld, [[fld.from_hex(h) for h in row] for row in g], ncols)
                 for g in grids]
         return PolyMatrix(fld, nrows, ncols, mats)
 
-    n, k = int(obj["n"]), int(obj["k"])
-    G = pm(obj["G"], k, n)
-    H = pm(obj["H"], n - k, n) if "H" in obj else None
-    return ConvCode(n, k, G, H, metadata=obj.get("metadata"))
+    n, k = _json_int(obj, "n", "code"), _json_int(obj, "k", "code")
+    G = pm("G", k, n)
+    H = pm("H", n - k, n) if "H" in obj else None
+    metadata = obj.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise ParseError("code metadata must be a JSON object")
+    return ConvCode(n, k, G, H, metadata=metadata)

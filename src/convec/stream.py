@@ -99,7 +99,7 @@ class ErasureStream:
         lines = [ln for ln in lines if ln]
         if not lines or not lines[0].startswith("#"):
             raise ParseError("missing stream header line")
-        fields = dict(_header_pairs(lines[0]))
+        fields = _header_fields(lines[0])
         for key in ("n", "field", "deg"):
             if key not in fields:
                 raise ParseError(f"header lacks {key}=")
@@ -130,11 +130,16 @@ class ErasureStream:
         return cls(fld, n, blocks, deg)
 
 
-def _header_pairs(line: str):
+def _header_fields(line: str) -> dict[str, str]:
+    fields: dict[str, str] = {}
     for tok in line.lstrip("#").split():
         if "=" not in tok:
             raise ParseError(f"malformed header token {tok!r}")
-        yield tok.split("=", 1)
+        key, val = tok.split("=", 1)
+        if key in fields:
+            raise ParseError(f"repeated header key {key}=")
+        fields[key] = val
+    return fields
 
 
 def _int_or_parse_error(tok: str, what: str) -> int:

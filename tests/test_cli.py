@@ -298,6 +298,51 @@ def test_missing_file_error_json(tmp_path, capsys):
     assert "nope.json" in err["message"]
 
 
+# one value of the wrong JSON type each: (path into the code JSON, value)
+WRONG_TYPES = [
+    (("G",), None),
+    (("field",), None),
+    (("k",), {}),
+    (("field", "modulus", 0), None),
+    (("field", "modulus", 0), []),
+    (("G", 0, 0, 0), 1000000),
+    (("H", 1, 0), "1"),
+    (("n",), 5.0),
+    (("field", "m"), True),
+    (("field", "p"), "2"),
+    (("field", "modulus"), 19),
+    (("field", "primitive"), 2),
+    (("metadata",), [None]),
+    ((), []),
+]
+
+
+@pytest.mark.parametrize("path, value", WRONG_TYPES,
+                         ids=[f"{'.'.join(map(str, p))}={v!r}" for p, v in WRONG_TYPES])
+@pytest.mark.parametrize("engine", ["gm", "pc"])
+def test_wrong_json_type_in_code_error_json(tmp_path, code522h, msg522, capsys,
+                                            engine, path, value):
+    doc = dict(code522h.to_json(), metadata={"source": "README"})
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    else:
+        doc = value
+    code, noisy = tmp_path / "code.json", tmp_path / "noisy.txt"
+    code.write_text(json.dumps(doc))
+    noisy.write_text(erased_text(code522h, msg522))
+    rep = tmp_path / "rep.json"
+    assert run(["decode", "--engine", engine, "--code", code, "--in", noisy,
+                "--report", rep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == "ParseError"
+    assert not rep.exists()
+
+
 def test_bad_pattern_error_json(ws, capsys):
     tmp, code, msg = ws
     cw = tmp / "cw.txt"

@@ -1,5 +1,6 @@
-"""Message extraction: the packed whole-stream solve against the dense band
-route it replaced, and the stream/code checks around it.
+"""Message extraction: forward substitution through G_0 and the packed
+whole-stream solve against the dense band route they replaced, and the
+stream/code checks around them.
 
 ``dense_extract`` is that route kept as a test-local reference: the
 whole-stream generator band ``generator_band(G, T - 1)``, its rows at the
@@ -17,7 +18,7 @@ import tempfile
 
 import pytest
 
-from convec import field
+from convec import field, linalg
 from convec.cli import main
 from convec.codec import (
     extract_message,
@@ -43,6 +44,8 @@ def dense_extract(code, stream):
     for tb in range(T):
         if stream.erased_positions(tb):
             raise ValueError(f"block {tb} still has erasures")
+    if not T:
+        return {}  # no equations and no unknowns; there is no band of depth -1
     ubound = message_degree_bound(code, stream)
     unknown = [t for t in range(T) if ubound is None or t <= ubound]
     band = generator_band(code.G, T - 1)  # row block r is u_{r - mu}
@@ -141,6 +144,87 @@ def test_extraction_matches_dense_route_on_delayed_code(gf2):
     got = outcome(extract_message, delayed, s)
     assert got[0] is NonUnique
     assert got == outcome(dense_extract, delayed, s)
+
+
+def test_extraction_matches_dense_route_when_g0_pivots_are_not_leading():
+    # G_0 = [[1, 1, 0], [1, 1, 1]] has rank 2 with pivot columns 0 and 2
+    gf3 = field(3)
+    code = ConvCode(3, 2, PolyMatrix.from_packed(gf3, [[[1, 1, 0], [1, 1, 1]],
+                                                      [[0, 2, 1], [1, 0, 2]]]))
+    rng = random.Random(17)
+    kinds = set()
+    for blocks in (1, 3, 8):
+        _, s = encoded(code, rng, blocks)
+        for v in [*degree_variants(s, code.G.degree), tampered(s, rng)]:
+            want = outcome(dense_extract, code, v)
+            assert outcome(extract_message, code, v) == want
+            kinds.add(type(want) if isinstance(want, dict) else want[0])
+    assert kinds == {dict, InconsistentStream}
+
+
+def test_nonzero_block_past_the_message_is_inconsistent():
+    code = random_code(3, 1, 2, 16, seed=0, want="mdp")
+    fld = code.field
+    _, s = encoded(code, random.Random(3), 6)
+    top = message_degree_bound(code, s) + 1
+    # one more block at t = top + mu, which no message coefficient reaches
+    late = ErasureStream(fld, 3, s.blocks + [[fld.zero, fld.one, fld.zero]],
+                         s.origin_degree)
+    assert len(s.blocks) >= top + code.G.degree
+    want = (InconsistentStream, "blocks are not a codeword window")
+    assert outcome(dense_extract, code, late) == want
+    assert outcome(extract_message, code, late) == want
+
+
+def test_an_erased_block_wins_over_an_earlier_inconsistency():
+    code = random_code(3, 1, 2, 16, seed=0, want="mdp")
+    _, s = encoded(code, random.Random(4), 8)
+    s.blocks[1][0] = s.blocks[1][0] + code.field.one
+    s.blocks[6][2] = None
+    want = (ValueError, "block 6 still has erasures")
+    assert outcome(dense_extract, code, s) == want
+    assert outcome(extract_message, code, s) == want
+
+
+def test_extraction_of_no_blocks_on_both_routes(gf2):
+    delayed = ConvCode(2, 1, PolyMatrix.from_packed(gf2, [[[0, 0]], [[1, 1]], [[0, 1]]]))
+    for code in (random_code(3, 1, 2, 16, seed=0, want="mdp"), delayed):
+        for deg in (None, 0, -5):
+            s = ErasureStream(code.field, code.n, [], deg)
+            assert outcome(extract_message, code, s) == outcome(dense_extract, code, s) == {}
+
+
+def test_extraction_work_is_linear_in_the_stream_length(monkeypatch):
+    # Field products per call, and entries walked by the elimination.  The
+    # banded whole-stream solve has little fill-in, so its product count is
+    # nearly linear too, but it walks every entry of T*n rows of T*k + 1
+    # ints: about 4x per doubling.
+    code = random_code(3, 1, 2, 16, seed=0, want="mdp")
+    fld = code.field
+    rng = random.Random(8)
+    products, walked = [], []
+    originals = fld._vmul, linalg._reduce
+    for blocks in (100, 200, 400):
+        _, s = encoded(code, rng, blocks)
+        count = {"mul": 0, "walk": 0}
+
+        def mul(a, b, mul=fld._vmul, count=count):
+            count["mul"] += 1
+            return mul(a, b)
+
+        def reduce(fld, x, basis, extend, reduce=linalg._reduce, count=count):
+            count["walk"] += len(x)
+            return reduce(fld, x, basis, extend)
+
+        with monkeypatch.context() as m:
+            m.setattr(fld, "_vmul", mul)
+            m.setattr(linalg, "_reduce", reduce)
+            extract_message(code, s)
+        products.append(count["mul"])
+        walked.append(count["walk"])
+    assert (fld._vmul, linalg._reduce) == originals
+    for counts in (products, walked):
+        assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
 
 
 def test_extraction_leaves_no_band_on_the_code():

@@ -108,6 +108,17 @@ def test_from_text_errors(text, exc):
         ErasureStream.from_text(text)
 
 
+@pytest.mark.parametrize("header, key", [
+    ("#n=3 field=2^4:13 deg=0 n=4", "n"),     # used to load n = 4
+    ("#n=3 field=2^4:13 field=2^4:13 deg=0", "field"),
+    ("#deg=0 n=3 field=2^4:13 deg=unknown", "deg"),
+    ("#n=3 field=2^4:13 deg=0 x=1 x=1", "x"),
+])
+def test_repeated_header_key(header, key):
+    with pytest.raises(ParseError, match=f"^repeated header key {key}=$"):
+        ErasureStream.from_text(f"{header}\n0 1 2\n")
+
+
 @pytest.mark.parametrize("ref", ["2^3:1b", "2^3:fb", "2^3:-5", "2^1:-1"])
 def test_out_of_range_modulus_in_header(ref):
     # each would re-read as a different in-range modulus (2^3:b or 2^1:3)
