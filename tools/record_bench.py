@@ -1,13 +1,13 @@
 """Record the benchmark at fixed seeds into BENCH_<pr>.json.
 
-    python3 tools/record_bench.py --pr 16 [--seeds 1,2,3] [--seconds S]
+    python3 tools/record_bench.py --pr 16
 
 Runs every workload that BENCHMARK.json lists through bench/run.py with
-tracing off, once per seed, in a fresh process each, from the root of this
-checkout.  The file keeps the environment (Python, nproc, commit and the
-sha256 of src/convec/*.py, which must agree across runs), and per workload
-the median over seeds of every metric run.py prints, each seed's values and
-its `exact` counts.  --seconds defaults to BENCHMARK.json's run_seconds.
+tracing off for its run_seconds, once for each of SEEDS, in a fresh process
+each, from the root of this checkout.  The file keeps the environment
+(Python, nproc, commit and the sha256 of src/convec/*.py, which must agree
+across runs), and per workload the median over seeds of every metric
+run.py prints, each seed's values and its `exact` counts.
 
 The commit is the checkout's HEAD, so record after committing the sources
 the file describes; source_sha256 names them either way.  Exits 1 without
@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_SEEDS = (1, 2, 3)
+SEEDS = (1, 2, 3)
 
 
 def parse_run(stdout: str) -> dict:
@@ -71,15 +71,12 @@ def summarise(pr: int, seconds: float, runs: dict) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--pr", type=int, required=True)
-    ap.add_argument("--seeds", default=",".join(map(str, DEFAULT_SEEDS)))
-    ap.add_argument("--seconds", type=float)
     args = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    seeds = [int(s) for s in args.seeds.split(",")]
+    seconds = spec["run_seconds"]
     runs: dict = {}
     for workload in (w["name"] for w in spec["workloads"]):
-        for seed in seeds:
+        for seed in SEEDS:
             proc = subprocess.run(
                 [sys.executable, "bench/run.py", "--workload", workload,
                  "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
