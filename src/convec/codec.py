@@ -2,11 +2,13 @@
 
 Two decoders are provided.  The generator-matrix decoder (gm) recovers
 message coefficients directly: it solves the received symbols of a window
-against a punctured band of generator coefficients with the known message
-history moved to the right-hand side, and keeps the longest uniquely
-determined message prefix.  The parity-check decoder (pc) recovers erased
-codeword symbols from syndrome equations and leaves message extraction to a
-separate step.
+against G's coefficients with the known message history moved to the
+right-hand side, and keeps the longest uniquely determined message prefix.
+One builder, _gm_system, states that system as packed rows for gm windows,
+gm guard attempts and whole-stream message extraction alike, so decoding
+builds no generator band.  The parity-check decoder (pc) recovers erased
+codeword symbols from syndrome equations over a parity band and leaves
+message extraction to a separate step.
 
 Both run one sliding-window driver, _slide, the algorithm of Tomas,
 Rosenthal and Smarandache (IEEE Trans. IT 58(1), 2012), so their results
@@ -47,7 +49,7 @@ from .errors import (
 from .gf import Element
 from .linalg import Mat, _rref, _solve_packed, rank, solve_right
 from .polymat import ConvCode, PolyMatrix
-from .sliding import generator_band, parity_band
+from .sliding import parity_band
 from .distance import L_of, _require_delay_free, column_bound
 from .stream import ErasureStream
 
@@ -209,45 +211,53 @@ def _window_columns(stream: ErasureStream, t0: int, width: int):
 
 def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
                ubound, v_start: int, width: int):
-    """Punctured message-recovery system over blocks v_start .. v_start+width-1.
-
-    The unknown band reaches back mu blocks before the window.  Known message
-    coefficients, structural zeros included, move to the right-hand side.
-    Returns (A, B, unknown_times): A is the unknown-row band restricted to
-    received columns, B the received values minus the known contribution.
-    """
+    """Message-recovery system over blocks v_start .. v_start+width-1 as
+    packed [A^T | B^T] rows for linalg._solve_packed, one per received symbol
+    v_t[c]: G_s[:, c] at the columns of each unknown u_{t-s}, and each known
+    u_{t-s} G_s[:, c] moved to the right-hand side.  Unknowns reach back mu
+    blocks; message blocks before 0 or past ubound are structural zeros and
+    blocks outside the stream received zeros.  Returns (rows, r,
+    unknown_times), r = k * len(unknown_times)."""
     fld, k = code.field, code.k
-    mu = code.G.degree
-    band = generator_band(code.G, width - 1)
-    u_times = list(range(v_start - mu, v_start + width))
+    sub, mul = fld._vsub, fld._vmul
+    cols = [list(zip(*g.to_packed())) for g in code.G.coeffs]  # cols[s][c] = G_s[:, c]
+    at, known = {}, {}  # unknown time -> column; known nonzero time -> values
     unknown_times: list[int] = []
-    row_idx: list[int] = []
-    hist = [fld.zero] * (len(u_times) * k)
-    have_hist = False
-    for r, ut in enumerate(u_times):
+    for ut in range(v_start - code.G.degree, v_start + width):
         val = _u_value(code, known_u, ubound, ut)
         if val is None:
+            at[ut] = len(unknown_times) * k
             unknown_times.append(ut)
-            row_idx.extend(range(r * k, (r + 1) * k))
-        else:
-            hist[r * k:(r + 1) * k] = list(val)
-            have_hist = have_hist or any(e.val for e in val)
-    known_cols, _ = _window_columns(stream, v_start, width)
-    kept = [col for col, _ in known_cols]
-    received = Mat.row_vector(fld, [v for _, v in known_cols])
-    if have_hist:
-        contrib = Mat.row_vector(fld, hist) * band
-        received = received - contrib.take_cols(kept)
-    a = band.take_rows(row_idx).take_cols(kept)
-    return a, received, unknown_times
+        elif any(e.val for e in val):
+            known[ut] = [e.val for e in val]
+    r = len(unknown_times) * k
+    rows = []
+    zeros = (fld.zero,) * code.n
+    for tb in range(v_start, v_start + width):
+        blk = stream.blocks[tb] if 0 <= tb < len(stream.blocks) else zeros
+        for c, v in enumerate(blk):
+            if v is None:
+                continue
+            row = [0] * r + [v.val]
+            for s, g in enumerate(cols):
+                ut = tb - s
+                if ut in at:
+                    row[at[ut]:at[ut] + k] = g[c]
+                elif ut in known:
+                    for x, y in zip(known[ut], g[c]):
+                        if x and y:
+                            row[r] = sub(row[r], mul(x, y))
+            rows.append(row)
+    return rows, r, unknown_times
 
 
-def _solve(a: Mat, b: Mat, ops: _Ops | None, message: str):
-    """Solve X A = B, metering the elimination; a contradiction raises
+def _solve(fld, rows: list[list[int]], r: int, ops: _Ops | None, message: str):
+    """Solve X A = B, one unknown row X of length r, from the packed
+    [A^T | B^T] rows, metering the elimination; a contradiction raises
     InconsistentStream with the caller's message."""
     if ops is not None:
-        ops.count(a.nrows, a.ncols)
-    res = solve_right(a, b)
+        ops.count(r, len(rows))
+    res = _solve_packed(fld, rows, r, 1)
     if res.status == "inconsistent":
         raise InconsistentStream(message)
     return res
@@ -400,13 +410,13 @@ def gm_guard_recover(code: ConvCode, stream: ErasureStream, t_candidate: int,
     variants = ("window", "extended") if mu else ("window",)
     for variant in variants:
         v_start = t_candidate - (mu if variant == "extended" else 0)
-        a, b, unknown_times = _gm_system(code, stream, {}, ubound, v_start,
-                                         t_candidate + j + 1 - v_start)
-        rec = WindowRecord(t_candidate, j, a.nrows, a.ncols,
+        rows, r, unknown_times = _gm_system(code, stream, {}, ubound, v_start,
+                                            t_candidate + j + 1 - v_start)
+        rec = WindowRecord(t_candidate, j, r, len(rows),
                            "not_recoverable", f"gm_guard_{variant}")
-        if a.nrows > a.ncols:
+        if r > len(rows):
             continue  # cannot be unique, skip the solve
-        res = _solve(a, b, ops, "guard window contradicts the code")
+        res = _solve(code.field, rows, r, ops, "guard window contradicts the code")
         if res.is_unique:
             values = {ut: tuple(res.solution.data[0][i * k:(i + 1) * k])
                       for i, ut in enumerate(unknown_times) if ut >= 0}
@@ -435,8 +445,9 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
     known_u: dict[int, tuple[Element, ...]] = {}
 
     def window(t, j):
-        a, b, unknown_times = _gm_system(code, work, known_u, ubound, t, j + 1)
-        res = _solve(a, b, ops, "received symbols are not consistent with the code")
+        rows, r, unknown_times = _gm_system(code, work, known_u, ubound, t, j + 1)
+        res = _solve(code.field, rows, r, ops,
+                     "received symbols are not consistent with the code")
         # leading whole k-groups of unknowns that every solution agrees on
         prefix = (_pinned(res) + [False]).index(False) // k
         if prefix == len(unknown_times):
@@ -447,7 +458,7 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
             covered = t - 1
         outcome = ("recovered" if covered >= t + j
                    else "partial" if covered >= t else "stalled")
-        rec = WindowRecord(t, j, a.nrows, a.ncols, outcome, "gm")
+        rec = WindowRecord(t, j, r, len(rows), outcome, "gm")
         if covered < t:
             return rec, None
         for i, ut in enumerate(unknown_times[:prefix]):
@@ -489,8 +500,12 @@ def _pc_system(code: ConvCode, stream: ErasureStream, t: int, j: int):
         a = band.take_cols(unknown_cols).transpose()
         rhs = band.take_cols([c for c, _ in known_cols]) * Mat.row_vector(
             code.field, [v for _, v in known_cols]).transpose()
-        return _solve(a, rhs.scale(-code.field.one).transpose(), ops,
-                      "syndrome equations are contradictory")
+        if ops is not None:
+            ops.count(a.nrows, a.ncols)
+        res = solve_right(a, rhs.scale(-code.field.one).transpose())
+        if res.status == "inconsistent":
+            raise InconsistentStream("syndrome equations are contradictory")
+        return res
 
     return unknowns, band.nrows, solve
 
@@ -584,8 +599,9 @@ def extract_message(code: ConvCode,
     injective diagonal blocks, so the message is unique if it exists and is
     read off by forward substitution, one block at a time: u_t from the
     pivot columns of v_t - sum_{s>=1} u_{t-s} G_s, then the whole block
-    checked against u_t G_0 (against zero for t >= top).  Otherwise one
-    packed solve of the whole stream through linalg._solve_packed decides.
+    checked against u_t G_0 (against zero for t >= top).  Otherwise the
+    whole stream is one _gm_system window, blocks 0 .. T-1 with no known
+    history, solved once.
     """
     _check_match(code, stream)
     fld, k = code.field, code.k
@@ -596,11 +612,16 @@ def extract_message(code: ConvCode,
     ubound = message_degree_bound(code, stream)
     top = T if ubound is None else max(0, min(T, ubound + 1))
     gs = [g.to_packed() for g in code.G.coeffs]
-    v = [[e.val for e in blk] for blk in stream.blocks]
     inverse = _pivot_inverse(fld, gs[0], code.n)
     if inverse is None:
-        u = _solve_whole_stream(fld, gs, v, top, k)
+        rows, r, _ = _gm_system(code, stream, {}, ubound, 0, T)
+        res = _solve(fld, rows, r, None, "blocks are not a codeword window")
+        if not res.is_unique:
+            raise NonUnique("window too short to pin the message down")
+        sol = [e.val for e in res.solution.data[0]]
+        u = [sol[t * k:(t + 1) * k] for t in range(top)]
     else:
+        v = [[e.val for e in blk] for blk in stream.blocks]
         u = _substitute(fld, gs, v, top, *inverse)
     zeros = (fld.zero,) * k
     return {t: tuple(Element(fld, x) for x in u[t]) if t < top else zeros
@@ -657,23 +678,3 @@ def _substitute(fld, gs, v, top: int, pivots: list[int], inv: list[list[int]]):
             raise InconsistentStream("blocks are not a codeword window")
     return u
 
-
-def _solve_whole_stream(fld, gs, v, top: int, k: int):
-    """One packed solve of the whole stream, for codes with rank G_0 < k.
-    Returns u_0 .. u_{top-1} packed."""
-    # cols[s][c] is column c of G_s; rows are [A^T | B^T], A's at u_0 .. u_{top-1}
-    cols = [list(zip(*g)) for g in gs]
-    rows = []
-    for tb, blk in enumerate(v):
-        for c, x in enumerate(blk):
-            row = [0] * (top * k) + [x]
-            for s in range(max(0, tb - top + 1), min(len(cols), tb + 1)):
-                row[(tb - s) * k:(tb - s + 1) * k] = cols[s][c]
-            rows.append(row)
-    res = _solve_packed(fld, rows, top * k, 1)
-    if res.status == "inconsistent":
-        raise InconsistentStream("blocks are not a codeword window")
-    if not res.is_unique:
-        raise NonUnique("window too short to pin the message down")
-    sol = [e.val for e in res.solution.data[0]]
-    return [sol[t * k:(t + 1) * k] for t in range(top)]

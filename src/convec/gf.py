@@ -829,10 +829,12 @@ def field_from_ref(ref: str) -> Field:
         packed = int(mod_hex, 16)
     except ValueError as exc:
         raise ValueError(f"malformed field reference {ref!r}") from exc
-    if p < 2:
+    if p < 2 or packed < 0:
         raise ValueError(f"malformed field reference {ref!r}")
-    modulus = _unpack(packed, p, m + 1)
-    # the m + 1 base-p digits re-pack to packed only when 0 <= packed < p^(m+1)
-    if _pack(modulus, p) != packed:
+    modulus = _coeffs(packed, p)  # at most 4 digits per hex digit, whatever m is
+    if len(modulus) > max(m + 1, 0):  # packed >= p^(m+1)
         raise ValueError(f"malformed field reference {ref!r}")
+    if len(modulus) <= m > 0:  # the x^m coefficient is 0
+        field(p)  # but a p that is not prime is refused first, as in Field
+        raise ValueError("modulus must be monic")
     return field(p, m, modulus)

@@ -10,11 +10,11 @@ may add it as a new one, through the field's bound kernels (``_vmul``,
 elements).  A vector update reads only the basis vector's nonzero entries
 and skips pivots where the vector is already zero.  rank, det, minor,
 solve_right and right_kernel unpack the entries once, build a basis over
-the rows and pack the result back once.  codec.extract_message reduces
-[G_0 | I] through _rref for its forward substitution, and builds
-whole-stream rows packed for solve_right's core only for a code whose G_0
-has rank below k.  The minor checks in distance.py extend one basis column
-by column.  Products and scalings work on packed values the same way.
+the rows and pack the result back once.  codec builds its generator-side
+systems (gm windows and guards, whole-stream extraction) as packed rows for
+solve_right's core, _solve_packed, and reduces [G_0 | I] through _rref for
+forward substitution.  The minor checks in distance.py extend one basis
+column by column.  Products and scalings work on packed values the same way.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
@@ -105,12 +105,6 @@ class Mat:
         self._same_shape(other)
         return Mat(self.field,
                    [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-                   self.ncols)
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.field,
-                   [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
                    self.ncols)
 
     def __mul__(self, other: "Mat") -> "Mat":

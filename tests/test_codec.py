@@ -13,6 +13,7 @@ from convec.channel import corrupt, parse_pattern
 from convec.codec import (
     DecodeReport,
     Rate,
+    _gm_system,
     extract_message,
     gm_decode_forward,
     gm_guard_recover,
@@ -28,8 +29,11 @@ from convec.errors import (
     NoParityCheck,
     NotDelayFree,
 )
+from convec.linalg import Mat
 from convec.polymat import ConvCode, PolyMatrix, code_from_json
 from convec.stream import ErasureStream
+from convec.sliding import generator_band
+from test_golden_decode import codes as golden_codes
 
 
 def erase(stream, mask):
@@ -448,6 +452,71 @@ def test_cross_decoder_agreement(c5):
     assert completes > 10
 
 
+# -- the generator-side system -------------------------------------------------
+
+def dense_gm_system(code, stream, known_u, ubound, v_start, width):
+    """The message-recovery system through the dense band, kept as a
+    reference: generator_band's rows at the unknown message blocks and
+    columns at the received symbols, the known history's product moved to
+    the right-hand side, and the [A^T | B^T] rows solve_right builds."""
+    fld, k, n, mu = code.field, code.k, code.n, code.G.degree
+    zero = fld.zero
+    band = generator_band(code.G, width - 1)  # row block r is u_{v_start - mu + r}
+    unknown_times, row_idx, hist = [], [], []
+    for r, ut in enumerate(range(v_start - mu, v_start + width)):
+        structural = ut < 0 or (ubound is not None and ut > ubound)
+        val = (zero,) * k if structural else known_u.get(ut)
+        if val is None:
+            unknown_times.append(ut)
+            row_idx += range(r * k, (r + 1) * k)
+            hist += [zero] * k
+        else:
+            hist += val
+    kept, received = [], []
+    for b in range(width):
+        tb = v_start + b
+        blk = stream.blocks[tb] if 0 <= tb < len(stream.blocks) else [zero] * n
+        for pos, v in enumerate(blk):
+            if v is not None:
+                kept.append(b * n + pos)
+                received.append(v)
+    contrib = (Mat.row_vector(fld, hist) * band).take_cols(kept).data[0]
+    rhs = [v - c for v, c in zip(received, contrib)]
+    a = band.take_rows(row_idx).take_cols(kept)
+    rows = [[row[j].val for row in a.data] + [rhs[j].val] for j in range(len(kept))]
+    return rows, len(row_idx), unknown_times
+
+
+@pytest.mark.parametrize("name", sorted(golden_codes()))
+def test_gm_system_matches_dense_band(name):
+    # GF(2) with k = 2, GF(3), GF(5), GF(8), GF(16) and GF(27); windows that
+    # start before block 0 and run past the stream end, with and without
+    # known history and a message degree bound
+    code = golden_codes()[name]
+    fld, k, mu = code.field, code.k, code.G.degree
+    rng = random.Random(name)
+    T = 6
+    stream = ErasureStream(fld, code.n, [
+        [None if rng.random() < 0.3 else fld.random_element(rng) for _ in range(code.n)]
+        for _ in range(T)])
+    history = {t: tuple(fld.random_element(rng) for _ in range(k))
+               for t in range(T) if rng.random() < 0.5}
+    history[1] = (fld.zero,) * k  # a known zero block adds nothing to the rhs
+    for known_u in (history, {}):
+        for ubound in (None, T - 3):
+            for v_start in range(-mu - 2, T + 2):
+                for width in range(1, 4 + mu):
+                    args = (code, stream, known_u, ubound, v_start, width)
+                    assert _gm_system(*args) == dense_gm_system(*args), args
+    # the guard variants of an attempt at t with delay j: no known history,
+    # the window over v_t..v_{t+j} and the widened one over v_{t-mu}..v_{t+j}
+    for t in range(T):
+        for j in range(3):
+            for v_start in (t, t - mu):
+                args = (code, stream, {}, None, v_start, t + j + 1 - v_start)
+                assert _gm_system(*args) == dense_gm_system(*args), args
+
+
 # -- message extraction --------------------------------------------------------
 
 def test_extract_message_round_trip(c5):
@@ -462,8 +531,9 @@ def test_extract_message_round_trip(c5):
 
 
 def test_band_cache_stays_bounded_across_stream_lengths(pair_2_1):
-    # one code decoding streams of many lengths keeps only the window-depth
-    # bands, never a whole-stream one per length
+    # one code decoding streams of many lengths keeps only pc's window-depth
+    # parity bands, never a whole-stream one per length; gm reads G's
+    # coefficients directly and builds no generator band at all
     code = pair_2_1(field(5), (1, 1), (1, 2))
     rng = random.Random(7)
     sizes = []
@@ -477,9 +547,8 @@ def test_band_cache_stays_bounded_across_stream_lengths(pair_2_1):
         assert gm.complete and pc.complete
         assert gm.message() == pc.message() == u
         sizes.append((len(code.G._bands), len(code.H._bands)))
-    L, mu = 2, code.G.degree
-    assert all(g <= L + mu + 1 and h <= L + 1 for g, h in sizes)
-    assert max(mat.nrows for mat in code.G._bands.values()) <= (L + 1 + mu) * code.k
+    L = 2
+    assert all(g == 0 and h <= L + 1 for g, h in sizes)
 
 
 def test_extract_message_window_too_short(pair_2_1, gf2):

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
 from convec import field
-from convec.errors import LengthMismatch, ParseError
+from convec.errors import LengthMismatch, NotPrime, ParseError
 from convec.polymat import PolyMatrix
 from convec.stream import ErasureStream
 
@@ -124,6 +125,18 @@ def test_out_of_range_modulus_in_header(ref):
     # each would re-read as a different in-range modulus (2^3:b or 2^1:3)
     with pytest.raises(ValueError, match="^malformed field reference"):
         ErasureStream.from_text(f"#n=2 field={ref} deg=0\n0 1\n")
+
+
+def test_short_modulus_of_huge_degree_is_refused_at_once():
+    # the modulus 0x13 stops at x^4, so its x^m coefficient is zero; the
+    # reference used to be unpacked into m + 1 digits first, 5.7 s at m = 10^7
+    for ref, error, message in (("2^10000000:13", ValueError, "modulus must be monic"),
+                                ("2^1000000000:13", ValueError, "modulus must be monic"),
+                                ("4^1000000000:13", NotPrime, "p = 4 is not prime")):
+        start = time.perf_counter()
+        with pytest.raises(error, match=f"^{message}$"):
+            ErasureStream.from_text(f"#n=3 field={ref} deg=0\n")
+        assert time.perf_counter() - start < 0.5, ref
 
 
 @pytest.mark.parametrize("ref", ["0^3:b", "1^1:0", "-3^2:5"])
