@@ -11,7 +11,8 @@ variable CONVEC_BUDGET caps enumeration work where a subcommand runs a
 minor search.
 
 Failures print one JSON object to stderr, {"error": <code>, "message":
-...}, and exit nonzero.
+...}, and exit nonzero.  Every output is rendered in full before its file
+is opened, so a command that fails while rendering leaves no partial file.
 """
 
 from __future__ import annotations
@@ -55,15 +56,24 @@ def _load_stream(path: str, inputs: dict, label: str = "stream") -> ErasureStrea
     return ErasureStream.from_text(data.decode())
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write text rendered in full beforehand, so a failure while rendering
+    leaves no file behind and an existing one as it was."""
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_report(path: str, inputs: dict, payload: dict) -> None:
     doc = {
         "tool": {"name": "convec", "version": __version__},
         "inputs": inputs,
     }
     doc.update(payload)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +88,7 @@ def _cmd_encode(args) -> int:
         raise LengthMismatch(
             f"message blocks have {msg.n} symbols, the code expects k={code.k}")
     v = code.encode(msg.to_poly())
-    with open(args.out, "w") as fh:
-        fh.write(ErasureStream.from_codeword(v).to_text())
+    _write_text(args.out, ErasureStream.from_codeword(v).to_text())
     print(f"encoded {len(msg)} message blocks -> {v.degree + 1} codeword blocks")
     return 0
 
@@ -93,8 +102,7 @@ def _cmd_corrupt(args) -> int:
         pattern = parse_pattern(args.pattern)
     out = corrupt(stream, pattern, seed=args.seed,
                   cyclic=args.cyclic, block_level=args.block_level)
-    with open(args.out, "w") as fh:
-        fh.write(out.to_text())
+    _write_text(args.out, out.to_text())
     print(f"erased {out.total_erasures - stream.total_erasures} symbols")
     return 0
 
@@ -143,9 +151,7 @@ def _cmd_verify(args) -> int:
 def _cmd_construct(args) -> int:
     code = build_complete_mdp(args.n, args.k, args.delta, args.p,
                               max_extension_degree=args.max_extension_degree)
-    with open(args.out, "w") as fh:
-        json.dump(code.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(args.out, code.to_json())
     prov = code.metadata["provenance"]
     print(f"built ({args.n},{args.k},{args.delta}) code over GF({args.p}^{prov['N']})")
     return 0
@@ -311,7 +317,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError, ImportError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -10,6 +10,15 @@ non-trivial column sets in lexicographic order and keep the column
 elimination of the prefix each set shares with the one before it; only the
 columns after that prefix are reduced (``linalg._reduce``).  The
 first column that reduces to zero names the counterexample.
+
+The columns reduced are those of the narrower side.  When the matrix's
+right kernel is narrower than the matrix has rows, as for the generator
+bands of k > n - k codes, a set's minor is nonzero exactly when the
+complementary minor of a kernel basis is, and that basis is computed once
+per check; each set's complement is then reduced, a few short columns with
+few inverses.  Otherwise the set's own columns are.  The sets walked and
+the report (passed, sets checked, the counterexample as a set of the
+matrix) are the same on both sides.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from .errors import (
     NoParityCheck,
     NotDelayFree,
 )
-from .linalg import Mat, _reduce, rank
+from .linalg import Mat, _kernel_rows, _reduce, _rref, rank
 from .polymat import ConvCode
 from .sliding import (
     enumerate_nontrivial,
@@ -220,31 +229,52 @@ class VerificationReport:
 def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     """Check that each column set of mat spans a nonzero full-size minor.
 
-    mat is unpacked once into packed-int columns; basis holds the reduced
-    columns of the current set by pivot row, in set order.  A set keeps
-    those of the prefix it shares with the set before it and reduces the
-    rest; its last column is never reused, so it does not join the basis.
-    The first set with a column that reduces to zero is the counterexample,
-    the lexicographically first because the sets arrive in that order.
+    Each set names mat.nrows columns.  When mat's right kernel is narrower
+    than mat has rows, the columns reduced are those of a kernel basis at
+    the set's complement: a full-size minor of a full-row-rank matrix is
+    nonzero exactly when the complementary minor of a kernel basis is (S is
+    an information set of the row space iff its complement is one of the
+    dual).  A mat without full row rank has no nonzero full-size minor, so
+    its first set is the counterexample.  Otherwise mat's own columns at
+    the set are reduced.  Either way the sets are walked and reported as
+    given, so the report does not depend on the side.
+
+    The side's columns are packed ints; basis holds the reduced tested
+    columns of the current set by pivot, in order.  A set keeps those
+    of the prefix its tested columns share with the set before it and
+    reduces the rest; the last one is never reused, so it does not join
+    the basis.  The first set with a column that reduces to zero is the
+    counterexample, the lexicographically first because the sets arrive in
+    that order.  Consecutive sets contain the same columns below the first
+    value where they differ, so their complements share a prefix too.
     """
     t0 = time.perf_counter()
-    fld = mat.field
-    columns = list(zip(*mat.to_packed()))
+    fld, r, c = mat.field, mat.nrows, mat.ncols
+    rows = mat.to_packed()
+    dual = c - r < r
+    singular = False
+    if dual:
+        reduced = _rref(fld, rows, c)
+        singular = len(reduced) < r
+        rows = _kernel_rows(fld, reduced, c)
+        everything = frozenset(range(1, c + 1))
+    columns = list(zip(*rows))
     basis: dict = {}
     prev: tuple[int, ...] = ()
     checked = 0
     bad = None
     for cols in sets:
         checked += 1
-        keep = next((i for i, (a, b) in enumerate(zip(prev, cols)) if a != b), len(prev))
+        tested = tuple(sorted(everything.difference(cols))) if dual else cols
+        keep = next((i for i, (a, b) in enumerate(zip(prev, tested)) if a != b), len(prev))
         for _ in range(len(basis) - keep):
             basis.popitem()
-        last = len(cols) - 1
-        if any(_reduce(fld, list(columns[cols[i] - 1]), basis, i < last) is None
-               for i in range(keep, len(cols))):
+        last = len(tested) - 1
+        if singular or any(_reduce(fld, list(columns[tested[i] - 1]), basis, i < last) is None
+                           for i in range(keep, len(tested))):
             bad = cols
             break
-        prev = cols
+        prev = tested
     ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(prop, j, checked, bad is None, bad, ms)
 

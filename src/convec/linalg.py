@@ -14,7 +14,9 @@ the rows and pack the result back once.  codec builds its generator-side
 systems (gm windows and guards, whole-stream extraction) as packed rows for
 solve_right's core, _solve_packed, and reduces [G_0 | I] through _rref for
 forward substitution.  The minor checks in distance.py extend one basis
-column by column.  Products and scalings work on packed values the same way.
+column by column, over the columns of a packed kernel basis (_rref, then
+_kernel_rows) when that is the narrower side.  Products and scalings work
+on packed values the same way.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
@@ -311,13 +313,14 @@ def _solve_packed(fld: Field, work: list[list[int]], r: int, t: int) -> SolveRes
                 sol[j - r][p] = v
     solution = Mat._from_ints(fld, sol, r)
     kernel = _kernel_rows(fld, basis, r)
-    status = "unique" if not kernel.nrows else "underdetermined"
-    return SolveResult(status, solution, kernel)
+    status = "unique" if not kernel else "underdetermined"
+    return SolveResult(status, solution, Mat._from_ints(fld, kernel, r))
 
 
-def _kernel_rows(fld: Field, basis: dict, width: int) -> Mat:
-    """Null-space basis of a reduced matrix over its first width columns:
-    one row per free column, pivot entries read off the reduced rows."""
+def _kernel_rows(fld: Field, basis: dict, width: int) -> list[list[int]]:
+    """Null-space basis of a reduced matrix over its first width columns,
+    packed: one row per free column, pivot entries read off the reduced
+    rows."""
     rows = {fv: [0] * width for fv in range(width) if fv not in basis}
     for fv, vec in rows.items():
         vec[fv] = 1
@@ -325,9 +328,11 @@ def _kernel_rows(fld: Field, basis: dict, width: int) -> Mat:
         for j, v in span:
             if j < width:
                 rows[j][p] = fld._vneg(v)
-    return Mat._from_ints(fld, list(rows.values()), width)
+    return list(rows.values())
 
 
 def right_kernel(a: Mat) -> Mat:
     """Rows w with A * w^T = 0 (a basis of the right null space)."""
-    return _kernel_rows(a.field, _rref(a.field, a.to_packed(), a.ncols), a.ncols)
+    fld, width = a.field, a.ncols
+    return Mat._from_ints(fld, _kernel_rows(fld, _rref(fld, a.to_packed(), width), width),
+                          width)

@@ -1,11 +1,22 @@
-"""Shared fixtures: the small GF(2) reference code used across the suite."""
+"""Shared fixtures: the small GF(2) reference code used across the suite,
+and a cold field cache."""
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from convec import field
+from convec import field, gf
 from convec.polymat import ConvCode, PolyMatrix
+
+
+@pytest.fixture
+def cold_fields(monkeypatch):
+    """A field cache of the test's own, empty at the start."""
+    cache = functools.lru_cache(maxsize=None)(gf.Field)
+    monkeypatch.setattr(gf, "_cached_field", cache)
+    return cache
 
 
 @pytest.fixture(scope="session")

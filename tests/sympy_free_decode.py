@@ -1,14 +1,18 @@
-"""Decode a GF(27) stream with both engines through ``convec.cli.main`` and
-check that sympy was never imported.
+"""Decode a GF(27) stream with both engines through ``convec.cli.main``,
+build and certify the (3,2,2) code over GF(2^769) at j = L, and check that
+sympy was never imported.
 
-Fields below 2^32 elements are built with trial division alone, so a decode
-over a small field must run in a Python that has no sympy installed:
+Fields below 2^32 elements are built with trial division alone, and a large
+field's generator, whose certificate factors q - 1, is read by neither the
+construction nor the minor check, so both must run in a Python that has no
+sympy installed:
 
     python -m venv --without-pip /tmp/bare
     PYTHONPATH=src /tmp/bare/bin/python tests/sympy_free_decode.py
 
 Prints one line and exits 0 when both decodes complete and recover the
-message and sympy is absent from ``sys.modules``; exits 1 otherwise.
+message, the certificate passes over all 361 sets and sympy is absent from
+``sys.modules``; exits 1 otherwise.
 ``tests/test_imports.py`` runs it in a fresh interpreter.
 """
 
@@ -24,6 +28,8 @@ import tempfile
 
 from convec import field
 from convec.cli import main
+from convec.construct import build_complete_mdp
+from convec.distance import L_of, verify_complete_jmdp_via_g
 from convec.polymat import ConvCode, Poly, PolyMatrix
 from convec.stream import ErasureStream
 
@@ -70,6 +76,9 @@ def run() -> list[str]:
             got = [int(vals[0], 16) for t, vals in report["message"] if t < len(blocks)]
             if not report["complete"] or got != blocks:
                 problems.append(f"{engine}: message not recovered")
+    rep = verify_complete_jmdp_via_g(build_complete_mdp(3, 2, 2, 2), L_of(3, 2, 2))
+    if not rep.passed or rep.sets_checked != 361:
+        problems.append(f"certify: passed={rep.passed}, {rep.sets_checked} sets")
     if "sympy" in sys.modules:
         problems.append("sympy was imported")
     return problems
@@ -77,5 +86,6 @@ def run() -> list[str]:
 
 if __name__ == "__main__":
     found = run()
-    print("; ".join(found) if found else "ok: gm and pc decoded GF(27) without sympy")
+    print("; ".join(found) if found else
+          "ok: gm and pc decoded GF(27) and (3,2,2) certified over GF(2^769) without sympy")
     sys.exit(1 if found else 0)

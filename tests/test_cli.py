@@ -8,6 +8,7 @@ import random
 import pytest
 
 from conftest import MASK522
+from convec import gf
 from convec.cli import main
 from convec.polymat import code_from_json
 from convec.stream import ErasureStream
@@ -231,6 +232,33 @@ def test_construct_then_verify(tmp_path, capsys):
     assert out["property"] == "complete-jmdp:G"
     assert out["j"] == 1  # defaulted to L
     assert "wall_time_ms" not in out
+
+
+@pytest.mark.parametrize("existing", [None, b'{"kept": true}\n'], ids=["new", "existing"])
+def test_construct_without_sympy_writes_nothing(tmp_path, capsys, monkeypatch,
+                                                cold_fields, existing):
+    # the code JSON names the GF(2^769) generator, whose certificate factors
+    # 2^769 - 1 with sympy; without sympy the command fails before its
+    # output file is opened
+    def no_sympy(n):
+        raise ModuleNotFoundError("No module named 'sympy'")
+
+    monkeypatch.setattr(gf, "_budgeted_factor", no_sympy)
+    codef = tmp_path / "c.json"
+    if existing is not None:
+        codef.write_bytes(existing)
+    assert run(["construct", "--n", 3, "--k", 2, "--delta", 2, "--p", 2,
+                "--out", codef]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ModuleNotFoundError",
+                                    "message": "No module named 'sympy'"}
+    if existing is None:
+        assert not codef.exists()
+    else:
+        assert codef.read_bytes() == existing
 
 
 # -- rates ---------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import time
@@ -61,14 +60,6 @@ def test_provenance_metadata(built311):
     assert prov["field"] == built311.field.ref()
 
 
-@pytest.fixture
-def cold_fields(monkeypatch):
-    """A field cache of the test's own, empty at the start."""
-    cache = functools.lru_cache(maxsize=None)(gf.Field)
-    monkeypatch.setattr(gf, "_cached_field", cache)
-    return cache
-
-
 def test_setup_does_no_factoring(cold_fields, monkeypatch):
     # building and certifying a code, or parsing a large-field stream
     # header, never reads the field's generator, whose certificate factors
@@ -111,6 +102,24 @@ def test_provenance_flag_set_explicitly(cold_fields):
     prov = build_complete_mdp(3, 1, 1, 2).metadata["provenance"]
     prov["alpha_primitive_verified"] = True
     assert json.loads(json.dumps(prov))["alpha_primitive_verified"] is True
+
+
+def test_certify_inverts_on_the_kernel_side(monkeypatch):
+    # the depth-4 band is 12 x 15, so each set's 3-column complement is
+    # reduced against the 3-row kernel, mostly one column with no inverse;
+    # the band side took 1050 inverses
+    code = build_complete_mdp(3, 2, 2, 2)
+    calls = []
+    inv2 = gf._inv2
+
+    def counted(a, f):
+        calls.append(a)
+        return inv2(a, f)
+
+    monkeypatch.setattr(gf, "_inv2", counted)
+    rep = verify_complete_jmdp_via_g(code, 3)
+    assert rep.passed and rep.sets_checked == 361
+    assert len(calls) < 150
 
 
 def test_certification_speed(built311):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from convec import field
+from convec import distance, field
 from convec.errors import (
     BudgetExceeded,
     DegreeMismatch,
@@ -446,9 +446,28 @@ def four_checks(code, j):
 DIFF_SHAPES = [(2, 1, 1, 3), (2, 1, 2, 3), (3, 1, 1, 2), (3, 2, 1, 3), (3, 2, 2, 2)]
 
 
+def sparse(fld, rng, rows, n, d, density):
+    """Random rows x n polynomial matrix of degree at most d, each
+    coefficient nonzero with probability density."""
+    return PolyMatrix.from_packed(fld, [
+        [[rng.randrange(1, fld.q) if rng.random() < density else 0 for _ in range(n)]
+         for _ in range(rows)] for _ in range(d + 1)])
+
+
+def four_matrices(g, h, n, k, j):
+    """(kind, matrix, degree) of the four set kinds, G or H of any degree."""
+    mu, nu = g.degree, h.degree
+    if mu >= 0:
+        yield "generator_truncation", generator_truncation(g, j), mu
+        yield "generator", generator_band(g, j + mu), mu
+    if nu >= 0:
+        yield "parity_truncation", parity_truncation(h, j), nu
+        yield "parity", parity_band(h, j), nu
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 3)],
                          ids=["GF2", "GF3", "GF16", "GF27"])
-def test_incremental_minors_match_minor_per_set(p, m):
+def test_incremental_minors_match_minor_per_set(p, m, monkeypatch):
     fld = field(p, m)
     rng = random.Random(1000 * p + m)
     outcomes = set()
@@ -463,6 +482,37 @@ def test_incremental_minors_match_minor_per_set(p, m):
                 fresh = code_from_json(code.to_json()).G
                 assert generator_band(code.G, j + d) == generator_band(fresh, j + d)
     assert outcomes == {True, False}
+    # non-systematic sparse G and H, many without full row rank; the
+    # public checks need delay-free codes, so the loop is called directly.
+    # A check reduces the kernel basis's columns, one _rref per check, when
+    # the kernel is narrower than the matrix has rows.
+    kernel_checks = []
+    rref = distance._rref
+
+    def counted(*args):
+        kernel_checks.append(args)
+        return rref(*args)
+
+    monkeypatch.setattr(distance, "_rref", counted)
+    tally = {"kernel": 0, "band": 0, "failed": 0, "deficient": 0}
+    for n, k, d, top in DIFF_SHAPES:
+        for density in (0.3, 0.7):
+            g = sparse(fld, rng, k, n, d, density)
+            h = sparse(fld, rng, n - k, n, d, density)
+            for j in range(min(top, 2) + 1):
+                for kind, mat, deg in four_matrices(g, h, n, k, j):
+                    before = len(kernel_checks)
+                    rep = _run_minor_check(kind, j, mat, enumerate_nontrivial(kind, n, k, deg, j))
+                    got = (rep.passed, rep.sets_checked, rep.counterexample)
+                    want = minor_per_set(mat, enumerate_nontrivial(kind, n, k, deg, j))
+                    assert got == want, (kind, n, k, d, j)
+                    narrow = mat.ncols - mat.nrows < mat.nrows
+                    assert len(kernel_checks) - before == narrow, (kind, mat.nrows, mat.ncols)
+                    tally["kernel" if narrow else "band"] += 1
+                    tally["failed"] += not rep.passed
+                    tally["deficient"] += narrow and rank(mat) < mat.nrows and rep.sets_checked > 0
+    assert tally["kernel"] >= 30 and tally["band"] >= 30, tally
+    assert tally["failed"] >= 30 and tally["deficient"] >= 10, tally
 
 
 def test_incremental_minors_first_set_dependent(pair_2_1):
