@@ -4,11 +4,13 @@ Two decoders are provided.  The generator-matrix decoder (gm) recovers
 message coefficients directly: it solves the received symbols of a window
 against G's coefficients with the known message history moved to the
 right-hand side, and keeps the longest uniquely determined message prefix.
-One builder, _gm_system, states that system as packed rows for gm windows,
-gm guard attempts and whole-stream message extraction alike, so decoding
-builds no generator band.  The parity-check decoder (pc) recovers erased
-codeword symbols from syndrome equations over a parity band and leaves
-message extraction to a separate step.
+The parity-check decoder (pc) recovers erased codeword symbols from the
+syndrome equations of the window and leaves message extraction to a
+separate step.  Each engine states its system through one builder as packed
+[A^T | B^T] rows read straight from the code's coefficients, and solves
+them through one metered _solve: _gm_system for gm windows, gm guard
+attempts and whole-stream extraction, _pc_system for pc windows and pc
+guard attempts.  Decoding builds no sliding matrix.
 
 Both run one sliding-window driver, _slide, the algorithm of Tomas,
 Rosenthal and Smarandache (IEEE Trans. IT 58(1), 2012), so their results
@@ -47,9 +49,8 @@ from .errors import (
     NoParityCheck,
 )
 from .gf import Element
-from .linalg import Mat, _rref, _solve_packed, rank, solve_right
+from .linalg import _rref, _solve_packed, rank
 from .polymat import ConvCode, PolyMatrix
-from .sliding import parity_band
 from .distance import L_of, _require_delay_free, column_bound
 from .stream import ErasureStream
 
@@ -187,26 +188,6 @@ def _u_value(code: ConvCode, known_u: dict, ubound, t: int):
     if t < 0 or (ubound is not None and t > ubound):
         return (code.field.zero,) * code.k
     return known_u.get(t)
-
-
-def _window_columns(stream: ErasureStream, t0: int, width: int):
-    """Split the window's flattened columns into known (col, value) pairs
-    and unknown column indices.  Blocks outside the stream are known zeros."""
-    zero = stream.field.zero
-    n = stream.n
-    known, unknown = [], []
-    for b in range(width):
-        tb = t0 + b
-        if 0 <= tb < len(stream.blocks):
-            for pos, val in enumerate(stream.blocks[tb]):
-                col = b * n + pos
-                if val is None:
-                    unknown.append(col)
-                else:
-                    known.append((col, val))
-        else:
-            known.extend((b * n + pos, zero) for pos in range(n))
-    return known, unknown
 
 
 def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
@@ -487,27 +468,41 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
 
 def _pc_system(code: ConvCode, stream: ErasureStream, t: int, j: int):
     """Syndrome equations over blocks t-nu..t+j, every erased symbol an
-    unknown.  Returns (unknowns, equations, solve): unknowns lists the
-    erased (block, position) pairs and solve(ops) builds the right-hand
-    side and solves, so a caller can reject on the counts first."""
-    nu = code.H.degree
-    band = parity_band(code.H, j)
-    known_cols, unknown_cols = _window_columns(stream, t - nu, j + 1 + nu)
-    n = stream.n
-    unknowns = [(t - nu + col // n, col % n) for col in unknown_cols]
+    unknown, as packed [A^T | B^T] rows for _solve: one per syndrome
+    s_{t+r}[i], r = 0..j, holding H_s[i][pos] at the column of each erased
+    v_{t+r-s}[pos], with each received symbol's product moved to the
+    right-hand side; blocks outside the stream are zeros and add nothing.
+    Returns (unknowns, equations, solve): unknowns lists the erased
+    (block, position) pairs in time order and solve(ops) builds the rows
+    and solves, so a caller can reject on the counts first."""
+    blocks = stream.blocks
+    span = range(max(0, t - code.H.degree), min(len(blocks), t + j + 1))
+    unknowns = [(tb, pos) for tb in span
+                for pos, v in enumerate(blocks[tb]) if v is None]
+    equations = (j + 1) * (code.n - code.k)
 
     def solve(ops):
-        a = band.take_cols(unknown_cols).transpose()
-        rhs = band.take_cols([c for c, _ in known_cols]) * Mat.row_vector(
-            code.field, [v for _, v in known_cols]).transpose()
-        if ops is not None:
-            ops.count(a.nrows, a.ncols)
-        res = solve_right(a, rhs.scale(-code.field.one).transpose())
-        if res.status == "inconsistent":
-            raise InconsistentStream("syndrome equations are contradictory")
-        return res
+        fld, r = code.field, len(unknowns)
+        sub, mul = fld._vsub, fld._vmul
+        hs = [h.to_packed() for h in code.H.coeffs]
+        at = {u: c for c, u in enumerate(unknowns)}
+        rows = []
+        for tr in range(t, t + j + 1):
+            for i in range(code.n - code.k):
+                row = [0] * (r + 1)
+                for s, h in enumerate(hs):
+                    tb = tr - s
+                    if not 0 <= tb < len(blocks):
+                        continue
+                    for pos, (x, v) in enumerate(zip(h[i], blocks[tb])):
+                        if v is None:
+                            row[at[tb, pos]] = x
+                        elif x and v.val:
+                            row[r] = sub(row[r], mul(x, v.val))
+                rows.append(row)
+        return _solve(fld, rows, r, ops, "syndrome equations are contradictory")
 
-    return unknowns, band.nrows, solve
+    return unknowns, equations, solve
 
 
 def pc_guard_recover(code: ConvCode, stream: ErasureStream, position: int,

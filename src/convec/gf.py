@@ -5,7 +5,11 @@ vector (c_0, ..., c_{m-1}) stored packed as the integer sum(c_i * p**i), so
 for p = 2 the packed value is simply the bitmask of the polynomial.  The
 packed value is also what the hex serialization encodes, which keeps "0" and
 "1" as the shorthand for the additive and multiplicative identities in any
-field.
+field.  Only the canonical text loads: a symbol, a generator and the
+modulus of a field reference exactly as ``format(v, "x")`` writes them
+(lower case, no sign, prefix, underscore, space or leading zero), and p and
+m of a field reference exactly as ``str`` writes them, so whatever is read
+is written back unchanged.
 
 One builder, ``_kernels``, makes the arithmetic kernels of three kinds:
 
@@ -339,6 +343,15 @@ def _unpack(v: int, p: int, m: int) -> tuple[int, ...]:
         v, c = divmod(v, p)
         out.append(c)
     return tuple(out)
+
+
+def _canonical(s: str, base: int) -> int:
+    """int(s, base) for base 10 or 16 when s is exactly how format writes
+    the nonnegative value back; ValueError otherwise."""
+    v = int(s, base)
+    if v < 0 or s != format(v, "x" if base == 16 else "d"):
+        raise ValueError(f"{s!r} is not in canonical form")
+    return v
 
 
 def _coeffs(v: int, p: int) -> tuple[int, ...]:
@@ -724,7 +737,8 @@ class Field:
         return Element(self, val)
 
     def from_hex(self, s: str) -> Element:
-        return self.el(int(s, 16))
+        """The element whose to_hex is s; any other text raises ValueError."""
+        return self.el(_canonical(s, 16))
 
     def elements(self) -> Iterator[Element]:
         """All q elements in packed order; intended for small fields."""
@@ -813,7 +827,7 @@ def field_from_json(obj: dict) -> Field:
         raise ParseError("field primitive must be a hex string")
     f = field(p, m, modulus)
     if prim is not None:
-        want = int(prim, 16)
+        want = _canonical(prim, 16)
         if want != f.alpha.val:
             # honor a nonstandard designated generator, re-validated
             return Field(f.p, f.m, f.modulus, _primitive_val=want)
@@ -825,8 +839,8 @@ def field_from_ref(ref: str) -> Field:
     try:
         pm, mod_hex = ref.split(":")
         p_s, m_s = pm.split("^")
-        p, m = int(p_s), int(m_s)
-        packed = int(mod_hex, 16)
+        p, m = _canonical(p_s, 10), _canonical(m_s, 10)
+        packed = _canonical(mod_hex, 16)
     except ValueError as exc:
         raise ValueError(f"malformed field reference {ref!r}") from exc
     if p < 2 or packed < 0:

@@ -10,17 +10,17 @@ may add it as a new one, through the field's bound kernels (``_vmul``,
 elements).  A vector update reads only the basis vector's nonzero entries
 and skips pivots where the vector is already zero.  rank, det, minor,
 solve_right and right_kernel unpack the entries once, build a basis over
-the rows and pack the result back once.  codec builds its generator-side
-systems (gm windows and guards, whole-stream extraction) as packed rows for
-solve_right's core, _solve_packed, and reduces [G_0 | I] through _rref for
-forward substitution.  The minor checks in distance.py extend one basis
-column by column, over the columns of a packed kernel basis (_rref, then
-_kernel_rows) when that is the narrower side.  Products and scalings work
-on packed values the same way.
+the rows and pack the result back once.  codec builds the systems of both
+decoders (gm and pc windows and guards, whole-stream extraction) as packed
+rows for solve_right's core, _solve_packed, and reduces [G_0 | I] through
+_rref for forward substitution.  The minor checks in distance.py extend one
+basis column by column, over the columns of a packed kernel basis (_rref,
+then _kernel_rows) when that is the narrower side.  Products work on packed
+values the same way.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
-products, scalings and solver results) skip that check.
+products and solver results) skip that check.
 
 The solver convention matches how the rest of the package states systems:
 ``solve_right(A, B)`` solves X * A = B for the row vector(s) X, i.e. the
@@ -92,10 +92,6 @@ class Mat:
         return cls(field, [[field.el(v) for v in row] for row in grid],
                    len(grid[0]) if grid else 0)
 
-    @classmethod
-    def row_vector(cls, field: Field, entries) -> "Mat":
-        return cls(field, [list(entries)])
-
     # -- basic ops ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -129,12 +125,6 @@ class Mat:
                     acc = [add(s, mul(x, b)) if b else s for s, b in zip(acc, ot[j])]
             out.append(acc)
         return Mat._from_ints(fld, out, other.ncols)
-
-    def scale(self, c: Element) -> "Mat":
-        x = self.field.one._peer(c)
-        mul = self.field._vmul
-        return Mat._from_ints(self.field, [[mul(x, e.val) for e in row] for row in self.data],
-                              self.ncols)
 
     def transpose(self) -> "Mat":
         if self.nrows == 0:

@@ -158,9 +158,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 
 class PolyMatrix:
-    # _bands holds the sliding bands built from this matrix, keyed by layout
-    # and depth (see sliding.generator_band and sliding.parity_band)
-    __slots__ = ("field", "nrows", "ncols", "coeffs", "_bands")
+    __slots__ = ("field", "nrows", "ncols", "coeffs")
 
     def __init__(self, field: Field, nrows: int, ncols: int, coeffs):
         cs = list(coeffs)
@@ -177,7 +175,6 @@ class PolyMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.coeffs = tuple(cs)
-        self._bands: dict[tuple[str, int], Mat] = {}
 
     @classmethod
     def zero(cls, field: Field, nrows: int, ncols: int) -> "PolyMatrix":

@@ -18,6 +18,9 @@ coefficient index of block (r, c), or None for a structural zero block.
   parity_band(H, j)            (j+1)(n-k) x (j+1+nu)n   rows slide [H_nu .. H_0]
   generator_band(G, j)         (j+1+mu)k  x (j+1)n      columns stack [G_mu .. G_0]
 
+Each builder assembles a new matrix on every call; nothing is cached.  The
+verifiers in distance.py build one per check, and decoding builds none.
+
 A full-size minor of one of these matrices is "trivially zero" when no
 matching pairs every row with a chosen column through a nonzero block, so
 it vanishes regardless of the coefficient values.  Each block row meets one
@@ -102,12 +105,6 @@ def _build(kind: str, pm: PolyMatrix, j: int) -> Mat:
     return Mat._derived(pm.field, data, block_cols * bc)
 
 
-def _band(kind: str, pm: PolyMatrix, j: int) -> Mat:
-    if (kind, j) not in pm._bands:
-        pm._bands[kind, j] = _build(kind, pm, j)
-    return pm._bands[kind, j]
-
-
 def generator_truncation(g: PolyMatrix, j: int) -> Mat:
     """(j+1)k x (j+1)n matrix taking (u_0..u_j) to (v_0..v_j)."""
     return _build("generator_truncation", g, j)
@@ -119,22 +116,17 @@ def parity_truncation(h: PolyMatrix, j: int) -> Mat:
 
 
 def parity_band(h: PolyMatrix, j: int) -> Mat:
-    """(j+1)(n-k) x (j+1+nu)n band; block row i is [H_nu ... H_0] at offset i.
-
-    Built once per (h, j) and shared by every later call: callers read it
-    and must not modify it.
-    """
-    return _band("parity", h, j)
+    """(j+1)(n-k) x (j+1+nu)n band; block row i is [H_nu ... H_0] at offset i."""
+    return _build("parity", h, j)
 
 
 def generator_band(g: PolyMatrix, j: int) -> Mat:
     """(j+1+mu)k x (j+1)n band; block column c is [G_mu ... G_0] at offset c.
 
     Row block r corresponds to the message coefficient u_{t-mu+r} when the
-    window covers codeword blocks v_t .. v_{t+j}.  Built once per (g, j)
-    and shared by every later call: callers read it and must not modify it.
+    window covers codeword blocks v_t .. v_{t+j}.
     """
-    return _band("generator", g, j)
+    return _build("generator", g, j)
 
 
 # ---------------------------------------------------------------------------

@@ -426,6 +426,20 @@ def test_zero_characteristic_header_error_json(ws, capsys, engine):
         "error": "ValueError", "message": "malformed field reference '0^3:b'"}
 
 
+@pytest.mark.parametrize("engine", ["gm", "pc"])
+def test_non_canonical_symbol_error_json(ws, capsys, engine):
+    tmp, code, _ = ws
+    bad = tmp / "bad.txt"
+    bad.write_text("#n=5 field=2^1:3 deg=0\n1 0x1 0 1 1\n")
+    assert run(["decode", "--engine", engine, "--code", code, "--in", bad,
+                "--report", tmp / "rep.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "ParseError", "message": "line 2: bad symbol '0x1'"}
+    assert not (tmp / "rep.json").exists()
+
+
 def test_iid_without_seed(ws, capsys):
     tmp, code, msg = ws
     cw = tmp / "cw.txt"

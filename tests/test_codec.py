@@ -8,12 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from convec import field
+from convec import codec, field, sliding
 from convec.channel import corrupt, parse_pattern
 from convec.codec import (
     DecodeReport,
     Rate,
     _gm_system,
+    _pc_system,
     extract_message,
     gm_decode_forward,
     gm_guard_recover,
@@ -32,7 +33,7 @@ from convec.errors import (
 from convec.linalg import Mat
 from convec.polymat import ConvCode, PolyMatrix, code_from_json
 from convec.stream import ErasureStream
-from convec.sliding import generator_band
+from convec.sliding import generator_band, parity_band
 from test_golden_decode import codes as golden_codes
 
 
@@ -480,7 +481,7 @@ def dense_gm_system(code, stream, known_u, ubound, v_start, width):
             if v is not None:
                 kept.append(b * n + pos)
                 received.append(v)
-    contrib = (Mat.row_vector(fld, hist) * band).take_cols(kept).data[0]
+    contrib = (Mat(fld, [hist]) * band).take_cols(kept).data[0]
     rhs = [v - c for v, c in zip(received, contrib)]
     a = band.take_rows(row_idx).take_cols(kept)
     rows = [[row[j].val for row in a.data] + [rhs[j].val] for j in range(len(kept))]
@@ -517,6 +518,77 @@ def test_gm_system_matches_dense_band(name):
                 assert _gm_system(*args) == dense_gm_system(*args), args
 
 
+# -- the parity-side system ----------------------------------------------------
+
+def dense_pc_system(code, stream, t, j):
+    """The syndrome system through the dense parity band, kept as a
+    reference: parity_band's columns at the erased symbols of blocks
+    t-nu..t+j, the received symbols' product negated on the right-hand side,
+    in the [A^T | B^T] rows solve_right builds.  Blocks outside the stream
+    are known zeros.  Returns (unknowns, rows, equations)."""
+    fld, n, nu = code.field, code.n, code.H.degree
+    band = parity_band(code.H, j)  # block column b is v_{t - nu + b}
+    unknowns, unknown_cols, known_cols, received = [], [], [], []
+    for b in range(j + 1 + nu):
+        tb = t - nu + b
+        blk = stream.blocks[tb] if 0 <= tb < len(stream.blocks) else [fld.zero] * n
+        for pos, v in enumerate(blk):
+            if v is None:
+                unknowns.append((tb, pos))
+                unknown_cols.append(b * n + pos)
+            else:
+                known_cols.append(b * n + pos)
+                received.append(v)
+    rhs = band.take_cols(known_cols) * Mat(fld, [received]).transpose()
+    a = band.take_cols(unknown_cols)
+    rows = [[e.val for e in a.data[i]] + [(-rhs.data[i][0]).val]
+            for i in range(band.nrows)]
+    return unknowns, rows, band.nrows
+
+
+@pytest.mark.parametrize("name", sorted(golden_codes()))
+def test_pc_system_matches_dense_band(name, monkeypatch):
+    # GF(2) with n - k = 3, GF(3), GF(5), GF(8), GF(16) and GF(27); windows
+    # that start before nu, run past the stream end or lie wholly outside it,
+    # and the guard attempts of pc_guard_recover at every position
+    code = golden_codes()[name]
+    fld, n = code.field, code.n
+    rng = random.Random(name)
+    T = 6
+    stream = ErasureStream(fld, n, [
+        [None if rng.random() < 0.3 else fld.random_element(rng) for _ in range(n)]
+        for _ in range(T)])
+    stream.blocks[2] = [None] * n  # a wholly erased block
+    stream.blocks[4] = [fld.zero] * n  # received zeros add nothing to the rhs
+    seen = []
+
+    class Captured(Exception):
+        pass
+
+    def capture(fld_, rows, r, ops, message):
+        seen.append((rows, r))
+        raise Captured
+
+    monkeypatch.setattr(codec, "_solve", capture)
+    for t in range(T + 3):
+        for j in range(4):
+            want_unknowns, want_rows, want_eqs = dense_pc_system(code, stream, t, j)
+            want = [(want_rows, len(want_unknowns))]
+            unknowns, equations, solve = _pc_system(code, stream, t, j)
+            assert (unknowns, equations) == (want_unknowns, want_eqs), (t, j)
+            with pytest.raises(Captured):
+                solve(None)
+            assert seen == want, (t, j)
+            seen.clear()
+            if len(unknowns) > equations:  # rejected on the counts, unsolved
+                assert not pc_guard_recover(code, stream, t, j).ok
+            else:
+                with pytest.raises(Captured):
+                    pc_guard_recover(code, stream, t, j)
+            assert seen == (want if len(unknowns) <= equations else []), (t, j)
+            seen.clear()
+
+
 # -- message extraction --------------------------------------------------------
 
 def test_extract_message_round_trip(c5):
@@ -530,25 +602,30 @@ def test_extract_message_round_trip(c5):
         assert val[0] == want
 
 
-def test_band_cache_stays_bounded_across_stream_lengths(pair_2_1):
-    # one code decoding streams of many lengths keeps only pc's window-depth
-    # parity bands, never a whole-stream one per length; gm reads G's
-    # coefficients directly and builds no generator band at all
-    code = pair_2_1(field(5), (1, 1), (1, 2))
-    rng = random.Random(7)
-    sizes = []
-    for deg in range(6, 40, 3):
-        u = rand_message(code.field, rng, deg)
-        s = ErasureStream.from_codeword(code.encode(u))
-        for t in range(0, len(s), 4):
-            s.blocks[t][rng.randrange(2)] = None
-        gm = gm_decode_forward(code, s)
-        pc = pc_decode_forward(code, s)
-        assert gm.complete and pc.complete
-        assert gm.message() == pc.message() == u
-        sizes.append((len(code.G._bands), len(code.H._bands)))
-    L = 2
-    assert all(g == 0 and h <= L + 1 for g, h in sizes)
+def test_decoding_builds_no_sliding_matrix(monkeypatch):
+    # both engines read the code's coefficients directly, in forward windows,
+    # guard attempts and message extraction alike; only the verifiers build
+    # sliding matrices
+    def refuse(*args):
+        raise AssertionError("decoding built a sliding matrix")
+
+    monkeypatch.setattr(sliding, "_build", refuse)
+    rng = random.Random(19)
+    solvers = set()
+    for code in golden_codes().values():
+        u = rand_message(code.field, rng, 24, code.k)
+        clean = ErasureStream.from_codeword(code.encode(u))
+        s = clean.copy()
+        for t in range(len(s)):
+            for pos in range(code.n):
+                # a dense burst in the middle forces guard attempts
+                if rng.random() < (0.9 if 8 <= t < 12 else 0.15):
+                    s.blocks[t][pos] = None
+        for report in (gm_decode_forward(code, s), pc_decode_forward(code, s)):
+            solvers.update(w.solver for w in report.windows)
+        got = extract_message(code, clean)
+        assert all(got[t] == tuple(u.coeff(t).data[0]) for t in range(u.degree + 1))
+    assert {"gm", "pc", "gm_guard_window", "pc_guard"} <= solvers, solvers
 
 
 def test_extract_message_window_too_short(pair_2_1, gf2):

@@ -179,6 +179,18 @@ def test_serialization_round_trip():
     assert field_from_ref(F.ref()) == F
 
 
+@pytest.mark.parametrize("text", ["0x1", "+1", "0_1", "01", "1 ", "B", "-1", ""])
+def test_only_canonical_hex_loads(text):
+    # a symbol loads exactly when to_hex writes it back unchanged
+    F = field(2, 8)
+    with pytest.raises(ValueError):
+        F.from_hex(text)
+    spec = dict(F.to_json(), primitive=text)
+    with pytest.raises(ValueError):
+        field_from_json(spec)
+    assert [F.from_hex(e.to_hex()) for e in F.elements()] == list(F.elements())
+
+
 def test_custom_primitive_via_json():
     F = field(7)
     spec = F.to_json()

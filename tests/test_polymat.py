@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -74,7 +75,7 @@ def test_polymatrix_eval_matches_direct():
     want = Mat.zeros(F, 2, 3)
     xp = F.one
     for i in range(pm.degree + 1):
-        want = want + pm.coeff(i).scale(xp)
+        want = want + Mat(F, [[e * xp for e in row] for row in pm.coeff(i).data])
         xp = xp * x
     assert [[pm.entry(i, j).eval(x) for j in range(3)] for i in range(2)] == want.data
     assert pm.eval_at_zero() == pm.coeff(0)
@@ -268,3 +269,11 @@ def test_code_json_round_trip(code522, pair_2_1):
     back = code_from_json(withH.to_json())
     assert back.H == withH.H
     assert back.metadata == {"note": "fixture"}
+
+
+@pytest.mark.parametrize("entry", ["0x1", "+1", "0_1", "01"])
+def test_code_json_refuses_non_canonical_hex(code522, entry):
+    doc = code522.to_json()
+    doc["G"][0][0][0] = entry  # each used to load as 1
+    with pytest.raises(ValueError, match=re.escape(f"{entry!r} is not in canonical form")):
+        code_from_json(doc)

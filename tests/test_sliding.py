@@ -81,7 +81,7 @@ def test_truncation_is_windowed_encoding(code522, msg522):
     v = code522.encode(msg522)
     for j in range(5):
         m = generator_truncation(code522.G, j)
-        ubar = Mat.row_vector(code522.field, flatten(msg522, 0, j))
+        ubar = Mat(code522.field, [flatten(msg522, 0, j)])
         assert (ubar * m).data[0] == flatten(v, 0, j)
 
 
@@ -92,7 +92,7 @@ def test_band_maps_history_and_window(code522, msg522):
     f = code522.field
     for t, j in [(1, 0), (1, 2), (2, 1)]:
         b = generator_band(code522.G, j)
-        ubar = Mat.row_vector(f, flatten(msg522, t - 1, t + j))
+        ubar = Mat(f, [flatten(msg522, t - 1, t + j)])
         assert (ubar * b).data[0] == flatten(v, t, t + j)
 
 
@@ -104,7 +104,7 @@ def test_parity_band_annihilates_codewords(pair_2_1, gf2):
         v = code.encode(u)
         for t, j in [(2, 0), (2, 1), (3, 0)]:
             b = parity_band(code.H, j)
-            vbar = Mat.row_vector(gf2, flatten(v, t - 2, t + j))
+            vbar = Mat(gf2, [flatten(v, t - 2, t + j)])
             assert (b * vbar.transpose()).is_zero
 
 
@@ -163,7 +163,6 @@ def test_negative_depth_is_refused(code522h):
                       (parity_truncation, code522h.H), (parity_band, code522h.H)):
         with pytest.raises(ValueError, match="depth must be >= 0"):
             build(pm, -2)
-        assert all(depth >= 0 for _, depth in pm._bands)
 
 
 @pytest.mark.parametrize("kind,n,k,deg,j", [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import time
 
 import pytest
@@ -144,3 +145,24 @@ def test_characteristic_below_two_in_header(ref):
     # p = 0 used to reach a division by p before any check
     with pytest.raises(ValueError, match="^malformed field reference"):
         ErasureStream.from_text(f"#n=2 field={ref} deg=0\n0 1\n")
+
+
+@pytest.mark.parametrize("token", ["0x1", "+1", "0_1", "01", "A", "-0", "\u0661"])
+def test_non_canonical_symbol_is_refused(token):
+    # each used to load as the value int(token, 16) and be written back
+    # differently; only what to_hex writes loads
+    text = f"#n=3 field=2^4:13 deg=unknown\n1 {token} a\n"
+    with pytest.raises(ParseError, match=re.escape(f"line 2: bad symbol {token!r}")):
+        ErasureStream.from_text(text)
+    canonical = "#n=3 field=2^4:13 deg=unknown\n1 0 a\n"
+    assert ErasureStream.from_text(canonical).to_text() == canonical
+
+
+@pytest.mark.parametrize("ref", ["+2^0_4:+1_3", "02^4:13", "2^+4:13", "2^04:13",
+                                 "2^4:0x13", "2^4:013", "2^4:1_3", "2^4:13A",
+                                 "2^\u0664:13"])
+def test_non_canonical_field_reference_is_refused(ref):
+    # p and m in decimal and the modulus in hex, each exactly as ref() writes
+    # them; +2^0_4:+1_3 used to load as 2^4:13
+    with pytest.raises(ValueError, match="^malformed field reference"):
+        ErasureStream.from_text(f"#n=3 field={ref} deg=0\n1 2 3\n")
