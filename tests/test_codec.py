@@ -628,6 +628,35 @@ def test_decoding_builds_no_sliding_matrix(monkeypatch):
     assert {"gm", "pc", "gm_guard_window", "pc_guard"} <= solvers, solvers
 
 
+def test_band_cache_stays_bounded_across_stream_lengths(pair_2_1, monkeypatch):
+    # one code decoding streams of many lengths keeps nothing between them:
+    # no sliding matrix is built and the code's attributes are the same
+    # objects after every length as before the first
+    def refuse(*args):
+        raise AssertionError("decoding built a sliding matrix")
+
+    monkeypatch.setattr(sliding, "_build", refuse)
+    code = pair_2_1(field(5), (1, 1), (1, 2))
+    before = dict(vars(code))
+    polys = {name: {slot: getattr(pm, slot) for slot in type(pm).__slots__}
+             for name, pm in (("G", code.G), ("H", code.H))}
+    rng = random.Random(7)
+    for deg in range(6, 40, 3):
+        u = rand_message(code.field, rng, deg)
+        s = ErasureStream.from_codeword(code.encode(u))
+        for t in range(0, len(s), 4):
+            s.blocks[t][rng.randrange(2)] = None
+        gm = gm_decode_forward(code, s)
+        pc = pc_decode_forward(code, s)
+        assert gm.complete and pc.complete
+        assert gm.message() == pc.message() == u
+        assert vars(code).keys() == before.keys()
+        assert all(vars(code)[key] is val for key, val in before.items())
+        for name, slots in polys.items():
+            pm = getattr(code, name)
+            assert all(getattr(pm, slot) is val for slot, val in slots.items())
+
+
 def test_extract_message_window_too_short(pair_2_1, gf2):
     gf3 = field(3)
     code = pair_2_1(gf3, (1, 0, 1), (1, 1, 1))  # memory two

@@ -18,7 +18,7 @@ import tempfile
 
 import pytest
 
-from convec import field, linalg
+from convec import field, linalg, sliding
 from convec.cli import main
 from convec.codec import (
     extract_message,
@@ -225,6 +225,24 @@ def test_extraction_work_is_linear_in_the_stream_length(monkeypatch):
     assert (fld._vmul, linalg._reduce) == originals
     for counts in (products, walked):
         assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
+
+
+def test_extraction_leaves_no_band_on_the_code(monkeypatch):
+    # extraction reads G's coefficients directly: it builds no generator
+    # band and stores nothing on the code
+    def refuse(*args):
+        raise AssertionError("extraction built a sliding matrix")
+
+    monkeypatch.setattr(sliding, "_build", refuse)
+    rng = random.Random(5)
+    for code in codes().values():
+        before = dict(vars(code))
+        slots = {slot: getattr(code.G, slot) for slot in type(code.G).__slots__}
+        _, s = encoded(code, rng, 30)
+        extract_message(code, s)
+        assert vars(code).keys() == before.keys()
+        assert all(vars(code)[key] is val for key, val in before.items())
+        assert all(getattr(code.G, slot) is val for slot, val in slots.items())
 
 
 # -- the stream must match the code -------------------------------------------
