@@ -8,17 +8,18 @@ A full-size minor is nonzero exactly when its columns are linearly
 independent, so the minor checks compute no determinants.  They walk the
 non-trivial column sets in lexicographic order and keep the column
 elimination of the prefix each set shares with the one before it; only the
-columns after that prefix are reduced (``linalg._reduce``).  The
-first column that reduces to zero names the counterexample.
+columns after that prefix are reduced (``linalg._independent``), against a
+basis kept unscaled, so the walk takes no inverse.  The first column that
+reduces to zero names the counterexample.
 
 The columns reduced are those of the narrower side.  When the matrix's
 right kernel is narrower than the matrix has rows, as for the generator
 bands of k > n - k codes, a set's minor is nonzero exactly when the
 complementary minor of a kernel basis is, and that basis is computed once
-per check; each set's complement is then reduced, a few short columns with
-few inverses.  Otherwise the set's own columns are.  The sets walked and
-the report (passed, sets checked, the counterexample as a set of the
-matrix) are the same on both sides.
+per check, the check's only inverses; each set's complement is then
+reduced, a few short columns.  Otherwise the set's own columns are.  The
+sets walked and the report (passed, sets checked, the counterexample as a
+set of the matrix) are the same on both sides.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     NoParityCheck,
     NotDelayFree,
 )
-from .linalg import Mat, _kernel_rows, _reduce, _rref, rank
+from .linalg import Mat, _independent, _kernel_rows, _rref, rank
 from .polymat import ConvCode
 from .sliding import (
     enumerate_nontrivial,
@@ -240,9 +241,11 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     given, so the report does not depend on the side.
 
     The side's columns are packed ints; basis holds the reduced tested
-    columns of the current set by pivot, in order.  A set keeps those
-    of the prefix its tested columns share with the set before it and
-    reduces the rest; the last one is never reused, so it does not join
+    columns of the current set by pivot, in order, each unscaled at its
+    pivot (``linalg._independent``), so reducing them needs no inverse;
+    only the kernel side's one ``_rref`` of mat takes any.  A set keeps
+    those of the prefix its tested columns share with the set before it
+    and reduces the rest; the last one is never reused, so it does not join
     the basis.  The first set with a column that reduces to zero is the
     counterexample, the lexicographically first because the sets arrive in
     that order.  Consecutive sets contain the same columns below the first
@@ -270,8 +273,8 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
         for _ in range(len(basis) - keep):
             basis.popitem()
         last = len(tested) - 1
-        if singular or any(_reduce(fld, list(columns[tested[i] - 1]), basis, i < last) is None
-                           for i in range(keep, len(tested))):
+        if singular or not all(_independent(fld, list(columns[tested[i] - 1]), basis, i < last)
+                               for i in range(keep, len(tested))):
             bad = cols
             break
         prev = tested

@@ -3,20 +3,24 @@
 Matrices are lists of rows of field Elements.  Everything is exact; there is
 no pivoting strategy beyond "first nonzero", which is all a field needs.
 
-Elimination runs on packed ints through one routine, ``_reduce``: it
-reduces a vector against a basis of normalised vectors keyed by pivot and
-may add it as a new one, through the field's bound kernels (``_vmul``,
-``_vsub``, ``_vinv``; exp/log tables for extension fields up to 2^8
-elements).  A vector update reads only the basis vector's nonzero entries
-and skips pivots where the vector is already zero.  rank, det, minor,
-solve_right and right_kernel unpack the entries once, build a basis over
-the rows and pack the result back once.  codec builds the systems of both
-decoders (gm and pc windows and guards, whole-stream extraction) as packed
-rows for solve_right's core, _solve_packed, and reduces [G_0 | I] through
-_rref for forward substitution.  The minor checks in distance.py extend one
-basis column by column, over the columns of a packed kernel basis (_rref,
-then _kernel_rows) when that is the narrower side.  Products work on packed
-values the same way.
+Elimination runs on packed ints through two routines of one shape.
+``_reduce`` reduces a vector against a basis of normalised vectors keyed by
+pivot and adds it as a new one when it is independent; det, minor,
+solve_right and right_kernel read values off that basis.  ``_independent``
+reduces against a basis kept unscaled, with no inverse, and only says
+whether the vector left the span; rank and the minor checks in distance.py
+ask no more.  Both go through the
+field's bound kernels (``_vmul``, ``_vsub``, ``_vinv``; exp/log tables for
+extension fields up to 2^8 elements), and a vector update reads only the
+basis vector's nonzero entries and skips pivots where the vector is
+already zero.  The public routines unpack the entries once, build a basis
+over the rows and pack the result back once.  codec builds the systems of
+both decoders (gm and pc windows and guards, whole-stream extraction) as
+packed rows for solve_right's core, _solve_packed, and reduces [G_0 | I]
+through _rref for forward substitution.  The minor checks extend one
+unscaled basis column by column, over the columns of a packed kernel basis
+(_rref, then _kernel_rows) when that is the narrower side.  Products work
+on packed values the same way.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
@@ -160,7 +164,7 @@ class Mat:
 # elimination on packed ints
 # ---------------------------------------------------------------------------
 
-def _reduce(fld: Field, x: list[int], basis: dict, extend: bool):
+def _reduce(fld: Field, x: list[int], basis: dict):
     """Reduce the packed vector x in place against basis; return the
     (pivot, value) of its first nonzero entry left, or None if x is in
     the span.
@@ -168,9 +172,9 @@ def _reduce(fld: Field, x: list[int], basis: dict, extend: bool):
     basis maps each pivot to the span of its vector, whose entries are 0
     before the pivot and 1 at it: the nonzero (index, value) entries after
     the pivot.  One left-to-right pass clears the pivots, since a vector
-    only changes entries right of its own pivot.  When extend holds and x
-    is independent, x scaled to 1 at its new pivot joins the basis; the
-    vector is then zero at every pivot inserted before it.
+    only changes entries right of its own pivot.  When x is independent, x
+    scaled to 1 at its new pivot joins the basis; the vector is then zero
+    at every pivot inserted before it.
     """
     mul, sub = fld._vmul, fld._vsub
     new = None
@@ -186,10 +190,43 @@ def _reduce(fld: Field, x: list[int], basis: dict, extend: bool):
     if new is None:
         return None
     v = x[new]
-    if extend:
-        inv = fld._vinv(v)
-        basis[new] = [(j, mul(inv, x[j])) for j in range(new + 1, len(x)) if x[j]]
+    inv = fld._vinv(v)
+    basis[new] = [(j, mul(inv, x[j])) for j in range(new + 1, len(x)) if x[j]]
     return new, v
+
+
+def _independent(fld: Field, x: list[int], basis: dict, extend: bool) -> bool:
+    """Whether the packed vector x is outside the span of basis, decided
+    with no inverse; x is reduced in place.
+
+    basis maps each pivot p to (v, span): its vector is 0 before p and
+    v != 0 at it, span the nonzero (index, value) entries after p.  x is
+    cleared at p as x <- v*x - x_p*b, which scales every entry of x, the
+    non-pivot ones left of p too, so that x stays a nonzero multiple of
+    what it was plus a vector of the span.  A nonzero entry at no pivot is never
+    touched again but by such scalings, so x is independent as soon as one
+    is seen; when extend holds, x is reduced to the end and joins basis
+    unscaled at its first one.
+    """
+    mul, sub = fld._vmul, fld._vsub
+    new = None
+    for i, f in enumerate(x):
+        if f:
+            hit = basis.get(i)
+            if hit is not None:
+                v, span = hit
+                x[i] = 0
+                x[:] = [mul(v, e) if e else 0 for e in x]
+                for j, b in span:
+                    x[j] = sub(x[j], mul(f, b))
+            elif not extend:
+                return True
+            elif new is None:
+                new = i
+    if new is None:
+        return False
+    basis[new] = (x[new], [(j, x[j]) for j in range(new + 1, len(x)) if x[j]])
+    return True
 
 
 def _rref(fld: Field, rows: list[list[int]], ncols: int) -> dict:
@@ -197,7 +234,7 @@ def _rref(fld: Field, rows: list[list[int]], ncols: int) -> dict:
     each vector zero at every other pivot; rows are reduced in place."""
     basis: dict = {}
     for row in rows:
-        _reduce(fld, row, basis, True)
+        _reduce(fld, row, basis)
     # back substitution: the last vector is reduced already, and each one
     # before it only against those inserted after it
     done: dict = {}
@@ -206,7 +243,7 @@ def _rref(fld: Field, rows: list[list[int]], ncols: int) -> dict:
         x[p] = 1
         for j, v in span:
             x[j] = v
-        _reduce(fld, x, done, True)
+        _reduce(fld, x, done)
     return done
 
 
@@ -218,7 +255,7 @@ def _det(fld: Field, rows: list[list[int]]) -> Element:
     acc = 1
     pivots = []
     for row in rows:
-        hit = _reduce(fld, row, basis, True)
+        hit = _reduce(fld, row, basis)
         if hit is None:
             return fld.zero
         pivots.append(hit[0])
@@ -228,9 +265,11 @@ def _det(fld: Field, rows: list[list[int]]) -> Element:
 
 
 def rank(a: Mat) -> int:
+    """The number of rows that are independent of the rows before them,
+    found with no inverse (``_independent``)."""
     basis: dict = {}
     for row in a.to_packed():
-        _reduce(a.field, row, basis, True)
+        _independent(a.field, row, basis, True)
     return len(basis)
 
 

@@ -25,6 +25,7 @@ from convec.distance import (
     verify_complete_jmdp_via_g,
 )
 from convec.errors import DivisibilityViolated, FieldTooLarge, NotPrime, SearchExhausted
+from convec.linalg import Mat, rank
 from convec.stream import ErasureStream
 
 
@@ -120,6 +121,32 @@ def test_certify_inverts_on_the_kernel_side(monkeypatch):
     rep = verify_complete_jmdp_via_g(code, 3)
     assert rep.passed and rep.sets_checked == 361
     assert len(calls) < 150
+
+
+def test_independence_tests_take_no_inverse(monkeypatch, built311):
+    # the walks and rank reduce against an unscaled basis; certify's
+    # inverses are the kernel _rref's alone, half of them inverses of 1 in
+    # its back substitution
+    code = build_complete_mdp(3, 2, 2, 2)
+    calls = []
+    inv2 = gf._inv2
+
+    def counted(a, f):
+        calls.append(a)
+        return inv2(a, f)
+
+    monkeypatch.setattr(gf, "_inv2", counted)
+    rep = verify_complete_jmdp_via_g(code, 3)
+    assert rep.passed and rep.sets_checked == 361
+    assert len(calls) <= 24 and sum(a != 1 for a in calls) <= 12
+    calls.clear()
+    # (3,1,1) at j = L walks its 4 x 9 band's own columns
+    rep = verify_complete_jmdp_via_g(built311, L_of(3, 1, 1))
+    assert rep.passed and rep.sets_checked > 0
+    assert calls == []
+    dense = Mat.from_packed(code.field, [[3, 5, 1 << 700 | 7], [9, 1 << 600 | 11, 13]])
+    assert rank(dense) == 2
+    assert calls == []
 
 
 def test_certification_speed(built311):

@@ -454,6 +454,24 @@ def sparse(fld, rng, rows, n, d, density):
          for _ in range(rows)] for _ in range(d + 1)])
 
 
+def out_of_order(fld, rng, r, c):
+    """Random dense r x c matrix, r >= 3, whose first column is 0 at its
+    top rows and, where the field allows, not 1 at its first nonzero, and
+    one of whose later columns is a combination of the first two.
+
+    The second column joins the walk's basis at a pivot above the first
+    column's, so it is reduced at a pivot below its own, and it is reused
+    for every set that starts with both; the first set that holds the
+    combination has a zero minor that no zero pattern shows."""
+    el = fld.el
+    cols = [[rng.randrange(1, fld.q) for _ in range(r)] for _ in range(c)]
+    z = rng.randrange(1, r)
+    cols[0][:z + 1] = [0] * z + [rng.randrange(min(2, fld.q - 1), fld.q)]
+    a, b = el(rng.randrange(1, fld.q)), el(rng.randrange(1, fld.q))
+    cols[rng.randrange(2, c)] = [(a * el(u) + b * el(w)).val for u, w in zip(cols[0], cols[1])]
+    return Mat.from_packed(fld, [list(row) for row in zip(*cols)])
+
+
 def four_matrices(g, h, n, k, j):
     """(kind, matrix, degree) of the four set kinds, G or H of any degree."""
     mu, nu = g.degree, h.degree
@@ -465,8 +483,8 @@ def four_matrices(g, h, n, k, j):
         yield "parity", parity_band(h, j), nu
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (2, 4), (3, 3)],
-                         ids=["GF2", "GF3", "GF16", "GF27"])
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 4), (3, 2), (3, 3), (2, 41)],
+                         ids=["GF2", "GF3", "GF5", "GF16", "GF9", "GF27", "GF2^41"])
 def test_incremental_minors_match_minor_per_set(p, m, monkeypatch):
     fld = field(p, m)
     rng = random.Random(1000 * p + m)
@@ -496,7 +514,7 @@ def test_incremental_minors_match_minor_per_set(p, m, monkeypatch):
     monkeypatch.setattr(distance, "_rref", counted)
     tally = {"kernel": 0, "band": 0, "failed": 0, "deficient": 0}
     for n, k, d, top in DIFF_SHAPES:
-        for density in (0.3, 0.7):
+        for density in (0.3, 0.7, 1.0):
             g = sparse(fld, rng, k, n, d, density)
             h = sparse(fld, rng, n - k, n, d, density)
             for j in range(min(top, 2) + 1):
@@ -513,6 +531,15 @@ def test_incremental_minors_match_minor_per_set(p, m, monkeypatch):
                     tally["deficient"] += narrow and rank(mat) < mat.nrows and rep.sets_checked > 0
     assert tally["kernel"] >= 30 and tally["band"] >= 30, tally
     assert tally["failed"] >= 30 and tally["deficient"] >= 10, tally
+    # the unscaled basis: reducing the second column at the first one's
+    # pivot must scale its entries left of that pivot too
+    for _ in range(12):
+        r = rng.randrange(3, 5)
+        mat = out_of_order(fld, rng, r, rng.randrange(r + 1, 2 * r + 2))
+        sets = list(itertools.combinations(range(1, mat.ncols + 1), r))
+        rep = _run_minor_check("planted", 0, mat, sets)
+        assert not rep.passed
+        assert (rep.passed, rep.sets_checked, rep.counterexample) == minor_per_set(mat, sets)
 
 
 def test_incremental_minors_first_set_dependent(pair_2_1):
