@@ -55,61 +55,6 @@ def alpha_exponent_layout(n: int, k: int, mu: int) -> list:
             for i in range(mu + 1)]
 
 
-class _Provenance(dict):
-    """The provenance record of a built code, whose "alpha_primitive_verified"
-    entry is filled in on first read, since finding a large field's
-    generator factors p^N - 1.  Looking the entry up resolves it, and so
-    does reading the record whole: its items (which json.dump reads), its
-    values, iteration, copies, comparison and repr.  Setting the entry
-    drops the pending check; once it is deleted, nothing fills it in.
-    """
-
-    __slots__ = ("_fld",)
-    _FLAG = "alpha_primitive_verified"
-
-    def __init__(self, fld: Field, entries: dict):
-        super().__init__(entries)
-        self._fld = fld
-
-    def _resolve(self):
-        fld, self._fld = self._fld, None
-        if fld is not None and self._FLAG in self:
-            # alpha is the class of x, whose packed value is p
-            super().__setitem__(
-                self._FLAG, fld.alpha.val == fld.p and not fld.unverified_primitive)
-
-    def __getitem__(self, key):
-        if key == self._FLAG:
-            self._resolve()
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        if key == self._FLAG:
-            self._resolve()
-        return super().get(key, default)
-
-    def __setitem__(self, key, value):
-        if key == self._FLAG:
-            self._fld = None
-        super().__setitem__(key, value)
-
-
-def _resolving(name: str):
-    def method(self, *args, **kwargs):
-        self._resolve()
-        return getattr(dict, name)(self, *args, **kwargs)
-    method.__name__ = name
-    return method
-
-
-# every other dict method that reads values or replaces them wholesale
-for _name in ("items", "values", "__iter__", "copy", "__eq__", "__ne__", "__repr__",
-              "__or__", "__ior__", "__reduce_ex__", "pop", "popitem", "setdefault",
-              "update"):
-    setattr(_Provenance, _name, _resolving(_name))
-del _name
-
-
 def build_complete_mdp(n: int, k: int, delta: int, p: int,
                        max_extension_degree: int = 4096) -> ConvCode:
     """Explicit complete-MDP code over GF(p^N), N chosen past both caps.
@@ -119,9 +64,10 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
     under "provenance" records N, both bound figures, and whether alpha
     could be verified primitive (large fields usually cannot be checked;
     see the module docstring for why the code is certified regardless).
-    That flag is worked out when it is first read or serialized, not
-    while the code is built: it reads the field's generator, which a
-    large field finds only on first read, by factoring p^N - 1.
+    The whole record is worked out when the code's metadata is first
+    read (which serializing does), not while the code is built: the flag
+    reads the field's generator, which a large field finds only on first
+    read, by factoring p^N - 1.
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
@@ -145,15 +91,20 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
     G = PolyMatrix.from_packed(fld, grids)
     if rank(G.coeff(mu)) != k:
         raise RankDeficient("top coefficient block lost rank; construction invalid")
-    code = ConvCode(n, k, G, metadata={"provenance": _Provenance(fld, {
-        "construction": "doubling-exponent staircase",
-        "N": N,
-        "bound_general": general,
-        "bound_coarse": coarse,
-        "alpha": "x",
-        "alpha_primitive_verified": None,  # filled in on first read
-        "field": fld.ref(),
-    })})
+
+    def metadata() -> dict:
+        # alpha is the class of x, whose packed value is p
+        return {"provenance": {
+            "construction": "doubling-exponent staircase",
+            "N": N,
+            "bound_general": general,
+            "bound_coarse": coarse,
+            "alpha": "x",
+            "alpha_primitive_verified": fld.alpha.val == p and not fld.unverified_primitive,
+            "field": fld.ref(),
+        }}
+
+    code = ConvCode(n, k, G, metadata=metadata)
     assert code.delta == delta
     return code
 
@@ -261,16 +212,14 @@ def _row_degrees(k: int, delta: int) -> list[int]:
 
 
 def random_code(n: int, k: int, delta: int, q: int, seed: int,
-                want: str = "none", j: int | None = None,
-                attempts: int = 500) -> ConvCode:
+                want: str = "none", attempts: int = 500) -> ConvCode:
     """Rejection-sample row-reduced delay-free codes over GF(q).
 
     `want` is the property each sample is tested against: "none" accepts
     the first structurally valid code, "mdp" and "complete" keep sampling
     until the minor criteria verify (complete uses the generator-side
-    check at delay `j`, default L).  Raises SearchExhausted after
-    `attempts` property checks; small fields genuinely may not contain
-    such codes.
+    check at delay L).  Raises SearchExhausted after `attempts` property
+    checks; small fields genuinely may not contain such codes.
     """
     if want not in ("none", "mdp", "complete"):
         raise ValueError(f"unknown target property {want!r}")
@@ -282,7 +231,6 @@ def random_code(n: int, k: int, delta: int, q: int, seed: int,
     rng = random.Random(seed)
     degs = _row_degrees(k, delta)
     top = max(degs)
-    jj = L_of(n, k, delta) if j is None else j
     tried = 0
     while tried < attempts:
         grids = [[[fld.random_element(rng).val if i <= degs[r] else 0
@@ -299,7 +247,8 @@ def random_code(n: int, k: int, delta: int, q: int, seed: int,
             return code
         if want == "mdp" and is_mdp(code):
             return code
-        if want == "complete" and verify_complete_jmdp_via_g(code, jj).passed:
+        if want == "complete" and verify_complete_jmdp_via_g(
+                code, L_of(n, k, delta)).passed:
             return code
     raise SearchExhausted(
         f"no {want} ({n},{k},{delta}) code over GF({q}) in {attempts} attempts")

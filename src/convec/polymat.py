@@ -16,6 +16,7 @@ minor of G, so its degree stays within the sum of the row degrees.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import (
@@ -336,10 +337,13 @@ class ConvCode:
 
     The parity-check matrix is optional and always supplied, never derived;
     when present it is validated against G (H * G^T = 0, H(0) full row rank).
+    `metadata` is a dict, copied, or a zero-argument callable returning
+    one, called on the first read of `.metadata` and kept: a built code
+    defers its provenance that way, since finding it can factor q - 1.
     """
 
     def __init__(self, n: int, k: int, G: PolyMatrix, H: PolyMatrix | None = None,
-                 metadata: dict | None = None):
+                 metadata: dict | Callable[[], dict] | None = None):
         if not (0 < k < n):
             raise DimensionMismatch(f"need 0 < k < n, got k={k}, n={n}")
         if G.nrows != k or G.ncols != n:
@@ -363,8 +367,14 @@ class ConvCode:
                 raise DegreeMismatch("H * G^T != 0: not a parity check for G")
             if rank(H.eval_at_zero()) != n - k:
                 raise RankDeficient("H(0) must have full row rank")
-        self.metadata = dict(metadata) if metadata else {}
+        self._metadata = metadata if callable(metadata) else dict(metadata or {})
         self._flags: StructuralFlags | None = None
+
+    @property
+    def metadata(self) -> dict:
+        if callable(self._metadata):
+            self._metadata = self._metadata()
+        return self._metadata
 
     # -- derived structure -------------------------------------------------
 

@@ -2,7 +2,8 @@
 
 The text format is line oriented: a header "#n=<n> field=<ref> deg=<d|unknown>"
 followed by one line per time instant holding n whitespace-separated tokens,
-each a hex field element or "?" for an erasure.
+each a hex field element or "?" for an erasure.  n >= 1 and d >= -1 are in
+plain decimal, as to_text writes them; nothing else loads.
 """
 
 from __future__ import annotations
@@ -35,14 +36,12 @@ class ErasureStream:
         self.origin_degree = origin_degree
 
     @classmethod
-    def from_codeword(cls, v: PolyMatrix, origin_degree: int | None | str = "auto"):
+    def from_codeword(cls, v: PolyMatrix):
+        """v's complete stream; the zero codeword's origin degree is -1."""
         if v.nrows != 1:
             raise LengthMismatch("expected a 1 x n codeword vector")
-        deg = max(v.degree, 0)
-        blocks = [list(v.coeff(i).data[0]) for i in range(deg + 1)]
-        if origin_degree == "auto":
-            origin_degree = v.degree
-        return cls(v.field, v.ncols, blocks, origin_degree)
+        blocks = [list(v.coeff(i).data[0]) for i in range(max(v.degree, 0) + 1)]
+        return cls(v.field, v.ncols, blocks, v.degree)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -103,13 +102,10 @@ class ErasureStream:
         for key in ("n", "field", "deg"):
             if key not in fields:
                 raise ParseError(f"header lacks {key}=")
-        try:
-            n = int(fields["n"])
-        except ValueError:
-            raise ParseError(f"bad block length {fields['n']!r}") from None
+        n = _header_int(fields["n"], "block length", 1)
         fld = field_from_ref(fields["field"])
-        deg = None if fields["deg"] == "unknown" else _int_or_parse_error(
-            fields["deg"], "origin degree")
+        deg = None if fields["deg"] == "unknown" else _header_int(
+            fields["deg"], "origin degree", -1)
         blocks = []
         for ln in lines[1:]:
             toks = ln.split()
@@ -142,8 +138,12 @@ def _header_fields(line: str) -> dict[str, str]:
     return fields
 
 
-def _int_or_parse_error(tok: str, what: str) -> int:
+def _header_int(tok: str, what: str, least: int) -> int:
+    """tok if it is how to_text writes an integer of at least `least`."""
     try:
-        return int(tok)
+        v = int(tok)
+        if v >= least and tok == str(v):
+            return v
     except ValueError:
-        raise ParseError(f"bad {what} {tok!r}") from None
+        pass
+    raise ParseError(f"bad {what} {tok!r}")

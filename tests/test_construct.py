@@ -105,6 +105,34 @@ def test_provenance_flag_set_explicitly(cold_fields):
     assert json.loads(json.dumps(prov))["alpha_primitive_verified"] is True
 
 
+def test_metadata_is_worked_out_once_on_first_read(cold_fields, monkeypatch):
+    # building and certifying factor nothing; the first read of any entry
+    # of the metadata finds the generator, factoring 2^193 - 1, and the
+    # record it fills in is kept, edits included
+    calls = []
+    factor = gf._budgeted_factor
+
+    def counted(n):
+        calls.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(gf, "_budgeted_factor", counted)
+    code = build_complete_mdp(3, 1, 1, 2)
+    assert verify_complete_jmdp_via_g(code, 1).passed
+    assert calls == []
+    assert code.metadata["provenance"]["N"] == 193
+    assert calls == [(1 << 193) - 1]
+    prov = code.metadata["provenance"]
+    assert prov["alpha_primitive_verified"] is False
+    assert len(calls) == 1
+    del prov["alpha_primitive_verified"]
+    doc = code.to_json()
+    assert len(calls) == 1
+    assert doc["field"]["primitive"] == "2"
+    assert "alpha_primitive_verified" not in doc["metadata"]["provenance"]
+    assert "alpha_primitive_verified" not in code.metadata["provenance"]
+
+
 def test_certify_inverts_on_the_kernel_side(monkeypatch):
     # the depth-4 band is 12 x 15, so each set's 3-column complement is
     # reduced against the 3-row kernel, mostly one column with no inverse;

@@ -104,10 +104,35 @@ def test_text_round_trip_extension_field():
     ("#n=2 field=2^1:3\n0 1\n", ParseError),               # missing key
     ("#n=2 field=2^1:3 deg=0\n0 1 1\n", LengthMismatch),   # wrong width
     ("#n=2 field=2^1:3 deg=0\n0 g\n", ParseError),         # bad symbol
+    # n and deg load only as to_text writes them: n=0 and n=-1 used to
+    # raise ValueError, deg=-7 and deg=-2 to load, and the rest to load and
+    # be written back differently
+    ("#n=+2 field=2^1:3 deg=0\n0 1\n", ParseError),
+    ("#n=0_2 field=2^1:3 deg=0\n0 1\n", ParseError),
+    ("#n=\u0662 field=2^1:3 deg=0\n0 1\n", ParseError),
+    ("#n=02 field=2^1:3 deg=0\n0 1\n", ParseError),
+    ("#n=0 field=2^1:3 deg=0\n", ParseError),
+    ("#n=-1 field=2^1:3 deg=0\n", ParseError),
+    ("#n=2 field=2^1:3 deg=+0\n0 1\n", ParseError),
+    ("#n=2 field=2^1:3 deg=0_0\n0 1\n", ParseError),
+    ("#n=2 field=2^1:3 deg=00\n0 1\n", ParseError),
+    ("#n=2 field=2^1:3 deg=-0\n0 1\n", ParseError),
+    ("#n=2 field=2^1:3 deg=-7\n0 1\n", ParseError),      # below -1
+    ("#n=2 field=2^1:3 deg=-2\n0 1\n", ParseError),
 ])
 def test_from_text_errors(text, exc):
     with pytest.raises(exc):
         ErasureStream.from_text(text)
+
+
+def test_zero_codeword_round_trips_at_degree_minus_one(code522):
+    zero = PolyMatrix.zero(code522.field, 1, code522.n)
+    s = ErasureStream.from_codeword(zero)
+    assert s.origin_degree == -1 and len(s) == 1
+    text = s.to_text()
+    assert text.startswith("#n=5 field=2^1:3 deg=-1\n")
+    back = ErasureStream.from_text(text)
+    assert back == s and back.to_text() == text
 
 
 @pytest.mark.parametrize("header, key", [

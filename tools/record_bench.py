@@ -7,7 +7,9 @@ tracing off for its run_seconds, once for each of SEEDS, in a fresh process
 each, from the root of this checkout.  The file keeps the environment
 (Python, nproc, commit and the sha256 of src/convec/*.py, which must agree
 across runs), and per workload the median over seeds of every metric
-run.py prints, each seed's values and its `exact` counts.
+run.py prints, each seed's values, its `exact` counts and its `passes`, the
+number of passes run.py fitted into run_seconds (peak_rss_mb grows with it,
+since run.py keeps every pass's reports).
 
 The commit is the checkout's HEAD, so record after committing the sources
 the file describes; source_sha256 names them either way.  Exits 1 without
@@ -28,20 +30,23 @@ SEEDS = (1, 2, 3)
 
 
 def parse_run(stdout: str) -> dict:
-    """The env, exact counts and metrics of one bench/run.py output."""
-    env, exact, metrics = None, None, {}
+    """The env, exact counts, pass count and metrics of one bench/run.py
+    output."""
+    env, exact, passes, metrics = None, None, None, {}
     for line in stdout.splitlines():
         word, _, rest = line.partition(" ")
         if word == "env":
             env = json.loads(rest)
         elif word == "exact":
             exact = json.loads(rest)
+        elif word == "passes":
+            passes = int(rest)
         elif word == "metric":
             name, value, unit = rest.split(" ")
             metrics[name] = {"value": float(value), "unit": unit}
-    if env is None or exact is None or not metrics:
+    if env is None or exact is None or passes is None or not metrics:
         raise ValueError("not the output of bench/run.py")
-    return {"env": env, "exact": exact, "metrics": metrics}
+    return {"env": env, "exact": exact, "passes": passes, "metrics": metrics}
 
 
 def summarise(pr: int, seconds: float, runs: dict) -> dict:
@@ -64,6 +69,7 @@ def summarise(pr: int, seconds: float, runs: dict) -> dict:
                 "runs": [by_seed[s]["metrics"][name]["value"] for s in seeds],
             } for name in names},
             "exact": {str(s): by_seed[s]["exact"] for s in seeds},
+            "passes": {str(s): by_seed[s]["passes"] for s in seeds},
         }
     return out
 
