@@ -9,8 +9,11 @@ syndrome equations of the window and leaves message extraction to a
 separate step.  Each engine states its system through one builder as packed
 [A^T | B^T] rows read straight from the code's coefficients, and solves
 them through one metered _solve: _gm_system for gm windows, gm guard
-attempts and whole-stream extraction, _pc_system for pc windows and pc
-guard attempts.  Decoding builds no sliding matrix.
+attempts and whole-stream extraction when G_0 is rank deficient,
+_pc_system for pc windows and pc guard attempts.  _solve returns packed
+values, (x, pinned), so decoding builds no sliding matrix and no Mat;
+Elements are made only for the symbols a window fills, for guard values
+and for the recovered message.
 
 Both run one sliding-window driver, _slide, the algorithm of Tomas,
 Rosenthal and Smarandache (IEEE Trans. IT 58(1), 2012), so their results
@@ -49,7 +52,7 @@ from .errors import (
     NoParityCheck,
 )
 from .gf import Element
-from .linalg import _rref, _solve_packed, rank
+from .linalg import _rref, _solve_packed, _vecmat, rank
 from .polymat import ConvCode, PolyMatrix
 from .distance import L_of, _require_delay_free, column_bound
 from .stream import ErasureStream
@@ -235,20 +238,16 @@ def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
 def _solve(fld, rows: list[list[int]], r: int, ops: _Ops | None, message: str):
     """Solve X A = B, one unknown row X of length r, from the packed
     [A^T | B^T] rows, metering the elimination; a contradiction raises
-    InconsistentStream with the caller's message."""
+    InconsistentStream with the caller's message.  Returns (x, pinned): x
+    a packed solution, and per unknown whether every solution agrees on
+    it, i.e. its column of the kernel is zero; all pinned means unique."""
     if ops is not None:
         ops.count(r, len(rows))
     res = _solve_packed(fld, rows, r, 1)
-    if res.status == "inconsistent":
+    if res is None:
         raise InconsistentStream(message)
-    return res
-
-
-def _pinned(res) -> list[bool]:
-    """Per unknown of a consistent solve: whether every solution agrees on
-    it, i.e. its column of the kernel is zero."""
-    ker = res.kernel
-    return [all(not row[i].val for row in ker.data) for i in range(ker.ncols)]
+    (x,), ker = res
+    return x, [all(not row[i] for row in ker) for i in range(r)]
 
 
 def _fill_codeword_blocks(code: ConvCode, work: ErasureStream, known_u: dict,
@@ -386,8 +385,7 @@ def gm_guard_recover(code: ConvCode, stream: ErasureStream, t_candidate: int,
     leaves one record; ops meters every solve.
     """
     ubound = message_degree_bound(code, stream)
-    mu = code.G.degree
-    k = code.k
+    fld, k, mu = code.field, code.k, code.G.degree
     variants = ("window", "extended") if mu else ("window",)
     for variant in variants:
         v_start = t_candidate - (mu if variant == "extended" else 0)
@@ -397,9 +395,9 @@ def gm_guard_recover(code: ConvCode, stream: ErasureStream, t_candidate: int,
                            "not_recoverable", f"gm_guard_{variant}")
         if r > len(rows):
             continue  # cannot be unique, skip the solve
-        res = _solve(code.field, rows, r, ops, "guard window contradicts the code")
-        if res.is_unique:
-            values = {ut: tuple(res.solution.data[0][i * k:(i + 1) * k])
+        x, pinned = _solve(fld, rows, r, ops, "guard window contradicts the code")
+        if all(pinned):
+            values = {ut: tuple(Element(fld, v) for v in x[i * k:(i + 1) * k])
                       for i, ut in enumerate(unknown_times) if ut >= 0}
             return GuardOutcome(True, variant, values,
                                 replace(rec, outcome="guard_recovered"))
@@ -419,7 +417,7 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
     rest of the stream lost.
     """
     _require_delay_free(code)
-    k, mu = code.k, code.G.degree
+    fld, k, mu = code.field, code.k, code.G.degree
     ops = _Ops()
     work = stream.copy()
     ubound = message_degree_bound(code, stream)
@@ -427,10 +425,10 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
 
     def window(t, j):
         rows, r, unknown_times = _gm_system(code, work, known_u, ubound, t, j + 1)
-        res = _solve(code.field, rows, r, ops,
-                     "received symbols are not consistent with the code")
+        x, pinned = _solve(fld, rows, r, ops,
+                           "received symbols are not consistent with the code")
         # leading whole k-groups of unknowns that every solution agrees on
-        prefix = (_pinned(res) + [False]).index(False) // k
+        prefix = (pinned + [False]).index(False) // k
         if prefix == len(unknown_times):
             covered = t + j  # trailing structural zeros ride along
         elif prefix:
@@ -443,7 +441,7 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
         if covered < t:
             return rec, None
         for i, ut in enumerate(unknown_times[:prefix]):
-            known_u[ut] = tuple(res.solution.data[0][i * k:(i + 1) * k])
+            known_u[ut] = tuple(Element(fld, v) for v in x[i * k:(i + 1) * k])
         _fill_codeword_blocks(code, work, known_u, ubound, t, covered)
         return rec, covered + 1
 
@@ -515,9 +513,9 @@ def pc_guard_recover(code: ConvCode, stream: ErasureStream, position: int,
     rec = WindowRecord(position, j, len(unknowns), equations,
                        "not_recoverable", "pc_guard")
     if len(unknowns) <= equations:  # more unknowns cannot be unique
-        res = solve(ops)
-        if res.is_unique:
-            values = dict(zip(unknowns, res.solution.data[0]))
+        x, pinned = solve(ops)
+        if all(pinned):
+            values = {u: Element(code.field, v) for u, v in zip(unknowns, x)}
             return GuardOutcome(True, "window", values,
                                 replace(rec, outcome="guard_recovered"))
     return GuardOutcome(False, None, None, rec)
@@ -548,9 +546,9 @@ def pc_decode_forward(code: ConvCode, stream: ErasureStream,
         if not work.erased_positions(t):
             return None, t + 1  # clean blocks need no window
         unknowns, equations, solve = _pc_system(code, work, t, j)
-        res = solve(ops)
-        determined = [(pos, val) for pos, val, pinned
-                      in zip(unknowns, res.solution.data[0], _pinned(res)) if pinned]
+        x, pinned = solve(ops)
+        determined = [(pos, Element(code.field, v))
+                      for pos, v, p in zip(unknowns, x, pinned) if p]
         fill(determined)
         outcome = ("recovered" if len(determined) == len(unknowns)
                    else "partial" if determined else "stalled")
@@ -610,11 +608,10 @@ def extract_message(code: ConvCode,
     inverse = _pivot_inverse(fld, gs[0], code.n)
     if inverse is None:
         rows, r, _ = _gm_system(code, stream, {}, ubound, 0, T)
-        res = _solve(fld, rows, r, None, "blocks are not a codeword window")
-        if not res.is_unique:
+        x, pinned = _solve(fld, rows, r, None, "blocks are not a codeword window")
+        if not all(pinned):
             raise NonUnique("window too short to pin the message down")
-        sol = [e.val for e in res.solution.data[0]]
-        u = [sol[t * k:(t + 1) * k] for t in range(top)]
+        u = [x[t * k:(t + 1) * k] for t in range(top)]
     else:
         v = [[e.val for e in blk] for blk in stream.blocks]
         u = _substitute(fld, gs, v, top, *inverse)
@@ -644,32 +641,21 @@ def _pivot_inverse(fld, g0: list[list[int]], n: int):
 
 
 def _substitute(fld, gs, v, top: int, pivots: list[int], inv: list[list[int]]):
-    """Forward substitution through G_0 = gs[0]: u_t solves u_t G_0 = v_t -
-    sum_{s>=1} u_{t-s} G_s on the pivot columns, and the whole block must
-    agree; u_t = 0 for t >= top.  Returns u_0 .. u_{top-1} packed."""
-    add, sub, mul = fld._vadd, fld._vsub, fld._vmul
-    k = len(pivots)
-
-    def minus(r, x, row):
-        return [sub(a, mul(x, b)) if b else a for a, b in zip(r, row)]
-
+    """Forward substitution through G_0 = gs[0]: with the history sum
+    h_t = sum_{s>=1} u_{t-s} G_s, u_t = (v_t - h_t)[P] G_0[:, P]^-1, and
+    the whole block must agree, h_t + u_t G_0 = v_t; u_t = 0 for t >= top.
+    Returns u_0 .. u_{top-1} packed."""
+    sub = fld._vsub
     u: list[list[int]] = []
-    for t, r in enumerate(v):
+    for t, vt in enumerate(v):
+        acc = [0] * len(vt)
         for s in range(max(1, t - top + 1), min(len(gs), t + 1)):
-            for x, row in zip(u[t - s], gs[s]):
-                if x:
-                    r = minus(r, x, row)
+            acc = _vecmat(fld, acc, u[t - s], gs[s])
         if t < top:
-            ut = [0] * k
-            for p, e in zip(pivots, inv):
-                x = r[p]
-                if x:
-                    ut = [add(a, mul(x, b)) if b else a for a, b in zip(ut, e)]
-            for x, row in zip(ut, gs[0]):
-                if x:
-                    r = minus(r, x, row)
+            ut = _vecmat(fld, [0] * len(pivots), [sub(vt[p], acc[p]) for p in pivots], inv)
+            acc = _vecmat(fld, acc, ut, gs[0])
             u.append(ut)
-        if any(r):
+        if acc != vt:
             raise InconsistentStream("blocks are not a codeword window")
     return u
 

@@ -337,14 +337,6 @@ def _pack(coeffs, p: int) -> int:
     return v
 
 
-def _unpack(v: int, p: int, m: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(m):
-        v, c = divmod(v, p)
-        out.append(c)
-    return tuple(out)
-
-
 def _canonical(s: str, base: int) -> int:
     """int(s, base) for base 10 or 16 when s is exactly how format writes
     the nonnegative value back; ValueError otherwise."""
@@ -627,7 +619,7 @@ class Field:
         f = p ** m + 1
         while not _irreducible(p, m, f):
             f += 2 if f % p == p - 1 else 1  # keep the constant term nonzero
-        return _unpack(f, p, m + 1)
+        return _coeffs(f, p)
 
     def _bind_tables(self, alpha: int):
         """Rebind mul, inv and square to exp/log tables of the generator,
@@ -843,7 +835,7 @@ def field_from_ref(ref: str) -> Field:
         packed = _canonical(mod_hex, 16)
     except ValueError as exc:
         raise ValueError(f"malformed field reference {ref!r}") from exc
-    if p < 2 or packed < 0:
+    if p < 2:
         raise ValueError(f"malformed field reference {ref!r}")
     modulus = _coeffs(packed, p)  # at most 4 digits per hex digit, whatever m is
     if len(modulus) > max(m + 1, 0):  # packed >= p^(m+1)

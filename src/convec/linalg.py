@@ -16,11 +16,14 @@ basis vector's nonzero entries and skips pivots where the vector is
 already zero.  The public routines unpack the entries once, build a basis
 over the rows and pack the result back once.  codec builds the systems of
 both decoders (gm and pc windows and guards, whole-stream extraction) as
-packed rows for solve_right's core, _solve_packed, and reduces [G_0 | I]
-through _rref for forward substitution.  The minor checks extend one
-unscaled basis column by column, over the columns of a packed kernel basis
-(_rref, then _kernel_rows) when that is the narrower side.  Products work
-on packed values the same way.
+packed rows for solve_right's core, _solve_packed, which hands back the
+solution and kernel as packed rows (X, K), or None when the system is
+inconsistent; only solve_right wraps them in Mats.  codec also reduces
+[G_0 | I] through _rref for forward substitution.  The minor checks extend
+one unscaled basis column by column, over the columns of a packed kernel
+basis (_rref, then _kernel_rows) when that is the narrower side.
+``_vecmat`` is the one row vector times matrix loop on packed values:
+Mat products and codec's forward substitution both run through it.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,
@@ -117,18 +120,9 @@ class Mat:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         if other.field != self.field:
             raise FieldMismatch(f"matrices over {self.field} and {other.field}")
-        fld = self.field
-        add, mul = fld._vadd, fld._vmul
-        ot = other.to_packed()
-        out = []
-        for row in self.data:
-            acc = [0] * other.ncols
-            for j, a in enumerate(row):
-                x = a.val
-                if x:
-                    acc = [add(s, mul(x, b)) if b else s for s, b in zip(acc, ot[j])]
-            out.append(acc)
-        return Mat._from_ints(fld, out, other.ncols)
+        fld, ot = self.field, other.to_packed()
+        return Mat._from_ints(fld, [_vecmat(fld, [0] * other.ncols, [a.val for a in row], ot)
+                                    for row in self.data], other.ncols)
 
     def transpose(self) -> "Mat":
         if self.nrows == 0:
@@ -229,6 +223,16 @@ def _independent(fld: Field, x: list[int], basis: dict, extend: bool) -> bool:
     return True
 
 
+def _vecmat(fld: Field, acc: list[int], x, rows) -> list[int]:
+    """acc + x * rows for the packed row vector x and the packed matrix
+    rows, reading only the nonzero entries of x and of each row."""
+    add, mul = fld._vadd, fld._vmul
+    for a, row in zip(x, rows):
+        if a:
+            acc = [add(s, mul(a, b)) if b else s for s, b in zip(acc, row)]
+    return acc
+
+
 def _rref(fld: Field, rows: list[list[int]], ncols: int) -> dict:
     """The reduced row echelon form of the row space as {pivot: span},
     each vector zero at every other pivot; rows are reduced in place."""
@@ -325,25 +329,30 @@ def solve_right(a: Mat, b: Mat) -> SolveResult:
             f"A has {a.ncols} columns but B has {b.ncols}")
     # work on [A^T | B^T], one row per column of A
     lhs = a.data + b.data
-    work = [[row[j].val for row in lhs] for j in range(a.ncols)]
-    return _solve_packed(a.field, work, a.nrows, b.nrows)
+    fld, r = a.field, a.nrows
+    res = _solve_packed(fld, [[row[j].val for row in lhs] for j in range(a.ncols)], r, b.nrows)
+    if res is None:
+        return SolveResult("inconsistent", None, None)
+    sol, ker = res
+    return SolveResult("underdetermined" if ker else "unique",
+                       Mat._from_ints(fld, sol, r), Mat._from_ints(fld, ker, r))
 
 
-def _solve_packed(fld: Field, work: list[list[int]], r: int, t: int) -> SolveResult:
-    """solve_right on [A^T | B^T] packed, r + t columns; reduces work in place."""
+def _solve_packed(fld: Field, work: list[list[int]], r: int, t: int):
+    """X * A = B from [A^T | B^T] packed, r + t columns; reduces work in
+    place.  None when inconsistent, else (X, K) as packed rows: the t rows
+    of a particular solution, whose free variables are 0, and a basis of
+    {w : w*A = 0}, empty exactly when X is unique."""
     basis = _rref(fld, work, r + t)
     if any(p >= r for p in basis):
-        return SolveResult("inconsistent", None, None)
+        return None
     # particular solution: pivot variables take the reduced rhs, free ones 0
     sol = [[0] * r for _ in range(t)]
     for p, span in basis.items():
         for j, v in span:
             if j >= r:
                 sol[j - r][p] = v
-    solution = Mat._from_ints(fld, sol, r)
-    kernel = _kernel_rows(fld, basis, r)
-    status = "unique" if not kernel else "underdetermined"
-    return SolveResult(status, solution, Mat._from_ints(fld, kernel, r))
+    return sol, _kernel_rows(fld, basis, r)
 
 
 def _kernel_rows(fld: Field, basis: dict, width: int) -> list[list[int]]:

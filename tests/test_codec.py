@@ -605,9 +605,19 @@ def test_extract_message_round_trip(c5):
 def test_decoding_builds_no_sliding_matrix(monkeypatch):
     # both engines read the code's coefficients directly, in forward windows,
     # guard attempts and message extraction alike; only the verifiers build
-    # sliding matrices
+    # sliding matrices.  The solver hands them packed rows, so decoding
+    # builds no Mat at all; encoding the test's inputs still may
     def refuse(*args):
         raise AssertionError("decoding built a sliding matrix")
+
+    def no_mat(*args, **kwargs):
+        raise AssertionError("decoding built a Mat")
+
+    def decoding(fn, *args):
+        with monkeypatch.context() as m:
+            m.setattr(Mat, "__init__", no_mat)
+            m.setattr(Mat, "_derived", classmethod(no_mat))
+            return fn(*args)
 
     monkeypatch.setattr(sliding, "_build", refuse)
     rng = random.Random(19)
@@ -621,9 +631,9 @@ def test_decoding_builds_no_sliding_matrix(monkeypatch):
                 # a dense burst in the middle forces guard attempts
                 if rng.random() < (0.9 if 8 <= t < 12 else 0.15):
                     s.blocks[t][pos] = None
-        for report in (gm_decode_forward(code, s), pc_decode_forward(code, s)):
-            solvers.update(w.solver for w in report.windows)
-        got = extract_message(code, clean)
+        for decode in (gm_decode_forward, pc_decode_forward):
+            solvers.update(w.solver for w in decoding(decode, code, s).windows)
+        got = decoding(extract_message, code, clean)
         assert all(got[t] == tuple(u.coeff(t).data[0]) for t in range(u.degree + 1))
     assert {"gm", "pc", "gm_guard_window", "pc_guard"} <= solvers, solvers
 

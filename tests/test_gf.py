@@ -20,6 +20,7 @@ from convec.gf import (
     TABLE_MAX_Q,
     Field,
     _clmul,
+    _coeffs,
     _factorint,
     _fold_shifts,
     _gcd2,
@@ -30,7 +31,6 @@ from convec.gf import (
     _pack,
     _rem2,
     _sq2,
-    _unpack,
     field_from_json,
     field_from_ref,
 )
@@ -324,7 +324,7 @@ def test_irreducible_matches_sympy_odd(p, top):
     x = sympy.Symbol("x")
     for m in range(1, top + 1):
         for f in range(p ** m, p ** (m + 1)):
-            coeffs = [int(c) for c in reversed(_unpack(f, p, m + 1))]
+            coeffs = [int(c) for c in reversed(_coeffs(f, p))]
             want = sympy.Poly(coeffs, x, modulus=p).is_irreducible
             assert _irreducible(p, m, f) == want, (p, coeffs)
 
@@ -442,7 +442,7 @@ def test_rem2_matches_reference(mf, data):
 
 @pytest.mark.parametrize("m", [8, 63])
 def test_dense_modulus_field(m):
-    F = field(2, m, modulus=_unpack(DENSE[m], 2, m + 1))
+    F = field(2, m, modulus=_coeffs(DENSE[m], 2))
     assert F.modulus_packed == DENSE[m]
     rng = random.Random(m)
     for _ in range(40):
