@@ -52,7 +52,7 @@ from .errors import (
     NoParityCheck,
 )
 from .gf import Element
-from .linalg import _rref, _solve_packed, _vecmat, rank
+from .linalg import _solve_packed, _vecmat, rank
 from .polymat import ConvCode, PolyMatrix
 from .distance import L_of, _require_delay_free, column_bound
 from .stream import ErasureStream
@@ -590,11 +590,12 @@ def extract_message(code: ConvCode,
     Every block is checked for erasures before anything is solved.  When G_0
     has rank k (every delay-free code) the system is block-triangular with
     injective diagonal blocks, so the message is unique if it exists and is
-    read off by forward substitution, one block at a time: u_t from the
-    pivot columns of v_t - sum_{s>=1} u_{t-s} G_s, then the whole block
-    checked against u_t G_0 (against zero for t >= top).  Otherwise the
-    whole stream is one _gm_system window, blocks 0 .. T-1 with no known
-    history, solved once.
+    read off by forward substitution (_substitute) through a right inverse
+    of G_0: _solve_packed solves X G_0^T = I from the rows [G_0 | I], and
+    since its free variables are 0 the nonzero rows of X^T sit at k pivot
+    columns P of G_0 and form G_0[:, P]^-1.  Otherwise, when that system is
+    inconsistent, the whole stream is one _gm_system window, blocks 0 .. T-1
+    with no known history, solved once.
     """
     _check_match(code, stream)
     fld, k = code.field, code.k
@@ -605,43 +606,28 @@ def extract_message(code: ConvCode,
     ubound = message_degree_bound(code, stream)
     top = T if ubound is None else max(0, min(T, ubound + 1))
     gs = [g.to_packed() for g in code.G.coeffs]
-    inverse = _pivot_inverse(fld, gs[0], code.n)
-    if inverse is None:
+    res = _solve_packed(fld, [row + [int(i == j) for j in range(k)]
+                              for i, row in enumerate(gs[0])], code.n, k)
+    if res is None:
         rows, r, _ = _gm_system(code, stream, {}, ubound, 0, T)
         x, pinned = _solve(fld, rows, r, None, "blocks are not a codeword window")
         if not all(pinned):
             raise NonUnique("window too short to pin the message down")
         u = [x[t * k:(t + 1) * k] for t in range(top)]
     else:
+        right = list(zip(*res[0]))  # X^T, n rows of length k
+        pivots = [p for p, row in enumerate(right) if any(row)]
         v = [[e.val for e in blk] for blk in stream.blocks]
-        u = _substitute(fld, gs, v, top, *inverse)
+        u = _substitute(fld, gs, v, top, pivots, [right[p] for p in pivots])
     zeros = (fld.zero,) * k
     return {t: tuple(Element(fld, x) for x in u[t]) if t < top else zeros
             for t in range(T)}
 
 
-def _pivot_inverse(fld, g0: list[list[int]], n: int):
-    """(P, rows of G_0[:, P]^-1) for k pivot columns P of G_0, or None when
-    rank G_0 < k.  The reduced row echelon form of [G_0 | I] is [R | E] with
-    R = E G_0; when every pivot lies in G_0, R[:, P] = I, so E is the inverse."""
-    k = len(g0)
-    rows = [row + [int(i == j) for j in range(k)] for i, row in enumerate(g0)]
-    basis = _rref(fld, rows, n + k)
-    if any(p >= n for p in basis):
-        return None
-    pivots = sorted(basis)
-    inv = []
-    for p in pivots:
-        e = [0] * k
-        for j, x in basis[p]:
-            if j >= n:
-                e[j - n] = x
-        inv.append(e)
-    return pivots, inv
-
-
 def _substitute(fld, gs, v, top: int, pivots: list[int], inv: list[list[int]]):
-    """Forward substitution through G_0 = gs[0]: with the history sum
+    """Forward substitution through G_0 = gs[0], given pivot columns P of
+    G_0 and the rows inv of G_0[:, P]^-1, as extract_message reads them off
+    _solve_packed's right inverse: with the history sum
     h_t = sum_{s>=1} u_{t-s} G_s, u_t = (v_t - h_t)[P] G_0[:, P]^-1, and
     the whole block must agree, h_t + u_t G_0 = v_t; u_t = 0 for t >= top.
     Returns u_0 .. u_{top-1} packed."""

@@ -16,10 +16,11 @@ The columns reduced are those of the narrower side.  When the matrix's
 right kernel is narrower than the matrix has rows, as for the generator
 bands of k > n - k codes, a set's minor is nonzero exactly when the
 complementary minor of a kernel basis is, and that basis is computed once
-per check, the check's only inverses; each set's complement is then
-reduced, a few short columns.  Otherwise the set's own columns are.  The
-sets walked and the report (passed, sets checked, the counterexample as a
-set of the matrix) are the same on both sides.
+per check, by ``linalg._solve_packed`` with no right-hand side, the check's
+only inverses; each set's complement is then reduced, a few short columns.
+Otherwise the set's own columns are.  The sets walked and the report
+(passed, sets checked, the counterexample as a set of the matrix) are the
+same on both sides.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import (
     NoParityCheck,
     NotDelayFree,
 )
-from .linalg import Mat, _independent, _kernel_rows, _rref, rank
+from .linalg import Mat, _independent, _solve_packed, rank
 from .polymat import ConvCode
 from .sliding import (
     enumerate_nontrivial,
@@ -243,13 +244,14 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     The side's columns are packed ints; basis holds the reduced tested
     columns of the current set by pivot, in order, each unscaled at its
     pivot (``linalg._independent``), so reducing them needs no inverse;
-    only the kernel side's one ``_rref`` of mat takes any.  A set keeps
-    those of the prefix its tested columns share with the set before it
-    and reduces the rest; the last one is never reused, so it does not join
-    the basis.  The first set with a column that reduces to zero is the
-    counterexample, the lexicographically first because the sets arrive in
-    that order.  Consecutive sets contain the same columns below the first
-    value where they differ, so their complements share a prefix too.
+    only the kernel side's one ``_solve_packed`` of mat, with no right-hand
+    side, takes any.  A set keeps those of the prefix its tested columns
+    share with the set before it and reduces the rest; the last one is
+    never reused, so it does not join the basis.  The first set with a
+    column that reduces to zero is the counterexample, the lexicographically
+    first because the sets arrive in that order.  Consecutive sets contain
+    the same columns below the first value where they differ, so their
+    complements share a prefix too.
     """
     t0 = time.perf_counter()
     fld, r, c = mat.field, mat.nrows, mat.ncols
@@ -257,9 +259,8 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     dual = c - r < r
     singular = False
     if dual:
-        reduced = _rref(fld, rows, c)
-        singular = len(reduced) < r
-        rows = _kernel_rows(fld, reduced, c)
+        rows = _solve_packed(fld, rows, c, 0)[1]
+        singular = c - len(rows) < r
         everything = frozenset(range(1, c + 1))
     columns = list(zip(*rows))
     basis: dict = {}

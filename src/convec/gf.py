@@ -559,7 +559,6 @@ class Field:
             raise ValueError(f"extension degree m = {m} must be a positive integer")
         self.p = p
         self.m = m
-        self.q = p ** m
         if modulus is None:
             modulus = self._auto_modulus(p, m)
         else:
@@ -572,6 +571,8 @@ class Field:
                 raise ValueError("modulus must be monic")
             if not _irreducible(p, m, _pack(modulus, p)):
                 raise Reducible(f"modulus {list(modulus)} is reducible over GF({p})")
+        # after the modulus checks, so a short modulus with a huge m fails fast
+        self.q = p ** m
         self.modulus = modulus
         self.modulus_packed = _pack(modulus, p)
         if p == 2 and m >= 2:

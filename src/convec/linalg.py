@@ -18,10 +18,12 @@ over the rows and pack the result back once.  codec builds the systems of
 both decoders (gm and pc windows and guards, whole-stream extraction) as
 packed rows for solve_right's core, _solve_packed, which hands back the
 solution and kernel as packed rows (X, K), or None when the system is
-inconsistent; only solve_right wraps them in Mats.  codec also reduces
-[G_0 | I] through _rref for forward substitution.  The minor checks extend
-one unscaled basis column by column, over the columns of a packed kernel
-basis (_rref, then _kernel_rows) when that is the narrower side.
+inconsistent; only solve_right wraps them in Mats.  _solve_packed is the
+only reader of _rref's basis: right_kernel is it with no right-hand side,
+and codec's forward substitution takes G_0's right inverse from it, solving
+from the rows [G_0 | I].  The minor checks extend one unscaled basis column
+by column, over the columns of a packed kernel basis (_solve_packed with no
+right-hand side) when that is the narrower side.
 ``_vecmat`` is the one row vector times matrix loop on packed values:
 Mat products and codec's forward substitution both run through it.
 
@@ -342,35 +344,28 @@ def _solve_packed(fld: Field, work: list[list[int]], r: int, t: int):
     """X * A = B from [A^T | B^T] packed, r + t columns; reduces work in
     place.  None when inconsistent, else (X, K) as packed rows: the t rows
     of a particular solution, whose free variables are 0, and a basis of
-    {w : w*A = 0}, empty exactly when X is unique."""
+    {w : w*A = 0}, one row per free variable, empty exactly when X is
+    unique.  With t = 0, work is a matrix's rows and K its right kernel.
+    This is the one reader of an _rref basis: one pass over its spans
+    fills X from the right-hand side columns and K from the others."""
     basis = _rref(fld, work, r + t)
     if any(p >= r for p in basis):
         return None
-    # particular solution: pivot variables take the reduced rhs, free ones 0
     sol = [[0] * r for _ in range(t)]
+    ker = {f: [0] * r for f in range(r) if f not in basis}
+    for f, row in ker.items():
+        row[f] = 1
+    neg = fld._vneg
     for p, span in basis.items():
         for j, v in span:
-            if j >= r:
+            if j < r:
+                ker[j][p] = neg(v)
+            else:
                 sol[j - r][p] = v
-    return sol, _kernel_rows(fld, basis, r)
-
-
-def _kernel_rows(fld: Field, basis: dict, width: int) -> list[list[int]]:
-    """Null-space basis of a reduced matrix over its first width columns,
-    packed: one row per free column, pivot entries read off the reduced
-    rows."""
-    rows = {fv: [0] * width for fv in range(width) if fv not in basis}
-    for fv, vec in rows.items():
-        vec[fv] = 1
-    for p, span in basis.items():
-        for j, v in span:
-            if j < width:
-                rows[j][p] = fld._vneg(v)
-    return list(rows.values())
+    return sol, list(ker.values())
 
 
 def right_kernel(a: Mat) -> Mat:
     """Rows w with A * w^T = 0 (a basis of the right null space)."""
-    fld, width = a.field, a.ncols
-    return Mat._from_ints(fld, _kernel_rows(fld, _rref(fld, a.to_packed(), width), width),
-                          width)
+    return Mat._from_ints(a.field, _solve_packed(a.field, a.to_packed(), a.ncols, 0)[1],
+                          a.ncols)

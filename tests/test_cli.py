@@ -12,6 +12,7 @@ from convec import gf
 from convec.cli import main
 from convec.polymat import code_from_json
 from convec.stream import ErasureStream
+from test_golden_decode import codes as golden_codes
 
 
 @pytest.fixture
@@ -368,6 +369,26 @@ def test_wrong_json_type_in_code_error_json(tmp_path, code522h, msg522, capsys,
     assert captured.out == "" and captured.err.count("\n") == 1
     err = json.loads(captured.err)
     assert set(err) == {"error", "message"} and err["error"] == "ParseError"
+    assert not rep.exists()
+
+
+def test_huge_m_with_supplied_modulus_error_json(tmp_path, capsys):
+    # the golden GF(16) code with its field's m raised to 10**30 and its
+    # degree-4 modulus kept fails the modulus check before 2 ** m is formed
+    code = golden_codes()["gf16_mu2"]
+    doc = code.to_json()
+    doc["field"]["m"] = 10 ** 30
+    path, noisy = tmp_path / "code.json", tmp_path / "noisy.txt"
+    path.write_text(json.dumps(doc))
+    noisy.write_text(ErasureStream(code.field, code.n, [[code.field.zero] * code.n] * 3,
+                                   0).to_text())
+    rep = tmp_path / "rep.json"
+    assert run(["decode", "--engine", "gm", "--code", path, "--in", noisy,
+                "--report", rep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    err = json.loads(captured.err)
+    assert set(err) == {"error", "message"} and err["error"] == "ValueError"
     assert not rep.exists()
 
 

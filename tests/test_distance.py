@@ -502,16 +502,16 @@ def test_incremental_minors_match_minor_per_set(p, m, monkeypatch):
     assert outcomes == {True, False}
     # non-systematic sparse G and H, many without full row rank; the
     # public checks need delay-free codes, so the loop is called directly.
-    # A check reduces the kernel basis's columns, one _rref per check, when
-    # the kernel is narrower than the matrix has rows.
+    # A check reduces the kernel basis's columns, one _solve_packed per
+    # check, when the kernel is narrower than the matrix has rows.
     kernel_checks = []
-    rref = distance._rref
+    solve_packed = distance._solve_packed
 
     def counted(*args):
         kernel_checks.append(args)
-        return rref(*args)
+        return solve_packed(*args)
 
-    monkeypatch.setattr(distance, "_rref", counted)
+    monkeypatch.setattr(distance, "_solve_packed", counted)
     tally = {"kernel": 0, "band": 0, "failed": 0, "deficient": 0}
     for n, k, d, top in DIFF_SHAPES:
         for density in (0.3, 0.7, 1.0):

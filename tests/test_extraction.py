@@ -93,12 +93,13 @@ def tampered(stream, rng):
 
 
 def random_streams():
-    """(code, stream) pairs over GF(2), GF(3), GF(16) and GF(27): codewords
-    under every origin-degree variant, one-block streams, tampered
-    codewords, a zero stream whose message bound is below -1, and
-    uniformly random complete streams."""
+    """(code, stream) pairs over GF(2), GF(3), GF(16), GF(27), GF(512) and
+    GF(729), the last two past the exp/log tables, so their inverses go
+    through the polynomial kernels: codewords under every origin-degree
+    variant, one-block streams, tampered codewords, a zero stream whose
+    message bound is below -1, and uniformly random complete streams."""
     rng = random.Random(4242)
-    for q in (2, 3, 16, 27):
+    for q in (2, 3, 16, 27, 512, 729):
         for n, k, delta, seed in ((2, 1, 1, 1), (3, 1, 2, 2), (3, 2, 2, 3)):
             code = random_code(n, k, delta, q, seed=seed)
             mu = code.G.degree

@@ -96,6 +96,13 @@ def test_malformed_modulus_rejected():
         field(3, 2, modulus=[5, 0, 1])  # coefficient out of range
 
 
+def test_supplied_modulus_checked_before_m_is_used():
+    # a degree-4 modulus with m = 10**30 fails its length check before
+    # anything, p ** m above all, is computed from m
+    with pytest.raises(ValueError, match="length m\\+1"):
+        field(2, 10 ** 30, modulus=[1, 1, 0, 0, 1])
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 5), (3, 1), (3, 2), (7, 1), (5, 2)])
 def test_field_axioms_sampled(p, m):
     F = field(p, m)
