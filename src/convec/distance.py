@@ -7,20 +7,23 @@ usable over fields far too large to enumerate.
 A full-size minor is nonzero exactly when its columns are linearly
 independent, so the minor checks compute no determinants.  They walk the
 non-trivial column sets in lexicographic order and keep the column
-elimination of the prefix each set shares with the one before it; only the
-columns after that prefix are reduced (``linalg._independent``), against a
-basis kept unscaled, so the walk takes no inverse.  The first column that
-reduces to zero names the counterexample.
+elimination of the prefix each set shares with the one before it, up to
+the first position the enumeration (``sliding.walk_bounded``) reports as
+changed; only the columns from there on are reduced
+(``linalg._independent``), against a basis kept unscaled, so the walk
+takes no inverse.  The first column that reduces to zero names the
+counterexample.
 
 The columns reduced are those of the narrower side.  When the matrix's
 right kernel is narrower than the matrix has rows, as for the generator
 bands of k > n - k codes, a set's minor is nonzero exactly when the
 complementary minor of a kernel basis is, and that basis is computed once
 per check, by ``linalg._solve_packed`` with no right-hand side, the check's
-only inverses; each set's complement is then reduced, a few short columns.
-Otherwise the set's own columns are.  The sets walked and the report
-(passed, sets checked, the counterexample as a set of the matrix) are the
-same on both sides.
+only inverses.  The walk then enumerates the complements themselves, a
+few short columns each, in the order of their sets, and builds no set
+until a counterexample needs naming.  Otherwise the set's own columns are
+walked.  The sets counted and the report (passed, sets checked, the
+counterexample as a set of the matrix) are the same on both sides.
 """
 
 from __future__ import annotations
@@ -39,11 +42,12 @@ from .errors import (
 from .linalg import Mat, _independent, _solve_packed, rank
 from .polymat import ConvCode
 from .sliding import (
-    enumerate_nontrivial,
     generator_band,
     generator_truncation,
+    nontrivial_bounds,
     parity_band,
     parity_truncation,
+    walk_bounded,
 )
 
 SEARCH_BUDGET_DEFAULT = 1 << 22
@@ -228,30 +232,32 @@ class VerificationReport:
         return out
 
 
-def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
+def _run_minor_check(prop: str, j: int, mat: Mat, bounds) -> VerificationReport:
     """Check that each column set of mat spans a nonzero full-size minor.
 
-    Each set names mat.nrows columns.  When mat's right kernel is narrower
-    than mat has rows, the columns reduced are those of a kernel basis at
-    the set's complement: a full-size minor of a full-row-rank matrix is
-    nonzero exactly when the complementary minor of a kernel basis is (S is
-    an information set of the row space iff its complement is one of the
-    dual).  A mat without full row rank has no nonzero full-size minor, so
-    its first set is the counterexample.  Otherwise mat's own columns at
-    the set are reduced.  Either way the sets are walked and reported as
-    given, so the report does not depend on the side.
+    The sets are the strictly increasing tuples of mat.nrows columns within
+    bounds, the (size, column count, lo, hi) position bounds that
+    ``sliding._bounds_for`` gives, walked in lexicographic order.  When
+    mat's right kernel is narrower than mat has rows, the columns reduced
+    are those of a kernel basis at the set's complement: a full-size minor
+    of a full-row-rank matrix is nonzero exactly when the complementary
+    minor of a kernel basis is (S is an information set of the row space
+    iff its complement is one of the dual).  The complements are walked
+    directly, in the order their sets come in, and a counterexample is
+    mapped back to its set once found.  A mat without full row rank has no
+    nonzero full-size minor, so its first set is the counterexample.
+    Otherwise mat's own columns at the set are reduced.  Either way the
+    report counts and names sets of mat, so it does not depend on the side.
 
     The side's columns are packed ints; basis holds the reduced tested
-    columns of the current set by pivot, in order, each unscaled at its
+    columns of the current tuple by pivot, in order, each unscaled at its
     pivot (``linalg._independent``), so reducing them needs no inverse;
     only the kernel side's one ``_solve_packed`` of mat, with no right-hand
-    side, takes any.  A set keeps those of the prefix its tested columns
-    share with the set before it and reduces the rest; the last one is
-    never reused, so it does not join the basis.  The first set with a
-    column that reduces to zero is the counterexample, the lexicographically
-    first because the sets arrive in that order.  Consecutive sets contain
-    the same columns below the first value where they differ, so their
-    complements share a prefix too.
+    side, takes any.  A tuple keeps those before the first position the
+    walk reports as changed and reduces the rest; the last one is never
+    reused, so it does not join the basis.  The first set with a column
+    that reduces to zero is the counterexample, the lexicographically
+    first because the sets arrive in that order.
     """
     t0 = time.perf_counter()
     fld, r, c = mat.field, mat.nrows, mat.ncols
@@ -261,24 +267,19 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
     if dual:
         rows = _solve_packed(fld, rows, c, 0)[1]
         singular = c - len(rows) < r
-        everything = frozenset(range(1, c + 1))
     columns = list(zip(*rows))
     basis: dict = {}
-    prev: tuple[int, ...] = ()
     checked = 0
     bad = None
-    for cols in sets:
+    for keep, tested in walk_bounded(*bounds, complement=dual):
         checked += 1
-        tested = tuple(sorted(everything.difference(cols))) if dual else cols
-        keep = next((i for i, (a, b) in enumerate(zip(prev, tested)) if a != b), len(prev))
         for _ in range(len(basis) - keep):
             basis.popitem()
         last = len(tested) - 1
         if singular or not all(_independent(fld, list(columns[tested[i] - 1]), basis, i < last)
                                for i in range(keep, len(tested))):
-            bad = cols
+            bad = tuple(sorted(set(range(1, c + 1)).difference(tested))) if dual else tested
             break
-        prev = tested
     ms = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(prop, j, checked, bad is None, bad, ms)
 
@@ -286,18 +287,18 @@ def _run_minor_check(prop: str, j: int, mat: Mat, sets) -> VerificationReport:
 def is_column_optimal_via_g(code: ConvCode, j: int) -> bool:
     """d_j^c attains (n-k)(j+1)+1, decided by minors of G_j^c."""
     _require_delay_free(code)
-    sets = enumerate_nontrivial("generator_truncation", code.n, code.k, code.G.degree, j)
+    bounds = nontrivial_bounds("generator_truncation", code.n, code.k, code.G.degree, j)
     m = generator_truncation(code.G, j)
-    return _run_minor_check("column_optimal_via_g", j, m, sets).passed
+    return _run_minor_check("column_optimal_via_g", j, m, bounds).passed
 
 
 def is_column_optimal_via_h(code: ConvCode, j: int) -> bool:
     """The same criterion read off the parity check, via minors of H_j^c."""
     if code.H is None:
         raise NoParityCheck("no parity check supplied")
-    sets = enumerate_nontrivial("parity_truncation", code.n, code.k, code.H.degree, j)
+    bounds = nontrivial_bounds("parity_truncation", code.n, code.k, code.H.degree, j)
     m = parity_truncation(code.H, j)
-    return _run_minor_check("column_optimal_via_h", j, m, sets).passed
+    return _run_minor_check("column_optimal_via_h", j, m, bounds).passed
 
 
 def is_mdp(code: ConvCode) -> bool:
@@ -313,9 +314,9 @@ def verify_complete_jmdp_via_g(code: ConvCode, j: int,
     mu = code.delta // k
     if code.G.degree != mu:
         raise DegreeMismatch(f"generator degree {code.G.degree}, expected {mu}")
-    sets = enumerate_nontrivial("generator", n, k, mu, j, budget)
+    bounds = nontrivial_bounds("generator", n, k, mu, j, budget)
     band = generator_band(code.G, j + mu)
-    return _run_minor_check("complete_jmdp_via_g", j, band, sets)
+    return _run_minor_check("complete_jmdp_via_g", j, band, bounds)
 
 
 def verify_complete_jmdp_via_h(code: ConvCode, j: int,
@@ -329,6 +330,6 @@ def verify_complete_jmdp_via_h(code: ConvCode, j: int,
     nu = code.delta // (n - k)
     if code.H.degree != nu:
         raise DegreeMismatch(f"parity degree {code.H.degree}, expected {nu}")
-    sets = enumerate_nontrivial("parity", n, k, nu, j, budget)
+    bounds = nontrivial_bounds("parity", n, k, nu, j, budget)
     band = parity_band(code.H, j)
-    return _run_minor_check("complete_jmdp_via_h", j, band, sets)
+    return _run_minor_check("complete_jmdp_via_h", j, band, bounds)

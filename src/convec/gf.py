@@ -130,9 +130,9 @@ def _clmul(a: int, b: int) -> int:
     """Carry-less product in GF(2)[x], looping over the shorter operand.
 
     An operand under 16 bits is walked bit by bit.  From 16 bits on, a
-    4-bit comb (Lopez-Dahab) reads it one hex digit at a time, top digit
-    first, against the 16 multiples of the longer operand by the digit
-    polynomials 0..15.
+    4-bit comb (Lopez-Dahab) reads it one byte at a time, top byte first,
+    two digits per byte, against the 16 multiples of the longer operand by
+    the digit polynomials 0..15, built by shifts and XORs.
     """
     if a < b:
         a, b = b, a
@@ -144,15 +144,18 @@ def _clmul(a: int, b: int) -> int:
             a <<= 1
             b >>= 1
         return r
-    t = [0] * 16
-    t[1] = a
-    for i in range(2, 16, 2):
-        t[i] = t[i >> 1] << 1
-        t[i + 1] = t[i] ^ a
-    digit = dict(zip("0123456789abcdef", t))
+    a2 = a << 1
+    a3 = a2 ^ a
+    a4 = a << 2
+    a5 = a4 ^ a
+    a6 = a4 ^ a2
+    a7 = a4 ^ a3
+    a8 = a << 3
+    t = [0, a, a2, a3, a4, a5, a6, a7,
+         a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6, a8 ^ a7]
     r = 0
-    for c in format(b, "x"):
-        r = (r << 4) ^ digit[c]
+    for c in b.to_bytes((b.bit_length() + 7) // 8, "big"):
+        r = (r << 8) ^ (t[c >> 4] << 4) ^ t[c & 15]
     return r
 
 

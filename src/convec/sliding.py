@@ -41,6 +41,16 @@ the bounds implied by strict increase, the table yields:
 The truncation sets decide column optimality (Gluesing-Luerssen, Rosenthal
 and Smarandache, IEEE Trans. IT 52(2), 2006), the band sets complete j-MDP
 (Tomas, Rosenthal and Smarandache, IEEE Trans. IT 58(1), 2012).
+
+The sets are enumerated in lexicographic order, each handed out with the
+first position that changed since the set before it, so a walk over them
+can keep whatever it computed for the unchanged prefix.  The same walk
+runs over the sets' complements in the matrix's columns, which is what
+the minor checks reduce when a kernel basis is narrower than the matrix:
+position bounds on a set S turn into bounds on its complement T by
+counting, #T<=x = x - #S<=x, and the complements come in reverse
+lexicographic order, the order the sets' lexicographic order induces (the
+least column in S xor S' lies in the lexicographically smaller set).
 """
 
 from __future__ import annotations
@@ -172,29 +182,69 @@ def count_bounded(size: int, ncols: int, lo: dict[int, int], hi: dict[int, int])
     return sum(ways)
 
 
-def enumerate_bounded(size: int, ncols: int, lo: dict[int, int],
-                      hi: dict[int, int]) -> Iterator[tuple[int, ...]]:
-    """Strictly increasing bounded tuples in lexicographic order."""
-    if size == 0:
-        yield ()
-        return
+def _complement_bounds(size: int, ncols: int, lo_arr: list[int], hi_arr: list[int]):
+    """Bounds on the sorted complements in 1..ncols of the tuples obeying the
+    feasible tightened bounds lo_arr, hi_arr, by counting: #T<=x = x - #S<=x.
+    l_i <= hi_i puts at most hi_i - i complement members in 1..hi_i, and
+    l_i >= lo_i at least lo_i - i in 1..lo_i - 1."""
+    lo: dict[int, int] = {}
+    hi: dict[int, int] = {}
+    for i in range(1, size + 1):
+        m = hi_arr[i] - i + 1
+        if m <= ncols - size:
+            lo[m] = max(lo.get(m, 1), hi_arr[i] + 1)
+        m = lo_arr[i] - i
+        if m >= 1:
+            hi[m] = min(hi.get(m, ncols), lo_arr[i] - 1)
+    return tighten_bounds(ncols - size, ncols, lo, hi)
+
+
+def walk_bounded(size: int, ncols: int, lo: dict[int, int], hi: dict[int, int],
+                 complement: bool = False) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(p, l) for each strictly increasing bounded tuple in lexicographic
+    order, p being the first 0-based position where l differs from the tuple
+    before it (0 for the first).
+
+    With complement, l is instead the tuple's sorted complement in
+    1..ncols, in the same order: the complements obey bounds of their own
+    and are walked directly, in reverse lexicographic order.
+    """
     lo_arr, hi_arr = tighten_bounds(size, ncols, lo, hi)
+    if any(lo_arr[p] > hi_arr[p] for p in range(1, size + 1)):
+        return
+    if complement:
+        lo_arr, hi_arr = _complement_bounds(size, ncols, lo_arr, hi_arr)
+        size = ncols - size
+    if size == 0:
+        yield 0, ()
+        return
+    step = -1 if complement else 1
     # acc[pos] holds l_pos, or the value before the next one to try; acc[0]
-    # stands before position 1
+    # stands before position 1.  low is the first position assigned since
+    # the last tuple, the first that changed.
     acc = [0] * (size + 1)
-    acc[1] = lo_arr[1] - 1
-    pos = 1
+    acc[1] = hi_arr[1] + 1 if complement else lo_arr[1] - 1
+    pos = low = 1
     while pos:
-        v = acc[pos] + 1
-        if v > hi_arr[pos]:
+        v = acc[pos] + step
+        if not (lo_arr[pos] <= v <= hi_arr[pos] and v > acc[pos - 1]):
             pos -= 1  # position exhausted: advance the one before it
             continue
         acc[pos] = v
+        if pos < low:
+            low = pos
         if pos == size:
-            yield tuple(acc[1:])
+            yield low - 1, tuple(acc[1:])
+            low = size
         else:
             pos += 1
-            acc[pos] = max(v, lo_arr[pos] - 1)
+            acc[pos] = hi_arr[pos] + 1 if complement else max(v, lo_arr[pos] - 1)
+
+
+def enumerate_bounded(size: int, ncols: int, lo: dict[int, int],
+                      hi: dict[int, int]) -> Iterator[tuple[int, ...]]:
+    """Strictly increasing bounded tuples in lexicographic order."""
+    return (l for _, l in walk_bounded(size, ncols, lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +298,25 @@ def count_nontrivial(kind: str, n: int, k: int, deg: int, j: int) -> int:
     return count_bounded(size, ncols, lo, hi)
 
 
-def enumerate_nontrivial(kind: str, n: int, k: int, deg: int, j: int,
-                         budget: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Non-trivial column sets in lexicographic order.
-
-    The count is computed up front; if it exceeds the budget (argument, then
-    CONVEC_BUDGET, then the module default) nothing is enumerated.
-    """
-    size, ncols, lo, hi = _bounds_for(kind, n, k, deg, j)
-    total = count_bounded(size, ncols, lo, hi)
+def nontrivial_bounds(kind: str, n: int, k: int, deg: int, j: int,
+                      budget: int | None = None):
+    """Size, column count and per-position bounds of the kind's non-trivial
+    sets, as _bounds_for gives them, once their count is within the budget
+    (argument, then CONVEC_BUDGET, then the module default)."""
+    bounds = _bounds_for(kind, n, k, deg, j)
+    total = count_bounded(*bounds)
     cap = _budget.resolve(budget, ENUM_BUDGET_DEFAULT)
     if total > cap:
         raise BudgetExceeded(
             f"{total} {kind} sets exceed the budget of {cap}", estimate=total)
-    return enumerate_bounded(size, ncols, lo, hi)
+    return bounds
+
+
+def enumerate_nontrivial(kind: str, n: int, k: int, deg: int, j: int,
+                         budget: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Non-trivial column sets in lexicographic order.
+
+    The count is computed up front; if it exceeds the budget
+    (``nontrivial_bounds``) nothing is enumerated.
+    """
+    return enumerate_bounded(*nontrivial_bounds(kind, n, k, deg, j, budget))

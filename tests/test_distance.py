@@ -18,6 +18,7 @@ from convec.errors import (
 from convec.linalg import Mat, minor, rank, right_kernel
 from convec.polymat import ConvCode, Poly, PolyMatrix, code_from_json, poly_gcd
 from convec.sliding import (
+    _bounds_for,
     count_nontrivial,
     enumerate_nontrivial,
     generator_band,
@@ -423,7 +424,7 @@ def four_checks(code, j):
             ("parity_truncation", parity_truncation(code.H, j), nu),
             ("generator", generator_band(code.G, j + mu), mu),
             ("parity", parity_band(code.H, j), nu)):
-        rep = _run_minor_check(kind, j, mat, enumerate_nontrivial(kind, n, k, deg, j))
+        rep = _run_minor_check(kind, j, mat, _bounds_for(kind, n, k, deg, j))
         got = (rep.passed, rep.sets_checked, rep.counterexample)
         want = minor_per_set(mat, enumerate_nontrivial(kind, n, k, deg, j))
         yield kind, got, want
@@ -520,7 +521,7 @@ def test_incremental_minors_match_minor_per_set(p, m, monkeypatch):
             for j in range(min(top, 2) + 1):
                 for kind, mat, deg in four_matrices(g, h, n, k, j):
                     before = len(kernel_checks)
-                    rep = _run_minor_check(kind, j, mat, enumerate_nontrivial(kind, n, k, deg, j))
+                    rep = _run_minor_check(kind, j, mat, _bounds_for(kind, n, k, deg, j))
                     got = (rep.passed, rep.sets_checked, rep.counterexample)
                     want = minor_per_set(mat, enumerate_nontrivial(kind, n, k, deg, j))
                     assert got == want, (kind, n, k, d, j)
@@ -537,7 +538,7 @@ def test_incremental_minors_match_minor_per_set(p, m, monkeypatch):
         r = rng.randrange(3, 5)
         mat = out_of_order(fld, rng, r, rng.randrange(r + 1, 2 * r + 2))
         sets = list(itertools.combinations(range(1, mat.ncols + 1), r))
-        rep = _run_minor_check("planted", 0, mat, sets)
+        rep = _run_minor_check("planted", 0, mat, (r, mat.ncols, {}, {}))
         assert not rep.passed
         assert (rep.passed, rep.sets_checked, rep.counterexample) == minor_per_set(mat, sets)
 
@@ -569,6 +570,36 @@ def test_incremental_minors_deep_counterexample():
     rep = verify_complete_jmdp_via_g(code, 4)
     assert (rep.passed, rep.sets_checked, rep.counterexample) == (False, 52, bad)
     assert minor_per_set(band, sets) == (False, 52, bad)
+
+
+def test_kernel_side_deep_counterexample(monkeypatch):
+    # a (3,2,2) code over GF(13): its 12 x 15 band at j = 3 takes the kernel
+    # side, and the first vanishing minor is set 146 of 361, whose
+    # complement (4, 9, 12) shares its first two columns with the two
+    # complements walked before it
+    fld = field(13)
+    code = ConvCode(3, 2, PolyMatrix.from_packed(
+        fld, [[[1, 10, 5], [6, 7, 11]], [[6, 6, 6], [1, 5, 9]]]))
+    band = generator_band(code.G, 3 + 1)
+    assert band.ncols - band.nrows < band.nrows
+    sets = list(itertools.islice(enumerate_nontrivial("generator", 3, 2, 1, 3), 146))
+    bad = (1, 2, 3, 5, 6, 7, 8, 10, 11, 13, 14, 15)
+    assert sets[-1] == bad
+    everything = set(range(1, 16))
+    assert [tuple(sorted(everything - set(s))) for s in sets[-3:]] == [
+        (4, 9, 14), (4, 9, 13), (4, 9, 12)]
+    kernel_checks = []
+    solve_packed = distance._solve_packed
+
+    def counted(*args):
+        kernel_checks.append(args)
+        return solve_packed(*args)
+
+    monkeypatch.setattr(distance, "_solve_packed", counted)
+    rep = verify_complete_jmdp_via_g(code, 3)
+    assert (rep.passed, rep.sets_checked, rep.counterexample) == (False, 146, bad)
+    assert len(kernel_checks) == 1
+    assert minor_per_set(band, sets) == (False, 146, bad)
 
 
 def test_incremental_minors_catastrophic_gf3(pair_2_1):

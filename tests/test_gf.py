@@ -405,6 +405,33 @@ def test_clmul_unequal_lengths(a, b):
     assert _clmul(a, b) == ref_mul(a, b) == _clmul(b, a)
 
 
+# operand lengths around the bit-serial/comb switch at 16 bits and around
+# the byte boundaries the comb reads its shorter operand in
+CLMUL_BITS = [1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 769, 2305]
+
+
+def test_clmul_fixed_lengths():
+    rng = random.Random(24)
+    for la in CLMUL_BITS:
+        for lb in CLMUL_BITS:
+            ones_a, ones_b = (1 << la) - 1, (1 << lb) - 1
+            top_a = rng.getrandbits(la) | 1 << (la - 1)
+            top_b = rng.getrandbits(lb) | 1 << (lb - 1)
+            for a, b in ((ones_a, ones_b), (top_a, top_b), (ones_a, top_b),
+                         (top_a, ones_b), (1 << (la - 1), top_b)):
+                want = ref_mul(a, b)
+                assert _clmul(a, b) == want == _clmul(b, a), (la, lb)
+            assert _clmul(top_a, 0) == _clmul(0, top_a) == 0
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(CLMUL_BITS), st.sampled_from(CLMUL_BITS), st.data())
+def test_clmul_matches_bit_serial(la, lb, data):
+    a = data.draw(st.integers(0, (1 << la) - 1))
+    b = data.draw(st.integers(0, (1 << lb) - 1))
+    assert _clmul(a, b) == ref_mul(a, b) == _clmul(b, a)
+
+
 def ref_gcd(a: int, b: int) -> int:
     while b:
         a, b = b, ref_rem(a, b)

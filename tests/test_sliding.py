@@ -12,6 +12,7 @@ from convec.errors import BadCardinality, BudgetExceeded, IndexOutOfRange
 from convec.linalg import Mat, minor
 from convec.polymat import PolyMatrix
 from convec.sliding import (
+    _bounds_for,
     count_bounded,
     count_nontrivial,
     enumerate_bounded,
@@ -21,6 +22,7 @@ from convec.sliding import (
     is_nontrivial_set,
     parity_band,
     parity_truncation,
+    walk_bounded,
 )
 
 
@@ -187,6 +189,44 @@ def test_enumeration_matches_filter(kind, n, k, deg, j):
     got = list(enumerate_nontrivial(kind, n, k, deg, j))
     assert got == brute  # same sets, lexicographic order
     assert count_nontrivial(kind, n, k, deg, j) == len(brute)
+
+
+def first_change(prev, cur) -> int:
+    """First 0-based index where cur differs from prev; 0 for the first."""
+    if prev is None:
+        return 0
+    return next(i for i, (a, b) in enumerate(zip(prev, cur)) if a != b)
+
+
+KINDS = ("generator", "parity", "generator_truncation", "parity_truncation")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_walk_and_complement_walk_match_enumeration(kind):
+    checked = complements = 0
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 3)):
+        for deg in range(3):
+            for j in range(3):
+                size, ncols, lo, hi = _bounds_for(kind, n, k, deg, j)
+                total = count_nontrivial(kind, n, k, deg, j)
+                if total > 4000 or ncols == size:
+                    continue
+                sets = list(enumerate_nontrivial(kind, n, k, deg, j))
+                everything = set(range(1, ncols + 1))
+                for complement in (False, True):
+                    walked = list(walk_bounded(size, ncols, lo, hi, complement))
+                    want = [tuple(sorted(everything - set(s))) for s in sets] \
+                        if complement else sets
+                    assert [t for _, t in walked] == want, (kind, n, k, deg, j, complement)
+                    assert len(walked) == total
+                    prev = None
+                    for p, t in walked:
+                        assert p == first_change(prev, t), (kind, n, k, deg, j, prev, t)
+                        prev = t
+                checked += 1
+                complements += ncols - size < size
+    # the grid reaches shapes whose minor checks take the kernel side
+    assert checked >= 50 and complements >= 5, (checked, complements)
 
 
 def test_bounded_count_random_property():
