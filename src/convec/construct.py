@@ -162,24 +162,14 @@ def staircase_certificate(n: int, k: int, delta: int) -> dict:
                     raise ValueError(f"zero at ({i},{l}) not closed off")
             elif e < 0:
                 raise ValueError(f"non-positive exponent at ({i},{l})")
-    for i in range(nrows):
-        prev = None
-        for l in range(ncols):
-            e = grid[i][l]
-            if e is None:
-                continue
-            if prev is not None and not 2 * (1 << prev) <= (1 << e):
-                raise ValueError(f"row {i} fails doubling at column {l}")
-            prev = e
-    for l in range(ncols):
-        prev = None
-        for i in range(nrows):
-            e = grid[i][l]
-            if e is None:
-                continue
-            if prev is not None and not 2 * (1 << prev) <= (1 << e):
-                raise ValueError(f"column {l} fails doubling at row {i}")
-            prev = e
+    for lines, fails in ((grid, "row {} fails doubling at column {}"),
+                         (zip(*grid), "column {} fails doubling at row {}")):
+        for a, line in enumerate(lines):
+            # 2^e at least doubles 2^prev exactly when e > prev
+            nonzero = [(b, e) for b, e in enumerate(line) if e is not None]
+            for (_, prev), (b, e) in zip(nonzero, nonzero[1:]):
+                if e <= prev:
+                    raise ValueError(fails.format(a, b))
     # any surviving minor term takes at most one entry per row
     max_term = sum(max((1 << e) for e in row if e is not None) for row in grid)
     general, coarse = degree_bounds(n, k, delta)

@@ -39,7 +39,7 @@ from .errors import (
     NoParityCheck,
     NotDelayFree,
 )
-from .linalg import Mat, _independent, _solve_packed, rank
+from .linalg import Mat, _independent, _solve_packed, _vecmat, rank
 from .polymat import ConvCode
 from .sliding import (
     generator_band,
@@ -92,9 +92,8 @@ def _min_weight(mat: Mat, nonzero_prefix: int) -> int:
     """Minimal weight of x*mat over x with some nonzero entry among the
     first nonzero_prefix coordinates."""
     fld = mat.field
-    rows = mat.data
+    rows = mat.to_packed()
     r, width = mat.nrows, mat.ncols
-    scalars = [fld.el(v) for v in range(1, fld.q)]
     best = width + 1
 
     def rec(i: int, vec, dirty: bool):
@@ -102,16 +101,16 @@ def _min_weight(mat: Mat, nonzero_prefix: int) -> int:
         if i == nonzero_prefix and not dirty:
             return
         if i == r:
-            w = sum(1 for e in vec if e.val)
+            w = width - vec.count(0)
             if w < best:
                 best = w
             return
         rec(i + 1, vec, dirty)
-        row = rows[i]
-        for s in scalars:
-            rec(i + 1, [a + s * b for a, b in zip(vec, row)], True)
+        row = (rows[i],)
+        for s in range(1, fld.q):
+            rec(i + 1, _vecmat(fld, vec, (s,), row), True)
 
-    rec(0, [fld.zero] * width, False)
+    rec(0, [0] * width, False)
     return best
 
 

@@ -49,12 +49,11 @@ at x (or at 1 for m = 1), whose multiplicative order is p^m - 1.  Orders are
 certified by factoring p^m - 1; when the factorization does not complete
 within the internal budget the field is flagged ``unverified_primitive`` and
 alpha is the first candidate passing all tests against the known prime
-factors.  alpha and ``unverified_primitive`` are found on first read and
-kept on the field: certifying them factors p^m - 1, which for a large field
-costs more than the rest of its build, and no arithmetic needs the
-generator.  A field with exp/log tables finds it when built, because its
-tables are its powers, and a generator supplied through
-:func:`field_from_json` is validated when loaded.
+factors.  A generator supplied through :func:`field_from_json` takes the
+same order test instead of the search.  Either is settled when a field of
+at most TABLE_MAX_Q elements is built (its tables are alpha's powers), and
+on first read in a larger one, where certifying it factors p^m - 1 and no
+arithmetic needs it: loading, decoding and verifying do no number theory.
 
 A field's identity is (p, m, modulus): two fields with the same modulus
 are equal, and their elements combine, whichever generator each designates.
@@ -547,9 +546,9 @@ class Element:
 class Field:
     """GF(p^m) with a fixed monic irreducible modulus and designated alpha.
 
-    ``alpha`` and ``unverified_primitive`` are found on first read and then
-    kept, except in a field of at most TABLE_MAX_Q elements, whose exp/log
-    tables are built from alpha when the field is.  Use the module-level
+    ``alpha`` and ``unverified_primitive`` (``_primitive_val`` checked, or
+    found) are settled when built up to TABLE_MAX_Q elements, else on
+    first read.  Use the module-level
     :func:`field` factory, which caches instances so elements of equal
     fields interoperate cheaply.
     """
@@ -586,11 +585,13 @@ class Field:
             self.kind = "general"
         (self._vadd, self._vsub, self._vneg, self._vmul, self._vinv,
          self._vsq) = _kernels(p, m, self.modulus_packed)
-        self._generator = None if _primitive_val is None else (
-            Element(self, _primitive_val), self._check_primitive_val(_primitive_val))
-        if self.kind != "prime" and self.q <= TABLE_MAX_Q:
-            # q - 1 factors completely here, so alpha is certified primitive
-            self._bind_tables(self.alpha.val)
+        self._supplied = _primitive_val
+        self._generator = None
+        if self.q <= TABLE_MAX_Q:
+            # q - 1 factors at once here, so the generator is settled now
+            alpha = self.alpha.val
+            if self.kind != "prime":
+                self._bind_tables(alpha)
         self.zero = Element(self, 0)
         self.one = Element(self, 1)
 
@@ -699,30 +700,29 @@ class Field:
         return _power(self._vmul, self._vsq, a, e) if e else 1
 
     def _find_primitive(self) -> tuple[int, bool]:
-        fac, complete = _budgeted_factor(self.q - 1)
-        checks = [(self.q - 1) // r for r in fac]
-        if self.m == 1:
-            candidates: Iterator[int] = iter(range(1, min(self.p, PRIMITIVE_CANDIDATE_CAP + 1)))
+        """(alpha, unverified_primitive) by one order test, a^((q-1)/r) != 1
+        for each known prime factor r of q - 1, of the supplied value (out
+        of range, or failing at r, it raises NoPrimitiveFound) or else of
+        each candidate in packed order until one passes."""
+        sup, q1 = self._supplied, self.q - 1
+        if sup is not None and not 0 < sup < self.q:
+            raise NoPrimitiveFound("supplied primitive element is out of range or zero")
+        fac, complete = _budgeted_factor(q1)
+        if sup is not None:
+            candidates = (sup,)
+        elif self.m == 1:
+            candidates = range(1, min(self.p, PRIMITIVE_CANDIDATE_CAP + 1))
         else:
-            top = min(self.q, self.p + PRIMITIVE_CANDIDATE_CAP)
-            candidates = iter(range(self.p, top))
+            candidates = range(self.p, min(self.q, self.p + PRIMITIVE_CANDIDATE_CAP))
         for cand in candidates:
-            if all(self._vpow(cand, c) != 1 for c in checks):
+            low = next((r for r in fac if self._vpow(cand, q1 // r) == 1), None)
+            if low is None:
                 return cand, not complete
+            if sup is not None:
+                raise NoPrimitiveFound(
+                    f"supplied element is certainly not primitive (order divides (q-1)/{low})")
         raise NoPrimitiveFound(
             f"no generator of GF({self.p}^{self.m})* found within the candidate cap")
-
-    def _check_primitive_val(self, val: int) -> bool:
-        """Validate a supplied generator; returns the unverified flag."""
-        if val == 0 or not (0 < val < self.q):
-            raise NoPrimitiveFound("supplied primitive element is out of range or zero")
-        fac, complete = _budgeted_factor(self.q - 1)
-        for r in fac:
-            if self._vpow(val, (self.q - 1) // r) == 1:
-                raise NoPrimitiveFound(
-                    "supplied element is certainly not primitive "
-                    f"(order divides (q-1)/{r})")
-        return not complete
 
     # -- element constructors -------------------------------------------
 
@@ -812,7 +812,10 @@ def _json_nested(val, depth: int, leaf: type) -> bool:
 def field_from_json(obj: dict) -> Field:
     """The field that Field.to_json wrote; a value of the wrong JSON type
     raises ParseError and a missing p or m KeyError.  modulus and
-    primitive may be absent or null."""
+    primitive may be absent or null.  Up to TABLE_MAX_Q elements a
+    primitive other than the cached field's alpha is checked at load;
+    a larger field loads as its own Field, equal to the cached one, whose
+    primitive is checked on first read."""
     _json_object(obj, "field")
     p, m = _json_int(obj, "p", "field"), _json_int(obj, "m", "field")
     modulus = obj.get("modulus")
@@ -822,12 +825,12 @@ def field_from_json(obj: dict) -> Field:
     if prim is not None and not _json_nested(prim, 0, str):
         raise ParseError("field primitive must be a hex string")
     f = field(p, m, modulus)
-    if prim is not None:
-        want = _canonical(prim, 16)
-        if want != f.alpha.val:
-            # honor a nonstandard designated generator, re-validated
-            return Field(f.p, f.m, f.modulus, _primitive_val=want)
-    return f
+    if prim is None:
+        return f
+    want = _canonical(prim, 16)
+    if f.q <= TABLE_MAX_Q and want == f.alpha.val:
+        return f
+    return Field(p, m, f.modulus, _primitive_val=want)
 
 
 def field_from_ref(ref: str) -> Field:

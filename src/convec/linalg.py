@@ -24,8 +24,9 @@ and codec's forward substitution takes G_0's right inverse from it, solving
 from the rows [G_0 | I].  The minor checks extend one unscaled basis column
 by column, over the columns of a packed kernel basis (_solve_packed with no
 right-hand side) when that is the narrower side.
-``_vecmat`` is the one row vector times matrix loop on packed values:
-Mat products and codec's forward substitution both run through it.
+``_vecmat`` is the one row vector times matrix loop on packed values: Mat
+and PolyMatrix products, codec's forward substitution and the column
+distance search all run through it.
 
 ``Mat(...)`` checks that every entry is an Element of its field.  Matrices
 that this module derives from already-checked ones (slices, transposes,

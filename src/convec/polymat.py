@@ -28,7 +28,7 @@ from .errors import (
     RankDeficient,
 )
 from .gf import Element, Field
-from .linalg import Mat, rank
+from .linalg import Mat, _vecmat, rank
 
 
 # ---------------------------------------------------------------------------
@@ -219,16 +219,16 @@ class PolyMatrix:
             raise DimensionMismatch("polynomial matrix product shape mismatch")
         if self.is_zero or other.is_zero:
             return PolyMatrix.zero(self.field, self.nrows, other.ncols)
-        d = self.degree + other.degree
-        out = [Mat.zeros(self.field, self.nrows, other.ncols) for _ in range(d + 1)]
+        fld, t = self.field, other.ncols
+        if other.field != fld:
+            raise FieldMismatch(f"matrices over {fld} and {other.field}")
+        bs = [b.to_packed() for b in other.coeffs]
+        out = [[[0] * t for _ in range(self.nrows)] for _ in range(self.degree + other.degree + 1)]
         for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return PolyMatrix(self.field, self.nrows, other.ncols, out)
+            for r, x in enumerate(a.to_packed()):
+                for j, b in enumerate(bs):
+                    out[i + j][r] = _vecmat(fld, out[i + j][r], x, b)
+        return PolyMatrix(fld, self.nrows, t, [Mat._from_ints(fld, c, t) for c in out])
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.ncols, self.nrows,

@@ -26,6 +26,7 @@ from convec.distance import (
 )
 from convec.errors import DivisibilityViolated, FieldTooLarge, NotPrime, SearchExhausted
 from convec.linalg import Mat, rank
+from convec.polymat import code_from_json
 from convec.stream import ErasureStream
 
 
@@ -131,6 +132,25 @@ def test_metadata_is_worked_out_once_on_first_read(cold_fields, monkeypatch):
     assert doc["field"]["primitive"] == "2"
     assert "alpha_primitive_verified" not in doc["metadata"]["provenance"]
     assert "alpha_primitive_verified" not in code.metadata["provenance"]
+
+
+def test_construct_file_loads_and_verifies_without_factoring(cold_fields, monkeypatch):
+    # loading a code file settles no generator of a large field: the JSON's
+    # primitive is checked only when read again, as writing the code does
+    doc = json.loads(json.dumps(build_complete_mdp(3, 2, 2, 2).to_json()))
+    cold_fields.cache_clear()
+    factor = gf._budgeted_factor
+
+    def refuse(n):
+        raise AssertionError(f"factored a {n.bit_length()}-bit number")
+
+    monkeypatch.setattr(gf, "_budgeted_factor", refuse)
+    code = code_from_json(doc)
+    rep = verify_complete_jmdp_via_g(code, L_of(3, 2, 2))
+    assert rep.passed and rep.sets_checked == 361
+    monkeypatch.setattr(gf, "_budgeted_factor", factor)
+    assert code.to_json()["field"]["primitive"] == "2"
+    assert code.field.unverified_primitive
 
 
 def test_certify_inverts_on_the_kernel_side(monkeypatch):
@@ -248,6 +268,16 @@ def test_staircase_rejects_negative_exponent(monkeypatch):
     grid[0][6] = -1
     monkeypatch.setattr(construct, "staircase_exponents", lambda n, k, delta: grid)
     with pytest.raises(ValueError, match="non-positive exponent at \\(0,6\\)"):
+        staircase_certificate(3, 1, 1)
+
+
+@pytest.mark.parametrize("grid,message", [
+    ([[1, 1]], "row 0 fails doubling at column 1"),
+    ([[1], [1]], "column 0 fails doubling at row 1"),
+])
+def test_staircase_rejects_no_doubling(monkeypatch, grid, message):
+    monkeypatch.setattr(construct, "staircase_exponents", lambda n, k, delta: grid)
+    with pytest.raises(ValueError, match=f"^{message}$"):
         staircase_certificate(3, 1, 1)
 
 

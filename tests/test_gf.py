@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 import sympy
@@ -211,6 +212,21 @@ def test_custom_primitive_via_json():
     spec["primitive"] = "2"  # order 3, certainly not primitive
     with pytest.raises(NoPrimitiveFound):
         field_from_json(spec)
+
+
+def test_large_field_checks_supplied_generator_on_first_read():
+    # past TABLE_MAX_Q elements a supplied generator is checked on first
+    # read, not at load; 511 = 7 * 73
+    F = field(2, 9)
+    low = F.alpha ** 7  # order 73
+    G = field_from_json(dict(F.to_json(), primitive=low.to_hex()))
+    assert G == F
+    with pytest.raises(NoPrimitiveFound, match=re.escape("(order divides (q-1)/7)")):
+        G.alpha
+    other = F.alpha ** 2  # also a generator
+    H = field_from_json(dict(F.to_json(), primitive=other.to_hex()))
+    assert H.alpha == other and H.alpha.val != F.alpha.val
+    assert H == field(2, 9) and not H.unverified_primitive
 
 
 def test_big_binary_field():

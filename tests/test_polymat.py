@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convec import field
-from convec.errors import DegreeMismatch, DimensionMismatch, RankDeficient
+from convec.errors import DegreeMismatch, DimensionMismatch, FieldMismatch, RankDeficient
 from convec.linalg import Mat
 from convec.polymat import (
     ConvCode,
@@ -116,6 +116,95 @@ def test_encode_unit_messages_give_rows(code522):
         v = code522.encode(u)
         for d in range(code522.G.degree + 1):
             assert v.coeff(d).data[0] == code522.G.coeff(d).data[i]
+
+
+# -- products ------------------------------------------------------------------
+#
+# PolyMatrix products run on packed values through linalg._vecmat; the
+# reference is a schoolbook product of Elements, one entry at a time.
+
+def _schoolbook(a, b):
+    """The coefficient grids of a * b, trailing zero grids dropped."""
+    F = a.field
+    out = [[[F.zero] * b.ncols for _ in range(a.nrows)]
+           for _ in range(a.degree + b.degree + 1)]
+    for i, ca in enumerate(a.coeffs):
+        for j, cb in enumerate(b.coeffs):
+            for r in range(a.nrows):
+                for c in range(b.ncols):
+                    for s in range(a.ncols):
+                        out[i + j][r][c] = out[i + j][r][c] + ca.data[r][s] * cb.data[s][c]
+    while out and all(e.is_zero for row in out[-1] for e in row):
+        out.pop()
+    return [[[e.val for e in row] for row in g] for g in out]
+
+
+def _rand_polymatrix(F, rng, nrows, ncols, deg):
+    """Sparse random coefficients, some of them zero matrices, with a
+    nonzero top one."""
+    def grid():
+        return [[F.random_element(rng) if rng.random() < 0.6 else F.zero
+                 for _ in range(ncols)] for _ in range(nrows)]
+
+    cs = [Mat(F, grid()) if rng.random() < 0.7 else Mat.zeros(F, nrows, ncols)
+          for _ in range(deg)]
+    top = grid()
+    top[0][0] = F.one
+    return PolyMatrix(F, nrows, ncols, cs + [Mat(F, top)])
+
+
+PRODUCT_FIELDS = [(2, 1), (5, 1), (2, 4), (3, 3), (2, 9), (3, 6)]
+
+
+@pytest.mark.parametrize("p,m", PRODUCT_FIELDS)
+def test_product_matches_schoolbook(p, m):
+    F = field(p, m)
+    rng = random.Random(p * 100 + m)
+    for r, s, t in itertools.product((1, 2, 3), repeat=3):
+        a = _rand_polymatrix(F, rng, r, s, rng.randrange(4))
+        b = _rand_polymatrix(F, rng, s, t, rng.randrange(4))
+        assert [c.to_packed() for c in (a * b).coeffs] == _schoolbook(a, b)
+    # top coefficients whose product cancels, 1*1 + 1*(-1): the degree drops
+    one, minus = F.one, -F.one
+    a = PolyMatrix(F, 1, 2, [Mat(F, [[F.el(rng.randrange(1, F.q)), one]]),
+                             Mat(F, [[one, one]])])
+    b = PolyMatrix(F, 2, 1, [Mat(F, [[one], [F.el(rng.randrange(1, F.q))]]),
+                             Mat(F, [[one], [minus]])])
+    prod = a * b
+    assert prod.degree < a.degree + b.degree
+    assert [c.to_packed() for c in prod.coeffs] == _schoolbook(a, b)
+
+
+def test_product_fields():
+    F, E = field(2, 4), field(5)
+    a = PolyMatrix.from_packed(F, [[[1, 2]]])
+    b = PolyMatrix.from_packed(E, [[[1], [3]]])
+    # a zero factor gives zero over the left factor's field, whatever the other's
+    assert (PolyMatrix.zero(F, 1, 2) * b) == PolyMatrix.zero(F, 1, 1)
+    assert (a * PolyMatrix.zero(E, 2, 1)) == PolyMatrix.zero(F, 1, 1)
+    with pytest.raises(FieldMismatch):
+        a * b
+    with pytest.raises(DimensionMismatch):
+        a * a
+
+
+def test_encode_builds_one_mat_per_coefficient(code522, msg522, monkeypatch):
+    built = []
+    init, derived = Mat.__init__, Mat._derived.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("init")
+        init(self, *args, **kwargs)
+
+    def counted_derived(cls, *args, **kwargs):
+        built.append("derived")
+        return derived(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Mat, "__init__", counted_init)
+    monkeypatch.setattr(Mat, "_derived", classmethod(counted_derived))
+    v = code522.encode(msg522)
+    assert v.degree == 4
+    assert len(built) <= msg522.degree + code522.G.degree + 1
 
 
 def test_degree_delta_reference(code522):
