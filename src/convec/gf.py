@@ -42,7 +42,10 @@ Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
 of degree m with the smallest packed value among those with a nonzero
 constant term; the constant-term rule only bites at m = 1, where it selects
 x + 1.  Irreducibility, of a candidate or of a supplied modulus, is decided
-for every p by Ben-Or's test on the same kernels; it is deterministic.
+for every p by one test on the same kernels: Ben-Or's, which rejects a
+polynomial with a small factor after a few Frobenius steps, runs to m/2 for
+odd p and to PREFIX_DEGREE for p = 2, where Rabin's test finishes a survivor
+by squarings alone.  Both are exact and deterministic.
 
 The designated generator alpha is the first element, in packed order starting
 at x (or at 1 for m = 1), whose multiplicative order is p^m - 1.  Orders are
@@ -87,6 +90,9 @@ TABLE_MAX_Q = 1 << 8
 # numbers below this are tested and factored by trial division; sympy is
 # imported only for larger ones
 SMALL_INT = 1 << 32
+# for p = 2, the degree up to which the irreducibility test runs Ben-Or's
+# products before Rabin's test finishes a survivor by squarings
+PREFIX_DEGREE = 32
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +209,27 @@ def _rem2(x: int, m: int, shifts: tuple[int, ...]) -> int:
     return x
 
 
+def _sq2n(a: int, n: int, m: int, shifts: tuple[int, ...]) -> int:
+    """a^(2^n) mod f for a below degree m, where ``shifts ==
+    _fold_shifts(f, m)``: n rounds of :func:`_sq2` and :func:`_rem2` in one
+    loop, which saves about a sixth of each squaring at m = 769."""
+    nb = (m + 7) // 8
+    mask = (1 << m) - 1
+    out = bytearray(2 * nb)
+    for _ in range(n):
+        s = a.to_bytes(nb, "little")
+        out[0::2] = s.translate(_SQ_LO)
+        out[1::2] = s.translate(_SQ_HI)
+        a = int.from_bytes(out, "little")
+        hi = a >> m
+        while hi:
+            a &= mask
+            for k in shifts:
+                a ^= hi << k
+            hi = a >> m
+    return a
+
+
 def _xpow2(e: int, b: int) -> int:
     """x^e mod b in GF(2)[x] by square-and-multiply, top bit of e first,
     each step reduced below deg b by shift-XOR."""
@@ -218,25 +245,12 @@ def _xpow2(e: int, b: int) -> int:
 
 
 def _gcd2(a: int, b: int) -> int:
-    """gcd in GF(2)[x] by shift-XOR Euclid, one leading bit per turn.
-
-    A leading term x^e of the longer operand a that has more zeros below it
-    than the about deg(b) * log2(e) turns :func:`_xpow2` takes is replaced
-    at once by x^e mod b.  So a sparse long operand against a short one, a
-    modulus against an early Ben-Or product, costs about deg(b) * log2(e)
-    turns rather than e.
-    """
+    """gcd in GF(2)[x] by shift-XOR Euclid, one leading bit per turn."""
     while b:
         la, lb = a.bit_length(), b.bit_length()
         if la < lb:
             a, b = b, a
             continue
-        jump = lb * la.bit_length()
-        if la - lb > jump:
-            rest = a ^ (1 << (la - 1))
-            if la - rest.bit_length() > jump:
-                a = rest ^ _xpow2(la - 1, b)
-                continue
         a ^= b << (la - lb)
     return a
 
@@ -414,31 +428,86 @@ def _power(mul, sq, a: int, e: int) -> int:
     return r
 
 
-def _irreducible(p: int, m: int, f: int) -> bool:
-    """Ben-Or's test for the packed monic f of degree m over GF(p).
+def _frobenius_products() -> tuple[tuple[int, int], ...]:
+    """(i, M_i) for i = 1, 2, 4, 8, where M_i = prod_{l <= i} (x^(2^l) - x)
+    in GF(2)[x] has degree 2^(i+1) - 2: gcd(M_i, f) = 1 exactly when f has
+    no irreducible factor of degree at most i."""
+    out, acc = [], 1
+    for i in range(1, 9):
+        acc = _clmul(acc, (1 << (1 << i)) ^ 2)
+        if i & (i - 1) == 0:
+            out.append((i, acc))
+    return tuple(out)
 
-    f is irreducible exactly when gcd(x^(p^i) - x, f) = 1 for every
-    i <= m/2.  The factors x^(p^i) - x are multiplied up modulo f and the
-    gcd is taken at i = 1, 2, 4, ... and at m/2, so a candidate with a
-    small-degree factor is rejected after a few Frobenius steps (Ben-Or,
-    FOCS 1981; Gao-Panario 1997).  The test is exact.
+
+_FROBENIUS = _frobenius_products()
+
+
+@functools.lru_cache(maxsize=32)
+def _xm_mod_frobenius(m: int) -> tuple[int, ...]:
+    """x^m mod M_i for each M_i of _FROBENIUS of degree below m: shared by
+    every candidate of one modulus search."""
+    return tuple(_xpow2(m, mi) for _, mi in _FROBENIUS if mi.bit_length() <= m)
+
+
+def _irreducible(p: int, m: int, f: int) -> bool:
+    """Ben-Or's test, finished for p = 2 by Rabin's, for the packed monic f
+    of degree m over GF(p).
+
+    Ben-Or (FOCS 1981; Gao-Panario 1997): f is irreducible exactly when
+    gcd(x^(p^i) - x, f) = 1 for every i <= m/2.  The factors x^(p^i) - x
+    are multiplied up modulo f and the gcd is taken at i = 1, 2, 4, ... and
+    at the last i, so a candidate with a small-degree factor is rejected
+    after a few Frobenius steps.  For odd p this runs to m/2, since there a
+    Frobenius step costs at least one product.
+
+    For p = 2 it stops at PREFIX_DEGREE, where a survivor has no factor of
+    degree up to there, and Rabin's test (SIAM J. Comput. 9, 1980) finishes
+    it by squarings alone: f is irreducible exactly when x^(2^m) = x mod f
+    and gcd(x^(2^(m/r)) - x, f) = 1 for every prime r | m, and a gcd with
+    m/r <= PREFIX_DEGREE is already known to be 1.  Also for p = 2, a
+    checkpoint i = 1, 2, 4, 8 whose M_i (see :func:`_frobenius_products`)
+    has degree below m takes gcd(M_i, f) through x^m mod M_i, which every
+    candidate of degree m shares, so it neither multiplies nor divides by
+    f.  Both tests are exact.
     """
     if m == 1:
         return True
-    _, sub, _, mul, _, sq = _kernels(p, m, f)
+    half = m // 2
+    stop = min(half, PREFIX_DEGREE) if p == 2 else half
     x = t = p  # the packed value of x
     acc = 1
-    check = 1
-    for i in range(1, m // 2 + 1):
+    start = check = 1
+    if p == 2:
+        low = f ^ (1 << m)
+        for (i, mi), xm in zip(_FROBENIUS, _xm_mod_frobenius(m)):
+            if i > stop:
+                break
+            if _gcd2(mi, xm ^ low) != 1:
+                return False
+            acc, t, start, check = mi, 1 << (1 << i), i + 1, 2 * i
+    _, sub, _, mul, _, sq = _kernels(p, m, f)
+    for i in range(start, stop + 1):
         t = _power(mul, sq, t, p)
         acc = mul(acc, sub(t, x))
-        if i == check or i == m // 2:
+        if i == check or i == stop:
             g = (_gcd2(acc, f) if p == 2
                  else _pack(_pgcd(_coeffs(f, p), _coeffs(acc, p), p), p))
             if g >= p:  # the gcd has positive degree
                 return False
             check *= 2
-    return True
+    if stop == half:
+        return True
+    # Rabin's finish: square t = x^(2^stop) on to x^(2^m), keeping
+    # x^(2^(m/r)) for each m/r whose gcd is not yet known
+    shifts = _fold_shifts(f, m)
+    saved, i = [], stop
+    for k in sorted(m // r for r in _factorint(m) if m // r > stop):
+        t = _sq2n(t, k - i, m, shifts)
+        saved.append(t)
+        i = k
+    t = _sq2n(t, m - i, m, shifts)
+    return t == x and all(_gcd2(s ^ x, f) == 1 for s in saved)
 
 
 # ---------------------------------------------------------------------------

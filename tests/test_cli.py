@@ -10,8 +10,10 @@ import pytest
 from conftest import MASK522
 from convec import gf
 from convec.cli import main
+from convec.errors import Reducible
 from convec.polymat import code_from_json
 from convec.stream import ErasureStream
+from test_gf import REDUCIBLE_ABOVE_PREFIX
 from test_golden_decode import codes as golden_codes
 
 
@@ -389,6 +391,25 @@ def test_huge_m_with_supplied_modulus_error_json(tmp_path, capsys):
     assert captured.out == "" and captured.err.count("\n") == 1
     err = json.loads(captured.err)
     assert set(err) == {"error", "message"} and err["error"] == "ValueError"
+    assert not rep.exists()
+
+
+def test_reducible_modulus_above_prefix_error_json(tmp_path, capsys):
+    # the golden GF(16) code with a supplied modulus that is the product of
+    # two irreducibles of one degree above the irreducibility test's Ben-Or
+    # prefix: Rabin's finish rejects it, through the usual Reducible error
+    f = dict(REDUCIBLE_ABOVE_PREFIX)["equal-degrees"]
+    doc = golden_codes()["gf16_mu2"].to_json()
+    doc["field"]["m"] = f.bit_length() - 1
+    doc["field"]["modulus"] = list(gf._coeffs(f, 2))
+    with pytest.raises(Reducible):
+        code_from_json(doc)
+    path, rep = tmp_path / "code.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", "--code", path, "--property", "mdp", "--report", rep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err)["error"] == "Reducible"
     assert not rep.exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from convec import field
+from convec import field, gf
 from convec.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -21,6 +21,7 @@ from convec.gf import (
     TABLE_MAX_Q,
     Field,
     _clmul,
+    _FROBENIUS,
     _coeffs,
     _factorint,
     _fold_shifts,
@@ -32,6 +33,7 @@ from convec.gf import (
     _pack,
     _rem2,
     _sq2,
+    _xm_mod_frobenius,
     field_from_json,
     field_from_ref,
 )
@@ -313,8 +315,8 @@ def test_reference_moduli():
 
 
 # auto moduli of large fields, pinned from Rabin's test, which decided
-# irreducibility before Ben-Or's: a new test must choose the same first
-# irreducible
+# irreducibility before Ben-Or's and again finishes every candidate that
+# passes Ben-Or's prefix: a new test must choose the same first irreducible
 AUTO_LARGE = {2305: (1 << 2305) | 0b101101, 2561: (1 << 2561) | 0b110101101}
 
 
@@ -324,7 +326,8 @@ def test_large_auto_moduli_unchanged(m):
 
 
 # packed auto moduli in odd characteristic, pinned from Rabin's test, which
-# decided irreducibility for odd p before Ben-Or's
+# decided irreducibility for odd p before Ben-Or's (odd p runs Ben-Or's test
+# to m/2, with no Rabin finish)
 AUTO_ODD = {
     (3, 2): 10, (3, 3): 34, (3, 4): 86, (3, 5): 250, (3, 6): 734,
     (3, 7): 2198, (3, 8): 6572, (3, 9): 19747, (3, 10): 59068,
@@ -380,6 +383,113 @@ def rabin_irreducible(f: int) -> bool:
 def test_irreducible2_matches_rabin():
     for f in range(2, 1 << 13):
         assert _irreducible(2, f.bit_length() - 1, f) == rabin_irreducible(f), bin(f)
+
+
+# -- Rabin's finish: polynomials whose factors all lie above the prefix -------
+#
+# For p = 2, Ben-Or's products stop at gf.PREFIX_DEGREE and Rabin's test
+# decides what passes them, so these polynomials reach the finish.  The
+# references are rabin_irreducible and shift-XOR arithmetic above.
+
+def first_irreducibles(d: int, count: int) -> list[int]:
+    """The first count irreducibles of degree d with a constant term, in
+    packed order, by the test-local Rabin's test."""
+    out, f = [], (1 << d) | 1
+    while len(out) < count:
+        if rabin_irreducible(f):
+            out.append(f)
+        f += 2
+    return out
+
+
+def xpow2m_is_x(f: int) -> bool:
+    """x^(2^m) = x mod f, for f of degree m, by plain squarings."""
+    t = ref_rem(2, f)
+    for _ in range(f.bit_length() - 1):
+        t = ref_rem(ref_mul(t, t), f)
+    return t == ref_rem(2, f)
+
+
+D = gf.PREFIX_DEGREE + 1
+G1, G2 = first_irreducibles(D, 2)
+H1 = first_irreducibles(D + 2, 1)[0]
+# reducible, every factor of degree above the prefix: (name, f)
+REDUCIBLE_ABOVE_PREFIX = [
+    ("equal-degrees", ref_mul(G1, G2)),
+    ("unequal-degrees", ref_mul(G1, H1)),
+    ("square", ref_mul(G1, G1)),
+]
+
+
+@pytest.mark.parametrize("f", [f for _, f in REDUCIBLE_ABOVE_PREFIX],
+                         ids=[name for name, _ in REDUCIBLE_ABOVE_PREFIX])
+def test_finish_rejects_factors_above_prefix(f):
+    m = f.bit_length() - 1
+    assert m // 2 > gf.PREFIX_DEGREE
+    assert not rabin_irreducible(f)
+    assert not _irreducible(2, m, f)
+    with pytest.raises(Reducible):
+        Field(2, m, modulus=_coeffs(f, 2))
+
+
+def test_finish_gcd_alone_rejects_equal_degrees():
+    # both factors have degree m/2, so x^(2^m) = x mod f holds and only the
+    # gcd with x^(2^(m/2)) - x can tell f from an irreducible
+    f = ref_mul(G1, G2)
+    assert xpow2m_is_x(f)
+    assert not _irreducible(2, 2 * D, f)
+
+
+@pytest.mark.parametrize("m", [67, 70])  # prime, and 2 * 5 * 7 with 70/2 > 32
+def test_finish_accepts_irreducibles(m):
+    assert m > 2 * gf.PREFIX_DEGREE
+    f = first_irreducibles(m, 1)[0]
+    assert _irreducible(2, m, f)
+    assert _pack(Field._auto_modulus(2, m), 2) == f
+
+
+@pytest.fixture(scope="module")
+def rabin_up_to_12():
+    return [rabin_irreducible(f) for f in range(2, 1 << 13)]
+
+
+@pytest.mark.parametrize("prefix", [1, 2])
+def test_irreducible2_with_short_prefix_matches_rabin(prefix, rabin_up_to_12, monkeypatch):
+    # every monic polynomial of degree 1..12, with the finish from degree 4 on
+    monkeypatch.setattr(gf, "PREFIX_DEGREE", prefix)
+    for f, want in zip(range(2, 1 << 13), rabin_up_to_12):
+        assert _irreducible(2, f.bit_length() - 1, f) == want, bin(f)
+
+
+def test_frobenius_products_and_shared_powers():
+    acc = 1
+    for i, mi in _FROBENIUS:
+        assert mi.bit_length() - 1 == 2 ** (i + 1) - 2
+        for l in range(1, i + 1):
+            assert ref_rem(mi, (1 << 2 ** l) ^ 2) == 0
+        assert ref_rem(mi, acc) == 0
+        acc = mi
+    for m in (2, 3, 7, 30, 31, 511, 769):
+        want = tuple(ref_rem(1 << m, mi) for _, mi in _FROBENIUS if mi.bit_length() <= m)
+        assert _xm_mod_frobenius(m) == want
+
+
+@pytest.mark.parametrize("d", [5, 6, 7, 8, 9])
+def test_fixed_checkpoints_at_large_m(d):
+    # m = 520 takes the checkpoints up to i = 8 against the fixed products
+    # M_i: f = g * r * G1^15, whose smallest factor g has degree d
+    g, r = first_irreducibles(d, 1)[0], first_irreducibles(25 - d, 1)[0]
+    f = ref_mul(g, r)
+    for _ in range(15):
+        f = ref_mul(f, G1)
+    assert f.bit_length() - 1 == 520
+    assert not _irreducible(2, 520, f)
+
+
+@pytest.mark.parametrize("m", sorted(AUTO_LARGE))
+def test_large_auto_moduli_load_as_supplied(m):
+    F = Field(2, m, modulus=_coeffs(AUTO_LARGE[m], 2))
+    assert F.modulus_packed == AUTO_LARGE[m]
 
 
 def check_kernels(m: int, f: int, a: int, b: int):
