@@ -41,14 +41,7 @@ from .errors import (
 )
 from .linalg import Mat, _independent, _solve_packed, _vecmat, rank
 from .polymat import ConvCode
-from .sliding import (
-    generator_band,
-    generator_truncation,
-    nontrivial_bounds,
-    parity_band,
-    parity_truncation,
-    walk_bounded,
-)
+from .sliding import check_window, generator_truncation, walk_bounded
 
 SEARCH_BUDGET_DEFAULT = 1 << 22
 
@@ -235,8 +228,8 @@ def _run_minor_check(prop: str, j: int, mat: Mat, bounds) -> VerificationReport:
     """Check that each column set of mat spans a nonzero full-size minor.
 
     The sets are the strictly increasing tuples of mat.nrows columns within
-    bounds, the (size, column count, lo, hi) position bounds that
-    ``sliding._bounds_for`` gives, walked in lexicographic order.  When
+    bounds, the (size, column count, lo, hi) position bounds of the window
+    ``sliding.check_window`` built mat in, walked in lexicographic order.  When
     mat's right kernel is narrower than mat has rows, the columns reduced
     are those of a kernel basis at the set's complement: a full-size minor
     of a full-row-rank matrix is nonzero exactly when the complementary
@@ -286,18 +279,16 @@ def _run_minor_check(prop: str, j: int, mat: Mat, bounds) -> VerificationReport:
 def is_column_optimal_via_g(code: ConvCode, j: int) -> bool:
     """d_j^c attains (n-k)(j+1)+1, decided by minors of G_j^c."""
     _require_delay_free(code)
-    bounds = nontrivial_bounds("generator_truncation", code.n, code.k, code.G.degree, j)
-    m = generator_truncation(code.G, j)
-    return _run_minor_check("column_optimal_via_g", j, m, bounds).passed
+    return _run_minor_check("column_optimal_via_g", j,
+                            *check_window("generator_truncation", code.G, j)).passed
 
 
 def is_column_optimal_via_h(code: ConvCode, j: int) -> bool:
     """The same criterion read off the parity check, via minors of H_j^c."""
     if code.H is None:
         raise NoParityCheck("no parity check supplied")
-    bounds = nontrivial_bounds("parity_truncation", code.n, code.k, code.H.degree, j)
-    m = parity_truncation(code.H, j)
-    return _run_minor_check("column_optimal_via_h", j, m, bounds).passed
+    return _run_minor_check("column_optimal_via_h", j,
+                            *check_window("parity_truncation", code.H, j)).passed
 
 
 def is_mdp(code: ConvCode) -> bool:
@@ -306,29 +297,32 @@ def is_mdp(code: ConvCode) -> bool:
 
 def verify_complete_jmdp_via_g(code: ConvCode, j: int,
                                budget: int | None = None) -> VerificationReport:
-    """All non-trivial full-size minors of the depth mu+j generator band."""
-    n, k = code.n, code.k
+    """All non-trivial full-size minors of the generator band over
+    mu + j + 1 codeword blocks.  For a non-catastrophic G and a minimal H,
+    the bands over the same blocks are dual, so this is the H check at
+    j + mu - nu."""
+    k = code.k
     if code.delta % k:
         raise DivisibilityViolated("k must divide delta")
     mu = code.delta // k
     if code.G.degree != mu:
         raise DegreeMismatch(f"generator degree {code.G.degree}, expected {mu}")
-    bounds = nontrivial_bounds("generator", n, k, mu, j, budget)
-    band = generator_band(code.G, j + mu)
-    return _run_minor_check("complete_jmdp_via_g", j, band, bounds)
+    return _run_minor_check("complete_jmdp_via_g", j,
+                            *check_window("generator", code.G, j, budget))
 
 
 def verify_complete_jmdp_via_h(code: ConvCode, j: int,
                                budget: int | None = None) -> VerificationReport:
-    """All non-trivial full-size minors of the depth j parity band."""
-    n, k = code.n, code.k
+    """All non-trivial full-size minors of the parity band over j + nu + 1
+    codeword blocks: complete j-MDP as Tomas, Rosenthal and Smarandache
+    define it."""
     if code.H is None:
         raise NoParityCheck("no parity check supplied")
-    if code.delta % (n - k):
+    r = code.n - code.k
+    if code.delta % r:
         raise DivisibilityViolated("n-k must divide delta")
-    nu = code.delta // (n - k)
+    nu = code.delta // r
     if code.H.degree != nu:
         raise DegreeMismatch(f"parity degree {code.H.degree}, expected {nu}")
-    bounds = nontrivial_bounds("parity", n, k, nu, j, budget)
-    band = parity_band(code.H, j)
-    return _run_minor_check("complete_jmdp_via_h", j, band, bounds)
+    return _run_minor_check("complete_jmdp_via_h", j,
+                            *check_window("parity", code.H, j, budget))

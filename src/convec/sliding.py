@@ -7,31 +7,33 @@ no layout tag: every function that reads one takes the kind as its leading
 argument.  Puncturing a matrix is ``Mat.take_cols`` with the kept 0-based
 columns.
 
-Four block layouts are built from a k x n generator G of degree mu or an
-(n-k) x n parity check H of degree nu.  Each is one entry of _LAYOUTS, the
-one source both for the builders and for the non-trivial column sets: its
-block-row and block-column counts at band length d and depth j, and the
-coefficient index of block (r, c), or None for a structural zero block.
+Every matrix is one window over a k x n generator G of degree mu or an
+(n-k) x n parity check H of degree nu.  Its block columns are the codeword
+blocks it spans, and its history is mu or nu for a band, 0 for a
+truncation from the zero state.  On the G side the block rows are the
+history + span message blocks from history blocks before the first column
+on, and block (r, c) holds G_{history+c-r}; on the H side they are the
+span - history parity checks that reach history blocks back within the
+span, and block (r, c) holds H_{history+r-c}.  An index outside 0..degree
+is a structural zero.  Every call builds a new matrix: distance.py one
+per check, decoding none.
 
-  generator_truncation(G, j)   (j+1)k     x (j+1)n      upper block triangular
-  parity_truncation(H, j)      (j+1)(n-k) x (j+1)n      lower block triangular
-  parity_band(H, j)            (j+1)(n-k) x (j+1+nu)n   rows slide [H_nu .. H_0]
-  generator_band(G, j)         (j+1+mu)k  x (j+1)n      columns stack [G_mu .. G_0]
+  builder                      side  history  blocks spanned  shape
+  generator_truncation(G, j)   G     0        j+1             (j+1)k     x (j+1)n
+  parity_truncation(H, j)      H     0        j+1             (j+1)(n-k) x (j+1)n
+  parity_band(H, j)            H     nu       j+1+nu          (j+1)(n-k) x (j+1+nu)n
+  generator_band(G, j)         G     mu       j+1             (j+1+mu)k  x (j+1)n
 
-Each builder assembles a new matrix on every call; nothing is cached.  The
-verifiers in distance.py build one per check, and decoding builds none.
-
-A full-size minor of one of these matrices is "trivially zero" when no
-matching pairs every row with a chosen column through a nonzero block, so
-it vanishes regardless of the coefficient values.  Each block row meets one
-run of block columns, and the runs move right with the row, so a column set
-l_1 < ... < l_size is non-trivial exactly when every l_i lies in the block
-columns that row i's block row meets.  These per-position interval bounds
-also make counting and lexicographic enumeration cheap.  The kind names the
-layout; "generator" sets at delay j belong to the depth mu+j band
-generator_band(G, mu+j), and the truncation sets are those of the generic
-triangle, read at d = j where no band edge falls inside the window.  After
-the bounds implied by strict increase, the table yields:
+A full-size minor is "trivially zero" when no matching pairs every row with
+a chosen column through a nonzero block, so it vanishes regardless of the
+coefficient values.  Each block row meets one run of block columns, and the
+runs move right with the row, so a column set l_1 < ... < l_size is
+non-trivial exactly when every l_i lies in the block columns that row i's
+block row meets.  These per-position interval bounds also make counting and
+lexicographic enumeration cheap.  A kind's sets at delay j are read in its
+window of history + j + 1 blocks: the "generator" sets in
+generator_band(G, mu+j), a truncation's in the generic triangle, every
+coefficient up to j present.  After the bounds implied by strict increase:
 
   "generator_truncation"  l_{sk+1} >= sn+1                             s = 1..j
   "parity_truncation"     l_{s(n-k)} <= sn                             s = 1..j
@@ -55,7 +57,7 @@ least column in S xor S' lies in the lexicographically smaller set).
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import budget as _budget
 from .errors import BadCardinality, BudgetExceeded, IndexOutOfRange
@@ -66,68 +68,78 @@ ENUM_BUDGET_DEFAULT = 10_000_000
 
 
 # ---------------------------------------------------------------------------
-# block layouts
+# windows and their builders
 # ---------------------------------------------------------------------------
 
-class _Layout(NamedTuple):
-    """One block layout at band length d and depth j."""
+class _Window(NamedTuple):
+    """A window as the module docstring describes it."""
     parity: bool  # block rows are the n-k rows of H, else the k rows of G
-    shape: Callable[[int, int], tuple[int, int]]  # (d, j) -> block rows, block columns
-    index: Callable[[int, int, int], int]  # (d, r, c) -> power of z in block (r, c)
-    sets: Callable[[int, int], tuple[int, int]]  # (deg, j) -> (d, j) the sets are read at
+    history: int
+    span: int  # codeword blocks, the block columns
+    degree: int  # coefficients past it are structural zeros
 
-    def at(self, d: int, r: int, c: int) -> int | None:
-        """Coefficient index of block (r, c), or None for a structural zero."""
-        i = self.index(d, r, c)
-        return i if 0 <= i <= d else None
+    @property
+    def rows(self) -> int:
+        return self.span - self.history if self.parity else self.history + self.span
+
+    @property
+    def depth(self) -> int:  # the builders' j: H's last block row, G's last block column
+        return (self.rows if self.parity else self.span) - 1
+
+    def met(self, r: int) -> dict[int, int]:
+        """Coefficient index by block column of the blocks block row r meets."""
+        sign = -1 if self.parity else 1
+        return {c: i for c in range(self.span)
+                if 0 <= (i := self.history + sign * (c - r)) <= self.degree}
 
 
-_LAYOUTS = {
-    "generator_truncation": _Layout(False, lambda d, j: (j + 1, j + 1),
-                                    lambda d, r, c: c - r, lambda deg, j: (j, j)),
-    "parity_truncation": _Layout(True, lambda d, j: (j + 1, j + 1),
-                                 lambda d, r, c: r - c, lambda deg, j: (j, j)),
-    "parity": _Layout(True, lambda d, j: (j + 1, j + 1 + d),
-                      lambda d, r, c: d + r - c, lambda deg, j: (deg, j)),
-    "generator": _Layout(False, lambda d, j: (j + 1 + d, j + 1),
-                         lambda d, r, c: d + c - r, lambda deg, j: (deg, deg + j)),
+# kind: (H side, band)
+_KINDS = {
+    "generator_truncation": (False, False),
+    "parity_truncation": (True, False),
+    "parity": (True, True),
+    "generator": (False, True),
 }
 
 
-def _build(kind: str, pm: PolyMatrix, j: int) -> Mat:
-    """The kind's layout of pm's coefficients at depth j."""
-    if j < 0:
+def _window(kind: str, deg: int, j: int) -> _Window:
+    """The window of the kind's sets at delay j, for degree deg: a band's
+    has deg history blocks and spans deg + j + 1, a truncation's has none,
+    spans j + 1 and is read as the generic triangle of degree j."""
+    parity, band = _KINDS[kind]
+    history = deg if band else 0
+    return _Window(parity, history, history + j + 1, deg if band else j)
+
+
+def _build(pm: PolyMatrix, win: _Window) -> Mat:
+    """pm's coefficients laid out in the window."""
+    if win.depth < 0:
         raise ValueError("depth must be >= 0")
-    lay = _LAYOUTS[kind]
-    d = pm.degree
-    block_rows, block_cols = lay.shape(d, j)
     bc = pm.ncols
     zero = pm.field.zero
     data = []
-    for r in range(block_rows):
-        rows = [[zero] * (block_cols * bc) for _ in range(pm.nrows)]
-        for c in range(block_cols):
-            i = lay.at(d, r, c)
-            if i is not None:
-                for dst, src in zip(rows, pm.coeff(i).data):
-                    dst[c * bc:(c + 1) * bc] = src
+    for r in range(win.rows):
+        rows = [[zero] * (win.span * bc) for _ in range(pm.nrows)]
+        for c, i in win.met(r).items():
+            for dst, src in zip(rows, pm.coeff(i).data):
+                dst[c * bc:(c + 1) * bc] = src
         data.extend(rows)
-    return Mat._derived(pm.field, data, block_cols * bc)
+    return Mat._derived(pm.field, data, win.span * bc)
 
 
 def generator_truncation(g: PolyMatrix, j: int) -> Mat:
     """(j+1)k x (j+1)n matrix taking (u_0..u_j) to (v_0..v_j)."""
-    return _build("generator_truncation", g, j)
+    return _build(g, _Window(False, 0, j + 1, g.degree))
 
 
 def parity_truncation(h: PolyMatrix, j: int) -> Mat:
     """(j+1)(n-k) x (j+1)n lower block triangular parity window."""
-    return _build("parity_truncation", h, j)
+    return _build(h, _Window(True, 0, j + 1, h.degree))
 
 
 def parity_band(h: PolyMatrix, j: int) -> Mat:
     """(j+1)(n-k) x (j+1+nu)n band; block row i is [H_nu ... H_0] at offset i."""
-    return _build("parity", h, j)
+    return _build(h, _Window(True, h.degree, h.degree + j + 1, h.degree))
 
 
 def generator_band(g: PolyMatrix, j: int) -> Mat:
@@ -136,7 +148,7 @@ def generator_band(g: PolyMatrix, j: int) -> Mat:
     Row block r corresponds to the message coefficient u_{t-mu+r} when the
     window covers codeword blocks v_t .. v_{t+j}.
     """
-    return _build("generator", g, j)
+    return _build(g, _Window(False, g.degree, j + 1, g.degree))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +260,7 @@ def enumerate_bounded(size: int, ncols: int, lo: dict[int, int],
 
 
 # ---------------------------------------------------------------------------
-# non-trivial column sets of the four layouts
+# non-trivial column sets of the four windows
 # ---------------------------------------------------------------------------
 
 def _bounds_for(kind: str, n: int, k: int, deg: int, j: int):
@@ -260,20 +272,18 @@ def _bounds_for(kind: str, n: int, k: int, deg: int, j: int):
         raise ValueError("deg must be >= 0")
     if j < 0:
         raise ValueError("j must be >= 0")
-    lay = _LAYOUTS.get(kind)
-    if lay is None:
+    if kind not in _KINDS:
         raise ValueError(f"unknown index set kind {kind!r}")
-    d, depth = lay.sets(deg, j)
-    block_rows, block_cols = lay.shape(d, depth)
-    height = n - k if lay.parity else k
+    win = _window(kind, deg, j)
+    height = n - k if win.parity else k
     lo: dict[int, int] = {}
     hi: dict[int, int] = {}
-    for r in range(block_rows):
-        met = [c for c in range(block_cols) if lay.at(d, r, c) is not None]
+    for r in range(win.rows):
+        met = win.met(r)
         for pos in range(r * height + 1, (r + 1) * height + 1):
-            lo[pos] = met[0] * n + 1
-            hi[pos] = (met[-1] + 1) * n
-    return block_rows * height, block_cols * n, lo, hi
+            lo[pos] = min(met) * n + 1
+            hi[pos] = (max(met) + 1) * n
+    return win.rows * height, win.span * n, lo, hi
 
 
 def _check_members(indices, size: int, ncols: int, kind: str):
@@ -320,3 +330,15 @@ def enumerate_nontrivial(kind: str, n: int, k: int, deg: int, j: int,
     (``nontrivial_bounds``) nothing is enumerated.
     """
     return enumerate_bounded(*nontrivial_bounds(kind, n, k, deg, j, budget))
+
+
+def check_window(kind: str, pm: PolyMatrix, j: int, budget: int | None = None):
+    """The matrix the kind's minor check at delay j reduces, built from pm
+    (G, or H for the parity kinds) by its public builder, and the bounds of
+    its non-trivial sets (``nontrivial_bounds``), both of one window."""
+    win = _window(kind, pm.degree, j)
+    k = pm.ncols - pm.nrows if win.parity else pm.nrows
+    bounds = nontrivial_bounds(kind, pm.ncols, k, pm.degree, j, budget)
+    build = {"generator_truncation": generator_truncation, "parity_truncation": parity_truncation,
+             "parity": parity_band, "generator": generator_band}[kind]
+    return build(pm, win.depth), bounds

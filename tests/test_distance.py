@@ -8,6 +8,7 @@ import random
 import pytest
 
 from convec import distance, field
+from convec.construct import random_code
 from convec.errors import (
     BudgetExceeded,
     DegreeMismatch,
@@ -328,10 +329,24 @@ def test_complete_jmdp_preconditions(gf2):
 
 def test_duality_at_n_equal_2k(pair_2_1):
     # with a noncatastrophic pair, generator and parity criteria agree; the
-    # two set families are complementary, hence equinumerous
-    for d in (1, 2):
-        for j in (0, 1):
-            assert count_nontrivial("parity", 2, 1, d, j) == count_nontrivial("generator", 2, 1, d, j)
+    # two set families are complementary.  At every rate, the generator sets
+    # at delay j + nu - mu read the mu + (j + nu - mu) + 1 = j + nu + 1
+    # codeword blocks the parity sets at delay j read, and are exactly
+    # their complements there
+    shapes = 0
+    for n, k, delta in ((2, 1, 1), (2, 1, 2), (3, 2, 2), (4, 3, 3), (3, 1, 2),
+                        (4, 2, 2), (3, 2, 4)):
+        mu, nu = delta // k, delta // (n - k)
+        for j in range(3):
+            if j + nu - mu < 0:
+                continue
+            everything = set(range(1, (j + nu + 1) * n + 1))
+            parity = {tuple(sorted(everything.difference(s)))
+                      for s in enumerate_nontrivial("parity", n, k, nu, j)}
+            generator = list(enumerate_nontrivial("generator", n, k, mu, j + nu - mu))
+            assert set(generator) == parity and len(generator) == len(parity), (n, k, j)
+            shapes += 1
+    assert shapes == 20
     rng = random.Random(3)
     fld = field(5)
     trials = agreements = passes = 0
@@ -352,6 +367,69 @@ def test_duality_at_n_equal_2k(pair_2_1):
             agreements += 1
             passes += a.passed
     assert agreements == 24 and 0 < passes < agreements
+
+
+def _det(rows):
+    """Determinant of a square list of Poly rows, by Laplace expansion."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for c, a in enumerate(rows[0]):
+        term = a * _det([r[:c] + r[c + 1:] for r in rows[1:]])
+        term = -term if c % 2 else term
+        total = term if total is None else total + term
+    return total
+
+
+def with_minor_parity(code: ConvCode) -> ConvCode:
+    """The code with H = (h_0 .. h_{n-1}), h_i = (-1)^i times G's minor
+    without column i, for k = n - 1: each row of H G^T is the expansion of
+    a determinant with a repeated row.  H is minimal when G is
+    non-catastrophic."""
+    n, k = code.n, code.k
+    assert k == n - 1
+    entries = [[code.G.entry(r, c) for c in range(n)] for r in range(k)]
+    h = [_det([row[:i] + row[i + 1:] for row in entries]) for i in range(n)]
+    h = [-p if i % 2 else p for i, p in enumerate(h)]
+    top = max(p.degree for p in h)
+    H = PolyMatrix.from_packed(code.field, [[[p.coeff(i).val for p in h]]
+                                            for i in range(top + 1)])
+    return ConvCode(n, k, code.G, H)
+
+
+def test_verify_agreement_across_rates():
+    # a non-catastrophic G and its minimal H: the generator check at delay
+    # j + nu - mu reads the parity check's j + nu + 1 blocks and agrees with
+    # it; catastrophic samples are skipped
+    verdicts = []
+    for n, k, delta, q in ((3, 2, 2, 32), (4, 3, 3, 64)):
+        mu, nu = delta // k, delta // (n - k)
+        for seed in range(4):
+            code = random_code(n, k, delta, q, seed)
+            if not code.flags.noncatastrophic_certified:
+                continue
+            code = with_minor_parity(code)
+            assert code.H.degree == nu
+            for j in range(3):
+                passed = verify_complete_jmdp_via_h(code, j).passed
+                assert verify_complete_jmdp_via_g(code, j + nu - mu).passed == passed, \
+                    (n, k, q, seed, j)
+                verdicts.append(passed)
+    assert len(verdicts) == 21 and 0 < sum(verdicts) < len(verdicts)
+
+
+def test_complete_generator_witness_is_not_mdp():
+    # random_code's first (3,2,2) GF(32) code that passes the generator
+    # check at L = 3 has a codeword window of weight 4 over blocks 0..3,
+    # below the column bound 5, so it is not MDP
+    code = random_code(3, 2, 2, 32, 0, want="complete")
+    assert [[[e.val for e in row] for row in m.data] for m in code.G.coeffs] == [
+        [[0x2, 0x6, 0x19], [0xc, 0x10, 0x16]], [[0x1e, 0xa, 0xd], [0x3, 0xa, 0xa]]]
+    u = PolyMatrix.from_packed(code.field, [[[9, 28]], [[14, 21]], [[16, 12]], [[1, 0]]])
+    blocks = [[e.val for e in m.data[0]] for m in code.encode(u).coeffs[:4]]
+    assert blocks == [[22, 0, 30], [15, 0, 0], [0, 4, 0], [0, 0, 0]]
+    assert sum(map(bool, itertools.chain(*blocks))) == 4 < column_bound(3, 2, 3)
+    assert L_of(3, 2, 2) == 3 and not is_mdp(code)
 
 
 # ---------------------------------------------------------------------------
