@@ -45,13 +45,18 @@ x + 1.  Irreducibility, of a candidate or of a supplied modulus, is decided
 for every p by one test on the same kernels: Ben-Or's, which rejects a
 polynomial with a small factor after a few Frobenius steps, runs to m/2 for
 odd p and to PREFIX_DEGREE for p = 2, where Rabin's test finishes a survivor
-by squarings alone.  For p = 2 and odd m, a polynomial whose low part has
-degree at most PREFIX_DEGREE meets a parity sieve before Ben-Or's products
-(the auto search tries no low part above degree 14 at any odd m measured,
-up to 4097): the discriminant of its 0/1 lift to Z[x], taken mod 8 from the
-low part alone, rejects about half of the reducible ones that reach it.
-All three are exact and deterministic, so the sieve never changes which
-modulus is chosen.
+by squarings alone.  For p = 2 two sieves come first.  A small-factor sieve
+strikes every polynomial with an irreducible factor of degree at most 8,
+found by the sieve of Eratosthenes: such a factor P divides x^m + low
+exactly when low = x^m mod P, mod P.  The auto search strikes those whole
+residue classes in windows of 2^10 low parts by XOR steps through each P's
+multiples, and a supplied modulus is a window of one.  Then, for odd m, a
+polynomial whose low part has degree at most PREFIX_DEGREE meets a parity
+sieve before Ben-Or's products (the auto search tries no low part above
+degree 14 at any odd m measured, up to 4097): the discriminant of its 0/1
+lift to Z[x], taken mod 8 from the low part alone, rejects about half of
+the reducible ones that reach it.  All of these are exact and
+deterministic, so the sieves never change which modulus is chosen.
 
 The designated generator alpha is the first element, in packed order starting
 at x (or at 1 for m = 1), whose multiplicative order is p^m - 1.  Orders are
@@ -99,6 +104,10 @@ SMALL_INT = 1 << 32
 # for p = 2, the degree up to which the irreducibility test runs Ben-Or's
 # products before Rabin's test finishes a survivor by squarings
 PREFIX_DEGREE = 32
+# for p = 2, the small-factor sieve strikes candidates with an irreducible
+# factor of degree up to _SIEVE_DEGREE, 2^_WINDOW_BITS low parts at a time
+_SIEVE_DEGREE = 8
+_WINDOW_BITS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +224,21 @@ def _rem2(x: int, m: int, shifts: tuple[int, ...]) -> int:
     return x
 
 
-def _xpow2(e: int, b: int) -> int:
-    """x^e mod b in GF(2)[x] by square-and-multiply, top bit of e first,
-    each step reduced below deg b by shift-XOR."""
+def _mod2(a: int, b: int) -> int:
+    """a mod b in GF(2)[x] by shift-XOR, one leading bit per turn."""
     lb = b.bit_length()
+    d = a.bit_length() - lb
+    while d >= 0:
+        a ^= b << d
+        d = a.bit_length() - lb
+    return a
+
+
+def _xpow2(e: int, b: int) -> int:
+    """x^e mod b in GF(2)[x] by square-and-multiply, top bit of e first."""
     r = 1
     for bit in bin(e)[2:]:
-        r = _sq2(r) << (bit == "1")
-        d = r.bit_length() - lb
-        while d >= 0:
-            r ^= b << d
-            d = r.bit_length() - lb
+        r = _mod2(_sq2(r) << (bit == "1"), b)
     return r
 
 
@@ -413,26 +426,86 @@ def _power(mul, sq, a: int, e: int) -> int:
     return r
 
 
-def _frobenius_products() -> tuple[tuple[int, int], ...]:
-    """(i, M_i) for i = 1, 2, 4, 8, where M_i = prod_{l <= i} (x^(2^l) - x)
-    in GF(2)[x] has degree 2^(i+1) - 2: gcd(M_i, f) = 1 exactly when f has
-    no irreducible factor of degree at most i."""
-    out, acc = [], 1
-    for i in range(1, 9):
-        acc = _clmul(acc, (1 << (1 << i)) ^ 2)
-        if i & (i - 1) == 0:
-            out.append((i, acc))
-    return tuple(out)
+def _multiples(a: int, bits: int) -> list[int]:
+    """Every multiple of a in GF(2)[x] below x^bits, where deg a < bits:
+    entry k is the product k * a, built as XORs of shifted copies of a."""
+    out = [0]
+    for i in range(bits - a.bit_length() + 1):
+        out += [v ^ (a << i) for v in out]
+    return out
 
 
-_FROBENIUS = _frobenius_products()
+def _small_irreducibles() -> tuple[int, ...]:
+    """The 71 irreducibles of GF(2)[x] of degree 1.._SIEVE_DEGREE, packed,
+    by the sieve of Eratosthenes on 9-bit ints: a reducible of degree at
+    most 8 has an irreducible factor of degree at most 4."""
+    bits = _SIEVE_DEGREE + 1
+    composite = bytearray(1 << bits)
+    for a in range(2, 1 << (_SIEVE_DEGREE // 2 + 1)):
+        if not composite[a]:
+            for v in _multiples(a, bits)[2:]:  # past 0 and a itself
+                composite[v] = 1
+    return tuple(a for a in range(2, 1 << bits) if not composite[a])
+
+
+def _product_tree(leaves: tuple[int, ...]) -> list[int]:
+    """A remainder tree in heap order: entry n + i (n = len(leaves)) is
+    leaves[i], entry i < n is the product of entries 2i and 2i + 1, so
+    entry 1 is the product of all leaves and every entry divides its
+    parent, entry i // 2.  Entry 0 is unused."""
+    n = len(leaves)
+    tree = [1] * n + list(leaves)
+    for i in range(n - 1, 0, -1):
+        tree[i] = _clmul(tree[2 * i], tree[2 * i + 1])
+    return tree
+
+
+_SMALL = _small_irreducibles()
+_TREE = _product_tree(_SMALL)
+# the window's multiples of each small irreducible, in the order of _SMALL
+_MULTIPLES = tuple(_multiples(a, _WINDOW_BITS) for a in _SMALL)
+
+
+def _small_remainders(v: int) -> list[int]:
+    """v mod P for every P of _SMALL, in its order, down _TREE: each entry
+    reduces its parent's remainder, so v is divided once by the product of
+    all 71, of degree 472, and never by each P in full."""
+    n = len(_SMALL)
+    rem = [0] * (2 * n)
+    rem[1] = _mod2(v, _TREE[1])
+    for i in range(2, 2 * n):
+        rem[i] = _mod2(rem[i >> 1], _TREE[i])
+    return rem[n:]
 
 
 @functools.lru_cache(maxsize=32)
-def _xm_mod_frobenius(m: int) -> tuple[int, ...]:
-    """x^m mod M_i for each M_i of _FROBENIUS of degree below m: shared by
-    every candidate of one modulus search."""
-    return tuple(_xpow2(m, mi) for _, mi in _FROBENIUS if mi.bit_length() <= m)
+def _xm_residues(m: int) -> tuple[int, ...]:
+    """x^m mod P for each P of _SMALL of degree below m, in its order:
+    shared by every candidate of one modulus search."""
+    rems = _small_remainders(_xpow2(m, _TREE[1]))
+    return tuple(r for a, r in zip(_SMALL, rems) if a.bit_length() <= m)
+
+
+def _sieve(m: int, base: int, n: int) -> list[int]:
+    """The low parts low = base + j, 0 <= j < n, for which x^m + low has no
+    irreducible factor of degree at most min(_SIEVE_DEGREE, m - 1), in
+    increasing order; n is 1 or a power of two up to 2^_WINDOW_BITS, and
+    n divides base.
+
+    P divides x^m + low exactly when low = x^m mod P, mod P.  Since base is
+    a multiple of n, base + j = base ^ j, so the j struck by P are s ^ kP
+    for s = (x^m - base) mod P and every multiple kP below n: one XOR and
+    one store per struck low, and no division by P.  A P of degree m or
+    more may not strike: for m <= _SIEVE_DEGREE, x^m + low can itself be
+    one of the small irreducibles.
+    """
+    struck = bytearray(n)
+    for a, mults, r, b in zip(_SMALL, _MULTIPLES, _xm_residues(m), _small_remainders(base)):
+        s = r ^ b
+        if s < n:  # always so unless n = 1
+            for v in mults[:n >> (a.bit_length() - 1) or 1]:
+                struck[s ^ v] = 1
+    return [base + j for j in range(n) if not struck[j]]
 
 
 def _det(rows: list[list[int]]) -> int:
@@ -503,57 +576,70 @@ def _disc_mod8(m: int, low: int) -> int:
 
 
 def _irreducible(p: int, m: int, f: int) -> bool:
-    """Ben-Or's test, finished for p = 2 by Rabin's, for the packed monic f
-    of degree m over GF(p).
+    """Ben-Or's test, with a small-factor sieve before it and Rabin's test
+    after it for p = 2, for the packed monic f of degree m over GF(p).
+
+    For p = 2, f first goes through :func:`_sieve` as a window of one low
+    part: it is rejected when one of the 71 irreducibles of degree at most
+    min(_SIEVE_DEGREE, m - 1) divides it, which is tested as a residue of
+    the low part f - x^m against x^m mod P, shared by every f of degree m.
+    The auto modulus search sieves 2^_WINDOW_BITS low parts at a time the
+    same way and passes only the survivors to :func:`_irreducible_tail`,
+    the rest of this test.  A reducible f has a factor of degree at most
+    m/2, so below m = 2(_SIEVE_DEGREE + 1) the sieve alone decides.
 
     Ben-Or (FOCS 1981; Gao-Panario 1997): f is irreducible exactly when
     gcd(x^(p^i) - x, f) = 1 for every i <= m/2.  The factors x^(p^i) - x
     are multiplied up modulo f and the gcd is taken at i = 1, 2, 4, ... and
     at the last i, so a candidate with a small-degree factor is rejected
     after a few Frobenius steps.  For odd p this runs to m/2, since there a
-    Frobenius step costs at least one product.
+    Frobenius step costs at least one product.  For p = 2 the products
+    start past the sieve, at i = _SIEVE_DEGREE + 1 from x^(2^_SIEVE_DEGREE)
+    mod f, with their gcds at i = 16 and 32.
 
-    For p = 2 it stops at PREFIX_DEGREE, where a survivor has no factor of
+    For p = 2 they stop at PREFIX_DEGREE, where a survivor has no factor of
     degree up to there, and Rabin's test (SIAM J. Comput. 9, 1980) finishes
     it by squarings alone: f is irreducible exactly when x^(2^m) = x mod f
     and gcd(x^(2^(m/r)) - x, f) = 1 for every prime r | m, and a gcd with
-    m/r <= PREFIX_DEGREE is already known to be 1.  Also for p = 2, a
-    checkpoint i = 1, 2, 4, 8 whose M_i (see :func:`_frobenius_products`)
-    has degree below m takes gcd(M_i, f) through x^m mod M_i, which every
-    candidate of degree m shares, so it neither multiplies nor divides by
-    f.  Both tests are exact.
+    m/r up to the degree already cleared is known to be 1.  Both tests are
+    exact.
 
     For p = 2, odd m and a low part f - x^m of degree at most PREFIX_DEGREE,
-    a survivor of those checkpoints then meets a parity sieve.  By
-    Stickelberger's theorem as Swan states it (Pacific J. Math. 12, 1962),
-    a squarefree f with r irreducible factors has r = m mod 2 exactly when
-    the discriminant D of its monic 0/1 lift to Z[x] is 1 mod 8, and D is
-    even exactly when f is not squarefree.  An irreducible f of odd degree
-    therefore has D = 1 mod 8, and f is rejected when :func:`_disc_mod8` is
-    not 1.  The sieve is exact in that sense: it never rejects an
-    irreducible, and what it passes goes on to Ben-Or and Rabin.  Even m
-    skips it: :func:`_disc_mod8` divides by m mod 8, a unit only for odd m.
+    a survivor of the small-factor sieve then meets a parity sieve before
+    Ben-Or's products.  By Stickelberger's theorem as Swan states it
+    (Pacific J. Math. 12, 1962), a squarefree f with r irreducible factors
+    has r = m mod 2 exactly when the discriminant D of its monic 0/1 lift
+    to Z[x] is 1 mod 8, and D is even exactly when f is not squarefree.  An
+    irreducible f of odd degree therefore has D = 1 mod 8, and f is
+    rejected when :func:`_disc_mod8` is not 1.  Both sieves are exact in
+    that sense: they never reject an irreducible, and what they pass goes
+    on to Ben-Or and Rabin.  Even m skips the parity sieve: :func:`_disc_mod8`
+    divides by m mod 8, a unit only for odd m.
     """
-    if m == 1:
-        return True
+    if p == 2 and not _sieve(m, f ^ (1 << m), 1):
+        return False
+    return _irreducible_tail(p, m, f)
+
+
+def _irreducible_tail(p: int, m: int, f: int) -> bool:
+    """:func:`_irreducible` past its small-factor stage: for p = 2, f must
+    have passed :func:`_sieve`; for odd p this is the whole test."""
     half = m // 2
-    stop = min(half, PREFIX_DEGREE) if p == 2 else half
-    x = t = p  # the packed value of x
-    acc = 1
-    start = check = 1
+    x = p  # the packed value of x
     if p == 2:
+        if half <= _SIEVE_DEGREE:
+            return True
         low = f ^ (1 << m)
-        for (i, mi), xm in zip(_FROBENIUS, _xm_mod_frobenius(m)):
-            if i > stop:
-                break
-            if _gcd2(mi, xm ^ low) != 1:
-                return False
-            acc, t, start, check = mi, 1 << (1 << i), i + 1, 2 * i
-        # the checkpoint i = 1 has left low odd for every odd m >= 3
+        # the sieve's P = x has left low odd
         if m & 1 and low.bit_length() <= PREFIX_DEGREE + 1 and _disc_mod8(m, low) != 1:
             return False
+        done, stop = _SIEVE_DEGREE, min(half, PREFIX_DEGREE)
+        t, check = _mod2(1 << (1 << done), f), 2 * done
+    else:
+        done, stop, t, check = 0, half, x, 1
     _, sub, _, mul, _, sq = _kernels(p, m, f)
-    for i in range(start, stop + 1):
+    acc = 1
+    for i in range(done + 1, stop + 1):
         t = _power(mul, sq, t, p)
         acc = mul(acc, sub(t, x))
         if i == check or i == stop:
@@ -564,10 +650,10 @@ def _irreducible(p: int, m: int, f: int) -> bool:
             check *= 2
     if stop == half:
         return True
-    # Rabin's finish: square t = x^(2^stop) on to x^(2^m), keeping
-    # x^(2^(m/r)) for each m/r whose gcd is not yet known
-    saved, i = [], stop
-    for k in sorted(m // r for r in _factorint(m) if m // r > stop):
+    # Rabin's finish: square t = x^(2^i) on to x^(2^m), keeping x^(2^(m/r))
+    # for each m/r whose gcd is not yet known
+    saved, i = [], max(stop, done)
+    for k in sorted(m // r for r in _factorint(m) if m // r > i):
         for _ in range(k - i):
             t = sq(t)
         saved.append(t)
@@ -757,6 +843,16 @@ class Field:
 
     @staticmethod
     def _auto_modulus(p: int, m: int) -> tuple[int, ...]:
+        if p == 2:
+            # an irreducible of degree m exists, so the windows never pass
+            # low = 2^m
+            n = 1 << min(_WINDOW_BITS, m)
+            base = 0
+            while True:
+                for low in _sieve(m, base, n):
+                    if low & 1 and _irreducible_tail(2, m, (1 << m) | low):
+                        return _coeffs((1 << m) | low, 2)
+                base += n
         f = p ** m + 1
         while not _irreducible(p, m, f):
             f += 2 if f % p == p - 1 else 1  # keep the constant term nonzero

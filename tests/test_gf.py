@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 
@@ -23,7 +24,6 @@ from convec.gf import (
     TABLE_MAX_Q,
     Field,
     _clmul,
-    _FROBENIUS,
     _coeffs,
     _factorint,
     _fold_shifts,
@@ -35,7 +35,6 @@ from convec.gf import (
     _pack,
     _rem2,
     _sq2,
-    _xm_mod_frobenius,
     field_from_json,
     field_from_ref,
 )
@@ -463,28 +462,33 @@ def test_irreducible2_with_short_prefix_matches_rabin(prefix, rabin_up_to_12, mo
         assert _irreducible(2, f.bit_length() - 1, f) == want, bin(f)
 
 
-def test_frobenius_products_and_shared_powers():
-    acc = 1
-    for i, mi in _FROBENIUS:
-        assert mi.bit_length() - 1 == 2 ** (i + 1) - 2
-        for l in range(1, i + 1):
-            assert ref_rem(mi, (1 << 2 ** l) ^ 2) == 0
-        assert ref_rem(mi, acc) == 0
-        acc = mi
-    for m in (2, 3, 7, 30, 31, 511, 769):
-        want = tuple(ref_rem(1 << m, mi) for _, mi in _FROBENIUS if mi.bit_length() <= m)
-        assert _xm_mod_frobenius(m) == want
+@pytest.mark.parametrize("prefix", [1, 2])
+def test_finish_with_short_prefix_past_the_sieve(prefix, monkeypatch):
+    # degrees 18..40, where the small-factor sieve has cleared degree 8 and
+    # the finish squares on from x^(2^8), not from x^(2^prefix): the first
+    # irreducibles, and products of two irreducibles of degree 9..20
+    monkeypatch.setattr(gf, "PREFIX_DEGREE", prefix)
+    for m in range(18, 41):
+        for f in first_irreducibles(m, 2):
+            assert _irreducible(2, m, f), (m, bin(f))
+    for d in range(9, 21):
+        g, h = first_irreducibles(d, 2)
+        for f in (ref_mul(g, h), ref_mul(g, g), ref_mul(g, first_irreducibles(d + 1, 1)[0])):
+            assert not _irreducible(2, f.bit_length() - 1, f), bin(f)
 
 
 @pytest.mark.parametrize("d", [5, 6, 7, 8, 9])
-def test_fixed_checkpoints_at_large_m(d):
-    # m = 520 takes the checkpoints up to i = 8 against the fixed products
-    # M_i: f = g * r * G1^15, whose smallest factor g has degree d
+def test_sieve_then_first_gcd_reject_small_factors_at_large_m(d):
+    # f = g * r * G1^15 of degree 520, whose smallest factor g has degree d:
+    # the small-factor sieve strikes it up to d = 8, and at d = 9 it passes
+    # the sieve and Ben-Or's first gcd, at i = 16, rejects it
     g, r = first_irreducibles(d, 1)[0], first_irreducibles(25 - d, 1)[0]
     f = ref_mul(g, r)
     for _ in range(15):
         f = ref_mul(f, G1)
     assert f.bit_length() - 1 == 520
+    low = f ^ (1 << 520)
+    assert gf._sieve(520, low, 1) == ([] if d <= 8 else [low])
     assert not _irreducible(2, 520, f)
 
 
@@ -492,6 +496,77 @@ def test_fixed_checkpoints_at_large_m(d):
 def test_large_auto_moduli_load_as_supplied(m):
     F = Field(2, m, modulus=_coeffs(AUTO_LARGE[m], 2))
     assert F.modulus_packed == AUTO_LARGE[m]
+
+
+# -- the small-factor sieve: residues of the low part against x^m ------------
+#
+# For p = 2, gf._sieve strikes the low parts low of a window for which
+# x^m + low has an irreducible factor of degree at most min(8, m - 1).  The
+# reference is trial division by the irreducibles of degree at most 8 that
+# rabin_irreducible finds, with shift-XOR remainders.
+
+SMALL_IRREDUCIBLES = [a for a in range(2, 1 << 9) if rabin_irreducible(a)]
+
+
+@functools.lru_cache(maxsize=None)
+def xm_mod_small(m: int) -> list[tuple[int, int]]:
+    """(a, x^m mod a) for the irreducibles a of degree at most min(8, m - 1)."""
+    return [(a, ref_rem(1 << m, a)) for a in SMALL_IRREDUCIBLES if a.bit_length() <= m]
+
+
+def has_small_factor(m: int, low: int) -> bool:
+    """Whether x^m + low has a factor of degree at most min(8, m - 1):
+    x^m + low = 0 mod a exactly when low = x^m mod a, mod a."""
+    return any(ref_rem(low, a) == r for a, r in xm_mod_small(m))
+
+
+def test_small_irreducibles():
+    assert len(SMALL_IRREDUCIBLES) == 71
+    assert gf._SMALL == tuple(SMALL_IRREDUCIBLES)
+
+
+@pytest.mark.parametrize("m", [3, 5, 8, 9, 16, 17, 33, 64, 769])
+def test_window_sieve_matches_trial_division(m):
+    n = 1 << min(10, m)
+    survivors = gf._sieve(m, 0, n)
+    assert survivors == sorted(set(survivors))
+    for low in range(1, n, 2):
+        assert (low not in survivors) == has_small_factor(m, low), (m, bin(low))
+    assert all(low & 1 for low in survivors)  # x divides x^m + low for even low
+
+
+@pytest.mark.parametrize("m,base", [(33, 5 << 10), (769, 3 << 10), (769, 1 << 700)],
+                         ids=["m33-5x2^10", "m769-3x2^10", "m769-2^700"])
+def test_window_sieve_with_a_base(m, base):
+    survivors = gf._sieve(m, base, 1 << 10)
+    assert survivors == [low for low in range(base, base + (1 << 10))
+                         if not has_small_factor(m, low)]
+
+
+def test_window_of_one():
+    m = 769
+    assert gf._sieve(m, 0b1000, 1) == []  # constant term 0: x divides it
+    # x^2 + x + 1 is its one factor of degree at most 8
+    f = ref_mul(0b111, (1 << (m - 2)) | 0b1000111)
+    assert [a for a in SMALL_IRREDUCIBLES if ref_rem(f, a) == 0] == [0b111]
+    assert gf._sieve(m, f ^ (1 << m), 1) == []
+    for low in (AUTO[m] ^ (1 << m), DENSE[m] ^ (1 << m)):
+        assert gf._sieve(m, low, 1) == [low]
+    rng = random.Random(7)
+    for _ in range(20):  # long low parts, far past the window
+        low = rng.getrandbits(m)
+        assert gf._sieve(m, low, 1) == ([] if has_small_factor(m, low) else [low])
+    for a in SMALL_IRREDUCIBLES:  # f is itself a small irreducible
+        d = a.bit_length() - 1
+        assert gf._sieve(d, a ^ (1 << d), 1) == [a ^ (1 << d)]
+        assert _irreducible(2, d, a)
+
+
+def test_auto_moduli_up_to_96():
+    # m <= 17: the sieve alone decides; even m: no parity sieve; m > 64:
+    # Rabin's finish
+    for m in range(2, 97):
+        assert _pack(Field._auto_modulus(2, m), 2) == first_irreducibles(m, 1)[0], m
 
 
 # -- the parity sieve: Stickelberger-Swan on the discriminant of the lift ------
@@ -525,9 +600,9 @@ def test_sieve_rejects_only_reducibles():
 
 def test_sieve_rejects_before_the_kernels(monkeypatch):
     # six factors, of degrees 10, 28, 121, 122, 166 and 322 (sympy's
-    # factor_list, too slow for the suite): the fixed checkpoints up to
-    # i = 8 pass it, as the gcds below show, and the sieve rejects it
-    # before a product modulo f is formed
+    # factor_list, too slow for the suite): the small-factor sieve, which
+    # strikes factors of degree up to 8, passes it, as the gcds below show,
+    # and the parity sieve rejects it before a product modulo f is formed
     m, g = 769, 0b110101
     f = (1 << m) | g
     x = ref_rem(2, f)
