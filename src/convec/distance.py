@@ -245,11 +245,19 @@ def _run_minor_check(prop: str, j: int, mat: Mat, bounds) -> VerificationReport:
     columns of the current tuple by pivot, in order, each unscaled at its
     pivot (``linalg._independent``), so reducing them needs no inverse;
     only the kernel side's one ``_solve_packed`` of mat, with no right-hand
-    side, takes any.  A tuple keeps those before the first position the
-    walk reports as changed and reduces the rest; the last one is never
-    reused, so it does not join the basis.  The first set with a column
-    that reduces to zero is the counterexample, the lexicographically
-    first because the sets arrive in that order.
+    side, takes any.  That solve gets mat's rows bottom-up, by descending
+    leading column, ties in their order.  A band is a staircase, so each
+    row then pivots on its own leading coefficient or on a value its
+    block repeats, and a block-Toeplitz band repeats those down its block
+    diagonals; ``_rref`` inverts each distinct one once.  Top-down, rows
+    pivot on fresh combinations of the rows above them: certify's 12 x 15
+    band takes 6 inverses bottom-up and 12 top-down.
+
+    A tuple keeps the columns before the first position the walk reports
+    as changed and reduces the rest; the last one is never reused, so it
+    does not join the basis.  The first set with a column that reduces to
+    zero is the counterexample, the lexicographically first because the
+    sets arrive in that order.
     """
     t0 = time.perf_counter()
     fld, r, c = mat.field, mat.nrows, mat.ncols
@@ -257,6 +265,9 @@ def _run_minor_check(prop: str, j: int, mat: Mat, bounds) -> VerificationReport:
     dual = c - r < r
     singular = False
     if dual:
+        # bottom-up, stable: each staircase row keeps its own leading
+        # coefficient as its pivot value
+        rows.sort(key=lambda row: next((i for i, v in enumerate(row) if v), c), reverse=True)
         rows = _solve_packed(fld, rows, c, 0)[1]
         singular = c - len(rows) < r
     columns = list(zip(*rows))

@@ -214,8 +214,10 @@ def _rem2(x: int, m: int, shifts: tuple[int, ...]) -> int:
     modulus) finishes a product in at most two rounds; a modulus whose low
     part reaches degree m - 1 lowers it by one per round.
     """
-    mask = (1 << m) - 1
     hi = x >> m
+    if not hi:
+        return x
+    mask = (1 << m) - 1
     while hi:
         x &= mask
         for k in shifts:

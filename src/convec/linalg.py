@@ -2,6 +2,12 @@
 
 Matrices are lists of rows of field Elements.  Everything is exact; there is
 no pivoting strategy beyond "first nonzero", which is all a field needs.
+Each row pivots on the first nonzero entry it keeps after reduction against
+the rows before it, so the caller's row order decides the pivot values,
+though never the reduced row echelon form, which is unique.  ``_rref``
+inverts each distinct pivot value once per call, from a dict that lives
+for that call only, and a pivot value of 1 is neither inverted nor scaled
+by.
 
 Elimination runs on packed ints through two routines of one shape.
 ``_reduce`` reduces a vector against a basis of normalised vectors keyed by
@@ -161,7 +167,7 @@ class Mat:
 # elimination on packed ints
 # ---------------------------------------------------------------------------
 
-def _reduce(fld: Field, x: list[int], basis: dict):
+def _reduce(fld: Field, x: list[int], basis: dict, invs: dict):
     """Reduce the packed vector x in place against basis; return the
     (pivot, value) of its first nonzero entry left, or None if x is in
     the span.
@@ -171,7 +177,10 @@ def _reduce(fld: Field, x: list[int], basis: dict):
     the pivot.  One left-to-right pass clears the pivots, since a vector
     only changes entries right of its own pivot.  When x is independent, x
     scaled to 1 at its new pivot joins the basis; the vector is then zero
-    at every pivot inserted before it.
+    at every pivot inserted before it.  invs maps pivot values to their
+    inverses; the caller keeps it for one elimination, so each distinct
+    value is inverted once, and a pivot value of 1 needs neither inverse
+    nor scaling.
     """
     mul, sub = fld._vmul, fld._vsub
     new = None
@@ -187,7 +196,12 @@ def _reduce(fld: Field, x: list[int], basis: dict):
     if new is None:
         return None
     v = x[new]
-    inv = fld._vinv(v)
+    if v == 1:
+        basis[new] = [(j, x[j]) for j in range(new + 1, len(x)) if x[j]]
+        return new, v
+    inv = invs.get(v)
+    if inv is None:
+        inv = invs[v] = fld._vinv(v)
     basis[new] = [(j, mul(inv, x[j])) for j in range(new + 1, len(x)) if x[j]]
     return new, v
 
@@ -213,7 +227,8 @@ def _independent(fld: Field, x: list[int], basis: dict, extend: bool) -> bool:
             if hit is not None:
                 v, span = hit
                 x[i] = 0
-                x[:] = [mul(v, e) if e else 0 for e in x]
+                if v != 1:
+                    x[:] = [mul(v, e) if e else 0 for e in x]
                 for j, b in span:
                     x[j] = sub(x[j], mul(f, b))
             elif not extend:
@@ -238,19 +253,25 @@ def _vecmat(fld: Field, acc: list[int], x, rows) -> list[int]:
 
 def _rref(fld: Field, rows: list[list[int]], ncols: int) -> dict:
     """The reduced row echelon form of the row space as {pivot: span},
-    each vector zero at every other pivot; rows are reduced in place."""
+    each vector zero at every other pivot; rows are reduced in place.
+
+    Each row is scaled at the first nonzero entry it keeps, so the order
+    of rows decides which values are inverted, though not the result.
+    One dict of inverses serves the whole call."""
     basis: dict = {}
+    invs: dict = {}
     for row in rows:
-        _reduce(fld, row, basis)
+        _reduce(fld, row, basis, invs)
     # back substitution: the last vector is reduced already, and each one
-    # before it only against those inserted after it
+    # before it only against those inserted after it, which keeps it 1 at
+    # its pivot
     done: dict = {}
     for p, span in reversed(basis.items()):
         x = [0] * ncols
         x[p] = 1
         for j, v in span:
             x[j] = v
-        _reduce(fld, x, done)
+        _reduce(fld, x, done, invs)
     return done
 
 
@@ -259,10 +280,11 @@ def _det(fld: Field, rows: list[list[int]]) -> Element:
     so the reduced rows, with columns permuted to their pivots, form a
     triangular matrix of the same determinant up to the permutation's sign."""
     basis: dict = {}
+    invs: dict = {}
     acc = 1
     pivots = []
     for row in rows:
-        hit = _reduce(fld, row, basis)
+        hit = _reduce(fld, row, basis, invs)
         if hit is None:
             return fld.zero
         pivots.append(hit[0])

@@ -173,8 +173,8 @@ def test_certify_inverts_on_the_kernel_side(monkeypatch):
 
 def test_independence_tests_take_no_inverse(monkeypatch, built311):
     # the walks and rank reduce against an unscaled basis; certify's
-    # inverses are the kernel _rref's alone, half of them inverses of 1 in
-    # its back substitution
+    # inverses are the kernel _rref's alone, one per distinct pivot value
+    # other than 1
     code = build_complete_mdp(3, 2, 2, 2)
     calls = []
     inv2 = gf._inv2

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from convec import distance, field
-from convec.construct import random_code
+from convec import distance, field, gf, linalg
+from convec.construct import build_complete_mdp, random_code
 from convec.errors import (
     BudgetExceeded,
     DegreeMismatch,
@@ -678,6 +678,57 @@ def test_kernel_side_deep_counterexample(monkeypatch):
     assert (rep.passed, rep.sets_checked, rep.counterexample) == (False, 146, bad)
     assert len(kernel_checks) == 1
     assert minor_per_set(band, sets) == (False, 146, bad)
+
+
+def test_certify_kernel_solve_inverts_six_values(monkeypatch):
+    # the 12 x 15 band's rows enter the kernel solve bottom-up, each at a
+    # coefficient of its own, and each distinct pivot value is inverted
+    # once: 6 inverses of values other than 1 (12 top-down)
+    calls = []
+    inv2 = gf._inv2
+
+    def counted(a, f):
+        calls.append(a)
+        return inv2(a, f)
+
+    code = build_complete_mdp(3, 2, 2, 2)
+    monkeypatch.setattr(gf, "_inv2", counted)
+    rep = verify_complete_jmdp_via_g(code, 3)
+    assert rep.passed and rep.sets_checked == 361
+    assert sum(a != 1 for a in calls) <= 6
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_complete_mdp(3, 2, 2, 2),
+    lambda: random_code(3, 2, 2, 16, seed=0),
+], ids=["GF2^769", "GF16"])
+def test_rref_inverts_each_pivot_value_once(make, monkeypatch):
+    # a block-Toeplitz band repeats its coefficients down every block
+    # diagonal, and so, taken bottom-up, its pivot values
+    code = make()
+    fld = code.field
+    band = generator_band(code.G, 3 + code.G.degree).to_packed()
+    ncols = len(band[0])
+    top_down = linalg._rref(fld, [list(row) for row in band], ncols)
+    pivots, inverted = [], []
+    reduce, vinv = linalg._reduce, fld._vinv
+
+    def recorded(*args):
+        hit = reduce(*args)
+        if hit is not None:
+            pivots.append(hit[1])
+        return hit
+
+    def counted(a):
+        inverted.append(a)
+        return vinv(a)
+
+    monkeypatch.setattr(linalg, "_reduce", recorded)
+    monkeypatch.setattr(fld, "_vinv", counted)
+    assert linalg._rref(fld, band[::-1], ncols) == top_down
+    distinct = set(pivots) - {1}
+    assert len(pivots) - pivots.count(1) > len(distinct) > 0
+    assert sorted(inverted) == sorted(distinct)
 
 
 def test_incremental_minors_catastrophic_gf3(pair_2_1):

@@ -213,9 +213,9 @@ def test_extraction_work_is_linear_in_the_stream_length(monkeypatch):
             count["mul"] += 1
             return mul(a, b)
 
-        def reduce(fld, x, basis, reduce=linalg._reduce, count=count):
+        def reduce(fld, x, basis, invs, reduce=linalg._reduce, count=count):
             count["walk"] += len(x)
-            return reduce(fld, x, basis)
+            return reduce(fld, x, basis, invs)
 
         with monkeypatch.context() as m:
             m.setattr(fld, "_vmul", mul)

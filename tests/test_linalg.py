@@ -21,6 +21,7 @@ from convec.errors import DimensionMismatch, FieldMismatch, IndexOutOfRange
 from convec.gf import Field
 from convec.linalg import (
     Mat,
+    _solve_packed,
     det,
     minor,
     rank,
@@ -313,6 +314,41 @@ def test_solve_and_kernels_satisfy_their_equations(p, m, data):
         assert len(kernel) == len(free)
         for row, fv in zip(kernel, free):
             assert [row[j].val for j in free] == [int(j == fv) for j in free]
+
+
+# GF(3^7) is above the table cap, so it eliminates through the general
+# coefficient-tuple kernels; GF(2^193) through the comb/fold ones
+@pytest.mark.parametrize("p,m", [(7, 1), (2, 4), (3, 7), (2, 193)])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_solve_packed_ignores_row_order(p, m, data):
+    # the rows of [A^T | B^T] are the equations: their order decides which
+    # values _rref inverts, never (X, K) or None
+    F = field(p, m)
+    r, t, c = (data.draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (0, 2), (1, 4)))
+    vals = st.integers(0, F.q - 1)
+    work = [data.draw(st.lists(vals, min_size=r + t, max_size=r + t)) for _ in range(c)]
+    kind = data.draw(st.sampled_from(["random", "deficient", "inconsistent"]))
+    if kind == "deficient":
+        # the last unknown's column a multiple of the first: A loses rank;
+        # and the last equation a combination of the first two
+        k = F.el(data.draw(vals))
+        for row in work:
+            row[r - 1] = (k * F.el(row[0])).val
+        if c > 2:
+            work[-1] = [(k * F.el(a) + F.el(b)).val for a, b in zip(work[0], work[1])]
+    elif kind == "inconsistent" and t:
+        # the equation 0 = nonzero, at any position
+        work[data.draw(st.integers(0, c - 1))] = (
+            [0] * r + [data.draw(st.integers(1, F.q - 1))] + data.draw(
+                st.lists(vals, min_size=t - 1, max_size=t - 1)))
+    want = _solve_packed(F, [list(row) for row in work], r, t)
+    if kind == "inconsistent" and t:
+        assert want is None
+    if kind == "deficient" and r > 1 and want is not None:
+        assert want[1]
+    for order in itertools.permutations(work):
+        assert _solve_packed(F, [list(row) for row in order], r, t) == want
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
