@@ -17,8 +17,8 @@ survives in a minor is distinct.  With N larger than any such sum and
 alpha chosen as the class of x (whose minimal polynomial is the field
 modulus, hence of full degree N), those sums index distinct basis
 monomials and no non-trivial minor can vanish.  Primitivity of alpha
-is therefore not needed for correctness; we still report whether it
-could be verified.
+is therefore not needed for correctness, and the field, being larger than
+the generator cap of :mod:`convec.gf`, designates no generator.
 """
 
 from __future__ import annotations
@@ -61,13 +61,9 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
 
     Requires k | delta.  N beyond `max_extension_degree` is refused with
     FieldTooLarge; raise the cap explicitly to build anyway.  Metadata
-    under "provenance" records N, both bound figures, and whether alpha
-    could be verified primitive (large fields usually cannot be checked;
-    see the module docstring for why the code is certified regardless).
-    The whole record is worked out when the code's metadata is first
-    read (which serializing does), not while the code is built: the flag
-    reads the field's generator, which a large field finds only on first
-    read, by factoring p^N - 1.
+    under "provenance" records the construction, N, both bound figures,
+    alpha as the class of x, and the field (see the module docstring for
+    why the code is certified without alpha being primitive).
     """
     if not 0 < k < n:
         raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
@@ -91,20 +87,14 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
     G = PolyMatrix.from_packed(fld, grids)
     if rank(G.coeff(mu)) != k:
         raise RankDeficient("top coefficient block lost rank; construction invalid")
-
-    def metadata() -> dict:
-        # alpha is the class of x, whose packed value is p
-        return {"provenance": {
-            "construction": "doubling-exponent staircase",
-            "N": N,
-            "bound_general": general,
-            "bound_coarse": coarse,
-            "alpha": "x",
-            "alpha_primitive_verified": fld.alpha.val == p and not fld.unverified_primitive,
-            "field": fld.ref(),
-        }}
-
-    code = ConvCode(n, k, G, metadata=metadata)
+    code = ConvCode(n, k, G, metadata={"provenance": {
+        "construction": "doubling-exponent staircase",
+        "N": N,
+        "bound_general": general,
+        "bound_coarse": coarse,
+        "alpha": "x",
+        "field": fld.ref(),
+    }})
     assert code.delta == delta
     return code
 

@@ -33,10 +33,11 @@ kernel.  The tables are an acceleration only: a packed value means the same
 element whichever kernel computed it, and whichever generator the tables
 were built from.
 
-``sympy`` is imported only for numbers of at least SMALL_INT = 2^32: the
-primality of p and the factorization of p^m - 1 below that are found by
-trial division, so building and using a field below 2^32 elements never
-loads it.  A larger field loads it only when its generator is read.
+``sympy`` is imported only for numbers of at least SMALL_INT = 2^32;
+smaller ones are tested and factored by trial division.  Building and
+using a field therefore loads it only for a prime p of at least 2^32: the
+other numbers a field factors, q - 1 for its generator and m in Rabin's
+test, are smaller.
 
 Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
 of degree m with the smallest packed value among those with a nonzero
@@ -58,16 +59,16 @@ lift to Z[x], taken mod 8 from the low part alone, rejects about half of
 the reducible ones that reach it.  All of these are exact and
 deterministic, so the sieves never change which modulus is chosen.
 
-The designated generator alpha is the first element, in packed order starting
-at x (or at 1 for m = 1), whose multiplicative order is p^m - 1.  Orders are
-certified by factoring p^m - 1; when the factorization does not complete
-within the internal budget the field is flagged ``unverified_primitive`` and
-alpha is the first candidate passing all tests against the known prime
-factors.  A generator supplied through :func:`field_from_json` takes the
-same order test instead of the search.  Either is settled when a field of
-at most TABLE_MAX_Q elements is built (its tables are alpha's powers), and
-on first read in a larger one, where certifying it factors p^m - 1 and no
-arithmetic needs it: loading, decoding and verifying do no number theory.
+A field of at most TABLE_MAX_Q elements designates a generator alpha: the
+first element, in packed order starting at x (or at 1 for m = 1), whose
+multiplicative order is p^m - 1, certified by factoring p^m - 1.  A
+generator supplied through :func:`field_from_json` takes the same order
+test instead of the search.  Its tables are alpha's powers.  A larger
+field designates none, and its alpha is None: no arithmetic needs one,
+and the explicit construction takes the class of x, whose minimal
+polynomial has full degree whether or not x is primitive.  Certifying a
+generator there would factor p^m - 1, which for the construction's fields
+does not complete.
 
 A field's identity is (p, m, modulus): two fields with the same modulus
 are equal, and their elements combine, whichever generator each designates.
@@ -89,14 +90,10 @@ from .errors import (
     Reducible,
 )
 
-# Budget knobs for factoring p^m - 1 during primitivity certification.
-FACTOR_TRIAL_LIMIT = 10_000
-FACTOR_RHO_STEPS = 20_000
-FACTOR_DIRECT_BITS = 48  # below this, factor completely without a budget
-PRIMITIVE_CANDIDATE_CAP = 4096
-# extension fields up to this order multiply, invert and square through
-# exp/log tables; the build steps q - 2 times through the polynomial kernel,
-# which at this cap costs a few milliseconds
+# fields up to this order designate a generator, and extension fields up
+# to it multiply, invert and square through exp/log tables; the build steps
+# q - 2 times through the polynomial kernel, which at this cap costs a few
+# milliseconds
 TABLE_MAX_Q = 1 << 8
 # numbers below this are tested and factored by trial division; sympy is
 # imported only for larger ones
@@ -666,42 +663,6 @@ def _irreducible_tail(p: int, m: int, f: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# budgeted factorization (for primitivity certificates)
-# ---------------------------------------------------------------------------
-
-def _budgeted_factor(n: int) -> tuple[dict[int, int], bool]:
-    """Factor n as far as the budget allows; returns (factors, complete)."""
-    if n <= 1:
-        return {}, True
-    if n.bit_length() <= FACTOR_DIRECT_BITS:
-        return _factorint(n), True
-    import sympy
-    from sympy.ntheory.factor_ import pollard_rho
-
-    found = sympy.factorint(n, limit=FACTOR_TRIAL_LIMIT)
-    out: dict[int, int] = {}
-    pending: list[tuple[int, int]] = []
-    for f, e in found.items():
-        if sympy.isprime(f):
-            out[f] = out.get(f, 0) + e
-        else:
-            pending.append((f, e))
-    complete = True
-    while pending:
-        c, e = pending.pop()
-        d = pollard_rho(c, max_steps=FACTOR_RHO_STEPS, retries=1, seed=0xC0FFEE)
-        if d is None:
-            complete = False
-            continue
-        for part in (d, c // d):
-            if sympy.isprime(part):
-                out[part] = out.get(part, 0) + e
-            else:
-                pending.append((part, e))
-    return out, complete
-
-
-# ---------------------------------------------------------------------------
 # the field itself
 # ---------------------------------------------------------------------------
 
@@ -768,13 +729,12 @@ class Element:
 
 
 class Field:
-    """GF(p^m) with a fixed monic irreducible modulus and designated alpha.
+    """GF(p^m) with a fixed monic irreducible modulus.
 
-    ``alpha`` and ``unverified_primitive`` (``_primitive_val`` checked, or
-    found) are settled when built up to TABLE_MAX_Q elements, else on
-    first read.  Use the module-level
-    :func:`field` factory, which caches instances so elements of equal
-    fields interoperate cheaply.
+    ``alpha`` is the designated generator (``_primitive_val`` checked, or
+    found) of a field of at most TABLE_MAX_Q elements, and None in a larger
+    one.  Use the module-level :func:`field` factory, which caches
+    instances so elements of equal fields interoperate cheaply.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None,
@@ -809,37 +769,13 @@ class Field:
             self.kind = "general"
         (self._vadd, self._vsub, self._vneg, self._vmul, self._vinv,
          self._vsq) = _kernels(p, m, self.modulus_packed)
-        self._supplied = _primitive_val
-        self._generator = None
+        self.alpha = None
         if self.q <= TABLE_MAX_Q:
-            # q - 1 factors at once here, so the generator is settled now
-            alpha = self.alpha.val
+            self.alpha = Element(self, self._find_primitive(_primitive_val))
             if self.kind != "prime":
-                self._bind_tables(alpha)
+                self._bind_tables(self.alpha.val)
         self.zero = Element(self, 0)
         self.one = Element(self, 1)
-
-    # -- the designated generator ----------------------------------------
-
-    def _designated(self) -> tuple[Element, bool]:
-        """(alpha, unverified_primitive), found on first read: certifying
-        the order of a large field's generator factors q - 1.  A plain
-        attribute holds it, not functools.cached_property: that writes
-        through the instance __dict__, after which every attribute load on
-        the field took about three times as long (measured on CPython
-        3.11)."""
-        if self._generator is None:
-            val, unverified = self._find_primitive()
-            self._generator = (Element(self, val), unverified)
-        return self._generator
-
-    @property
-    def alpha(self) -> Element:
-        return self._designated()[0]
-
-    @property
-    def unverified_primitive(self) -> bool:
-        return self._designated()[1]
 
     # -- construction helpers -------------------------------------------
 
@@ -933,30 +869,23 @@ class Field:
         e %= self.q - 1
         return _power(self._vmul, self._vsq, a, e) if e else 1
 
-    def _find_primitive(self) -> tuple[int, bool]:
-        """(alpha, unverified_primitive) by one order test, a^((q-1)/r) != 1
-        for each known prime factor r of q - 1, of the supplied value (out
-        of range, or failing at r, it raises NoPrimitiveFound) or else of
-        each candidate in packed order until one passes."""
-        sup, q1 = self._supplied, self.q - 1
+    def _find_primitive(self, sup: int | None) -> int:
+        """The generator of a field of at most TABLE_MAX_Q elements by one
+        order test, a^((q-1)/r) != 1 for each prime r | q - 1, of the
+        supplied value sup (out of range, or failing at r, it raises
+        NoPrimitiveFound) or else of each element in packed order from x
+        (from 1 for m = 1) until one passes."""
+        q1 = self.q - 1
         if sup is not None and not 0 < sup < self.q:
             raise NoPrimitiveFound("supplied primitive element is out of range or zero")
-        fac, complete = _budgeted_factor(q1)
-        if sup is not None:
-            candidates = (sup,)
-        elif self.m == 1:
-            candidates = range(1, min(self.p, PRIMITIVE_CANDIDATE_CAP + 1))
-        else:
-            candidates = range(self.p, min(self.q, self.p + PRIMITIVE_CANDIDATE_CAP))
-        for cand in candidates:
-            low = next((r for r in fac if self._vpow(cand, q1 // r) == 1), None)
+        primes = _factorint(q1)
+        for cand in (sup,) if sup is not None else range(1 if self.m == 1 else self.p, self.q):
+            low = next((r for r in primes if self._vpow(cand, q1 // r) == 1), None)
             if low is None:
-                return cand, not complete
+                return cand
             if sup is not None:
                 raise NoPrimitiveFound(
                     f"supplied element is certainly not primitive (order divides (q-1)/{low})")
-        raise NoPrimitiveFound(
-            f"no generator of GF({self.p}^{self.m})* found within the candidate cap")
 
     # -- element constructors -------------------------------------------
 
@@ -993,12 +922,10 @@ class Field:
         return f"{self.p}^{self.m}:{format(self.modulus_packed, 'x')}"
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "modulus": list(self.modulus),
-            "primitive": self.alpha.to_hex(),
-        }
+        obj = {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
+        if self.alpha is not None:
+            obj["primitive"] = self.alpha.to_hex()
+        return obj
 
     def __repr__(self):
         if self.m == 1:
@@ -1046,10 +973,9 @@ def _json_nested(val, depth: int, leaf: type) -> bool:
 def field_from_json(obj: dict) -> Field:
     """The field that Field.to_json wrote; a value of the wrong JSON type
     raises ParseError and a missing p or m KeyError.  modulus and
-    primitive may be absent or null.  Up to TABLE_MAX_Q elements a
-    primitive other than the cached field's alpha is checked at load;
-    a larger field loads as its own Field, equal to the cached one, whose
-    primitive is checked on first read."""
+    primitive may be absent or null.  A primitive other than the cached
+    field's alpha is checked at load; a field of more than TABLE_MAX_Q
+    elements, which designates no generator, ignores its value."""
     _json_object(obj, "field")
     p, m = _json_int(obj, "p", "field"), _json_int(obj, "m", "field")
     modulus = obj.get("modulus")
@@ -1062,7 +988,7 @@ def field_from_json(obj: dict) -> Field:
     if prim is None:
         return f
     want = _canonical(prim, 16)
-    if f.q <= TABLE_MAX_Q and want == f.alpha.val:
+    if f.alpha is None or want == f.alpha.val:
         return f
     return Field(p, m, f.modulus, _primitive_val=want)
 

@@ -1,20 +1,21 @@
 """Decode a GF(27) stream with both engines through ``convec.cli.main``,
 build and certify the (3,2,2) code over GF(2^769) and the (3,1,1) code over
-GF(2^193) at j = L, and check that sympy was never imported.  The first
-certificate walks the column sets on the band's kernel side, the second on
-the band's own columns.
+GF(2^193) at j = L, write both as JSON with their metadata, and check
+that sympy was never imported.  The first certificate walks the column sets
+on the band's kernel side, the second on the band's own columns.
 
-Fields below 2^32 elements are built with trial division alone, and a large
-field's generator, whose certificate factors q - 1, is read by neither the
-construction nor the minor check, so both must run in a Python that has no
-sympy installed:
+Fields below 2^32 elements are built with trial division alone, and a field
+above 2^8 elements designates no generator, so nothing factors its q - 1:
+decoding, the construction, the minor check and writing a construct file
+must all run in a Python that has no sympy installed:
 
     python -m venv --without-pip /tmp/bare
     PYTHONPATH=src /tmp/bare/bin/python tests/sympy_free_decode.py
 
 Prints one line and exits 0 when both decodes complete and recover the
-message, the certificates pass over all 361 and 90 sets and sympy is absent
-from ``sys.modules``; exits 1 otherwise.
+message, the certificates pass over all 361 and 90 sets, both codes' JSON
+names no generator and records N = 769 and 193, and sympy is absent from
+``sys.modules``; exits 1 otherwise.
 ``tests/test_imports.py`` runs it in a fresh interpreter.
 """
 
@@ -78,10 +79,15 @@ def run() -> list[str]:
             got = [int(vals[0], 16) for t, vals in report["message"] if t < len(blocks)]
             if not report["complete"] or got != blocks:
                 problems.append(f"{engine}: message not recovered")
-    for shape, sets in (((3, 2, 2), 361), ((3, 1, 1), 90)):
-        rep = verify_complete_jmdp_via_g(build_complete_mdp(*shape, 2), L_of(*shape))
+    for shape, sets, N in (((3, 2, 2), 361, 769), ((3, 1, 1), 90, 193)):
+        built = build_complete_mdp(*shape, 2)
+        rep = verify_complete_jmdp_via_g(built, L_of(*shape))
         if not rep.passed or rep.sets_checked != sets:
             problems.append(f"certify {shape}: passed={rep.passed}, {rep.sets_checked} sets")
+        doc = json.loads(json.dumps(built.to_json()))
+        if ("primitive" in doc["field"] or doc["metadata"] != built.metadata
+                or built.metadata["provenance"]["N"] != N):
+            problems.append(f"construct {shape}: unexpected JSON")
     if "sympy" in sys.modules:
         problems.append("sympy was imported")
     return problems
@@ -90,6 +96,6 @@ def run() -> list[str]:
 if __name__ == "__main__":
     found = run()
     print("; ".join(found) if found else
-          "ok: gm and pc decoded GF(27), (3,2,2) certified over GF(2^769) and (3,1,1)"
-          " over GF(2^193) without sympy")
+          "ok: gm and pc decoded GF(27), (3,2,2) over GF(2^769) and (3,1,1) over"
+          " GF(2^193) certified and written without sympy")
     sys.exit(1 if found else 0)

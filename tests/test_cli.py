@@ -174,7 +174,7 @@ def test_round_trip_every_field_kind(tmp_path, pair_2_1, p, m):
         engines = ["gm"]
     else:
         fld = field(p, m)
-        code = pair_2_1(fld, [1, 1], [1, fld.alpha.val])
+        code = pair_2_1(fld, [1, 1], [1, fld.q - 1])
         codef.write_text(json.dumps(code.to_json()))
         engines = ["gm", "pc"]
     rng = random.Random(fld.q)
@@ -238,26 +238,22 @@ def test_construct_then_verify(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("existing", [None, b'{"kept": true}\n'], ids=["new", "existing"])
-def test_construct_without_sympy_writes_nothing(tmp_path, capsys, monkeypatch,
-                                                cold_fields, existing):
-    # the code JSON names the GF(2^769) generator, whose certificate factors
-    # 2^769 - 1 with sympy; without sympy the command fails before its
-    # output file is opened
-    def no_sympy(n):
-        raise ModuleNotFoundError("No module named 'sympy'")
-
-    monkeypatch.setattr(gf, "_budgeted_factor", no_sympy)
+def test_construct_error_writes_nothing(tmp_path, capsys, existing):
+    # the (3,2,2) construction needs GF(2^769), one degree past the cap
+    # given: the command fails before its output file is opened
     codef = tmp_path / "c.json"
     if existing is not None:
         codef.write_bytes(existing)
     assert run(["construct", "--n", 3, "--k", 2, "--delta", 2, "--p", 2,
-                "--out", codef]) == 1
+                "--max-extension-degree", 768, "--out", codef]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0]) == {"error": "ModuleNotFoundError",
-                                    "message": "No module named 'sympy'"}
+    assert json.loads(lines[0]) == {
+        "error": "FieldTooLarge",
+        "message": "construction needs GF(2^769) but the cap is 768; "
+                   "pass max_extension_degree=769 to build anyway"}
     if existing is None:
         assert not codef.exists()
     else:

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 import time
 
 import pytest
 
 from convec import construct, field, gf
+from convec.cli import main
 from convec.construct import (
     alpha_exponent_layout,
     build_complete_mdp,
@@ -24,7 +26,13 @@ from convec.distance import (
     is_mdp,
     verify_complete_jmdp_via_g,
 )
-from convec.errors import DivisibilityViolated, FieldTooLarge, NotPrime, SearchExhausted
+from convec.errors import (
+    DivisibilityViolated,
+    FieldTooLarge,
+    NotPrime,
+    ParseError,
+    SearchExhausted,
+)
 from convec.linalg import Mat, rank
 from convec.polymat import code_from_json
 from convec.stream import ErasureStream
@@ -57,22 +65,45 @@ def test_provenance_metadata(built311):
     assert prov["bound_general"] == 128
     assert prov["bound_coarse"] == 192
     assert prov["alpha"] == "x"
-    # 2^193 - 1 cannot be factored within budget, so no primitivity claim
-    assert prov["alpha_primitive_verified"] is False
+    # GF(2^193) designates no generator, so no primitivity claim
+    assert "alpha_primitive_verified" not in prov
     assert prov["field"] == built311.field.ref()
 
 
-def test_setup_does_no_factoring(cold_fields, monkeypatch):
-    # building and certifying a code, or parsing a large-field stream
-    # header, never reads the field's generator, whose certificate factors
-    # q - 1
-    def refuse(n):
-        raise AssertionError(f"factored a {n.bit_length()}-bit number")
-
-    monkeypatch.setattr(gf, "_budgeted_factor", refuse)
+def test_provenance_flag_set_explicitly(cold_fields):
     code = build_complete_mdp(3, 1, 1, 2)
-    rep = verify_complete_jmdp_via_g(code, 1)
-    assert rep.passed and rep.sets_checked > 0
+    code.metadata["provenance"]["alpha_primitive_verified"] = True
+    doc = json.loads(json.dumps(code.to_json()))
+    assert doc["metadata"]["provenance"]["alpha_primitive_verified"] is True
+
+
+def test_setup_does_no_factoring(cold_fields, monkeypatch):
+    # building, certifying, writing and loading a construct code, or
+    # parsing a large-field stream header, tests and factors only numbers
+    # that trial division handles, and imports no sympy: q - 1 of a large
+    # field is never factored
+    def small(fn):
+        def refuse(n):
+            assert n < gf.SMALL_INT, f"{fn.__name__} of a {n.bit_length()}-bit number"
+            return fn(n)
+        return refuse
+
+    monkeypatch.setattr(gf, "_factorint", small(gf._factorint))
+    monkeypatch.setattr(gf, "_isprime", small(gf._isprime))
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    for shape, sets in (((3, 1, 1), 90), ((3, 2, 2), 361), ((3, 1, 2), 24204)):
+        code = build_complete_mdp(*shape, 2)
+        assert verify_complete_jmdp_via_g(code, 1).passed
+        assert code.field.alpha is None
+        doc = json.loads(json.dumps(code.to_json()))
+        assert "primitive" not in doc["field"]
+        assert doc["metadata"] == code.metadata
+        assert code.metadata["provenance"]["N"] == code.field.m
+        cold_fields.cache_clear()
+        loaded = code_from_json(doc)
+        assert loaded.field == code.field and loaded.metadata == code.metadata
+        rep = verify_complete_jmdp_via_g(loaded, L_of(*shape))
+        assert rep.passed and rep.sets_checked == sets
     modulus = (1 << 769) | 0b1011000001  # the GF(2^769) auto modulus
     stream = ErasureStream.from_text(f"#n=1 field=2^769:{modulus:x} deg=0\n1\n")
     assert stream.field.m == 769 and stream.blocks[0][0] == stream.field.one
@@ -83,74 +114,41 @@ def test_lazy_generator_output_unchanged(cold_fields):
     assert dict(prov) == {
         "construction": "doubling-exponent staircase", "N": 193,
         "bound_general": 128, "bound_coarse": 192, "alpha": "x",
-        "alpha_primitive_verified": False,
         "field": "2^193:20000000000000000000000000000000000000000000001f7"}
     cold_fields.cache_clear()
     doc = build_complete_mdp(3, 1, 1, 2).to_json()
-    assert doc["field"]["primitive"] == "2"
-    assert doc["metadata"]["provenance"]["alpha_primitive_verified"] is False
-    # the bytes `convec construct --n 3 --k 1 --delta 1 --p 2` wrote while
-    # the generator was found with the field
+    assert doc["field"] == {"p": 2, "m": 193, "modulus": list(field(2, 193).modulus)}
+    # the bytes `convec construct --n 3 --k 1 --delta 1 --p 2` writes
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "28b5198a100c2080fb6a2388cc630cbb5cfc115a603012feefbc7c5fa9e55c03")
+    assert field(2, 193).alpha is None
+
+
+def test_file_naming_a_large_field_generator_loads(tmp_path, cold_fields, capsys):
+    # the bytes `convec construct --n 3 --k 1 --delta 1 --p 2` wrote while a
+    # large field designated a generator, with its primitivity flag, still
+    # load and verify; the field's primitive is type-checked and ignored
+    doc = build_complete_mdp(3, 1, 1, 2).to_json()
+    doc["field"]["primitive"] = "2"
+    doc["metadata"]["provenance"]["alpha_primitive_verified"] = False
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "a1af47ab136513fd888c7be5f09b1daaaae9a5e067c9fea785274d015f7a7ad3")
     cold_fields.cache_clear()
-    build_complete_mdp(3, 1, 1, 2)
-    fld = field(2, 193)
-    assert fld.alpha.val == 2 and fld.unverified_primitive
-
-
-def test_provenance_flag_set_explicitly(cold_fields):
-    prov = build_complete_mdp(3, 1, 1, 2).metadata["provenance"]
-    prov["alpha_primitive_verified"] = True
-    assert json.loads(json.dumps(prov))["alpha_primitive_verified"] is True
-
-
-def test_metadata_is_worked_out_once_on_first_read(cold_fields, monkeypatch):
-    # building and certifying factor nothing; the first read of any entry
-    # of the metadata finds the generator, factoring 2^193 - 1, and the
-    # record it fills in is kept, edits included
-    calls = []
-    factor = gf._budgeted_factor
-
-    def counted(n):
-        calls.append(n)
-        return factor(n)
-
-    monkeypatch.setattr(gf, "_budgeted_factor", counted)
-    code = build_complete_mdp(3, 1, 1, 2)
-    assert verify_complete_jmdp_via_g(code, 1).passed
-    assert calls == []
-    assert code.metadata["provenance"]["N"] == 193
-    assert calls == [(1 << 193) - 1]
-    prov = code.metadata["provenance"]
-    assert prov["alpha_primitive_verified"] is False
-    assert len(calls) == 1
-    del prov["alpha_primitive_verified"]
-    doc = code.to_json()
-    assert len(calls) == 1
-    assert doc["field"]["primitive"] == "2"
-    assert "alpha_primitive_verified" not in doc["metadata"]["provenance"]
-    assert "alpha_primitive_verified" not in code.metadata["provenance"]
-
-
-def test_construct_file_loads_and_verifies_without_factoring(cold_fields, monkeypatch):
-    # loading a code file settles no generator of a large field: the JSON's
-    # primitive is checked only when read again, as writing the code does
-    doc = json.loads(json.dumps(build_complete_mdp(3, 2, 2, 2).to_json()))
-    cold_fields.cache_clear()
-    factor = gf._budgeted_factor
-
-    def refuse(n):
-        raise AssertionError(f"factored a {n.bit_length()}-bit number")
-
-    monkeypatch.setattr(gf, "_budgeted_factor", refuse)
-    code = code_from_json(doc)
-    rep = verify_complete_jmdp_via_g(code, L_of(3, 2, 2))
-    assert rep.passed and rep.sets_checked == 361
-    monkeypatch.setattr(gf, "_budgeted_factor", factor)
-    assert code.to_json()["field"]["primitive"] == "2"
-    assert code.field.unverified_primitive
+    code = code_from_json(json.loads(text))
+    assert code.field == field(2, 193) and code.field.alpha is None
+    assert code.metadata == doc["metadata"]
+    codef, rep = tmp_path / "code.json", tmp_path / "rep.json"
+    codef.write_text(text)
+    assert main(["verify", "--code", str(codef), "--property", "complete-jmdp:G",
+                 "--report", str(rep)]) == 0
+    assert capsys.readouterr().out == "passed\n"
+    out = json.loads(rep.read_text())
+    assert (out["j"], out["sets_checked"], out["passed"]) == (1, 90, True)
+    doc["field"]["primitive"] = 2
+    with pytest.raises(ParseError, match="primitive"):
+        code_from_json(doc)
 
 
 def test_certify_inverts_on_the_kernel_side(monkeypatch):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import random
-import re
 
 import pytest
 import sympy
@@ -44,14 +43,12 @@ def test_auto_modulus_gf2():
     F = field(2)
     assert F.modulus == (1, 1)
     assert F.alpha.val == 1
-    assert not F.unverified_primitive
 
 
 def test_auto_modulus_gf8():
     F = field(2, 3)
     assert F.modulus == (1, 1, 0, 1)  # x^3 + x + 1
     assert F.alpha.val == 2  # x generates, 2^3 - 1 = 7 is prime
-    assert not F.unverified_primitive
 
 
 def test_auto_modulus_gf256_is_first_octic():
@@ -60,7 +57,6 @@ def test_auto_modulus_gf256_is_first_octic():
     # order; x itself has order 51 there, so alpha moves on to x + 1.
     assert F.modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
     assert F.alpha.val == 3
-    assert not F.unverified_primitive
     assert F.alpha ** 255 == F.one
     assert F.alpha ** 51 != F.one
 
@@ -217,27 +213,10 @@ def test_custom_primitive_via_json():
         field_from_json(spec)
 
 
-def test_large_field_checks_supplied_generator_on_first_read():
-    # past TABLE_MAX_Q elements a supplied generator is checked on first
-    # read, not at load; 511 = 7 * 73
-    F = field(2, 9)
-    low = F.alpha ** 7  # order 73
-    G = field_from_json(dict(F.to_json(), primitive=low.to_hex()))
-    assert G == F
-    with pytest.raises(NoPrimitiveFound, match=re.escape("(order divides (q-1)/7)")):
-        G.alpha
-    other = F.alpha ** 2  # also a generator
-    H = field_from_json(dict(F.to_json(), primitive=other.to_hex()))
-    assert H.alpha == other and H.alpha.val != F.alpha.val
-    assert H == field(2, 9) and not H.unverified_primitive
-
-
 def test_big_binary_field():
     F = field(2, 193)
     assert F.modulus_packed == (1 << 193) | 503
-    assert F.alpha.val == 2
-    assert F.unverified_primitive  # 2^193 - 1 does not factor within budget
-    a = F.alpha
+    a = F.el(2)
     assert (a ** (1 << 5)) * (a ** (1 << 5)) == a ** (1 << 6)
     b = F.el(0x1234567890ABCDEF)
     assert b * b.inverse() == F.one
@@ -825,7 +804,10 @@ def test_fields_without_tables_sampled(p, m):
         assert (-x).val == neg(x.val)
         if x:
             assert mul(x.val, x.inverse().val) == 1
-    assert F.alpha ** (F.q - 1) == F.one
+    x = F.el(F.q - 1)
+    assert x ** (F.q - 1) == F.one
+    # only a field of at most TABLE_MAX_Q elements designates a generator
+    assert (F.alpha is None) == ("primitive" not in F.to_json()) == (F.q > TABLE_MAX_Q)
 
 
 def test_small_number_theory_matches_sympy():
