@@ -125,6 +125,31 @@ def test_lazy_generator_output_unchanged(cold_fields):
     assert field(2, 193).alpha is None
 
 
+def test_construct_file_loads_and_verifies_without_factoring(cold_fields, monkeypatch):
+    # a (3,2,2,2) construct file, one written with the large field's old
+    # primitive among them, loads and verifies with no number of 2^32 or
+    # more factored or tested; writing it again names no primitive
+    def small(fn):
+        def refuse(n):
+            assert n < gf.SMALL_INT, f"{fn.__name__} of a {n.bit_length()}-bit number"
+            return fn(n)
+        return refuse
+
+    doc = json.loads(json.dumps(build_complete_mdp(3, 2, 2, 2).to_json()))
+    for prim in (None, "2"):
+        if prim is not None:
+            doc["field"]["primitive"] = prim
+        cold_fields.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(gf, "_factorint", small(gf._factorint))
+            m.setattr(gf, "_isprime", small(gf._isprime))
+            code = code_from_json(doc)
+            rep = verify_complete_jmdp_via_g(code, L_of(3, 2, 2))
+        assert rep.passed and rep.sets_checked == 361
+        assert code.field.alpha is None
+        assert "primitive" not in code.to_json()["field"]
+
+
 def test_file_naming_a_large_field_generator_loads(tmp_path, cold_fields, capsys):
     # the bytes `convec construct --n 3 --k 1 --delta 1 --p 2` wrote while a
     # large field designated a generator, with its primitivity flag, still
