@@ -166,7 +166,7 @@ def _cmd_rates(args) -> int:
 
 
 def _trial_message(fld, rng, k: int, degree: int) -> PolyMatrix:
-    grids = [[[fld.random_element(rng).val for _ in range(k)]]
+    grids = [[[rng.randrange(fld.q) for _ in range(k)]]
              for _ in range(degree + 1)]
     return PolyMatrix.from_packed(fld, grids)
 

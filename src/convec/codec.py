@@ -7,13 +7,14 @@ right-hand side, and keeps the longest uniquely determined message prefix.
 The parity-check decoder (pc) recovers erased codeword symbols from the
 syndrome equations of the window and leaves message extraction to a
 separate step.  Each engine states its system through one builder as packed
-[A^T | B^T] rows read straight from the code's coefficients, and solves
-them through one metered _solve: _gm_system for gm windows, gm guard
-attempts and whole-stream extraction when G_0 is rank deficient,
-_pc_system for pc windows and pc guard attempts.  _solve returns packed
-values, (x, pinned), so decoding builds no sliding matrix and no Mat;
-Elements are made only for the symbols a window fills, for guard values
-and for the recovered message.
+[A^T | B^T] rows read straight from the packed rows of the code's
+coefficient Mats, and solves them through one metered _solve: _gm_system
+for gm windows, gm guard attempts and whole-stream extraction when G_0 is
+rank deficient, _pc_system for pc windows and pc guard attempts.  _solve
+returns packed values, (x, pinned), so decoding builds no sliding matrix
+and no Mat; Elements are made for the symbols a window fills, for guard
+values, for the recovered message and, once per gm decode, for the view of
+G that re-encodes recovered blocks.
 
 Both run one sliding-window driver, _slide, the algorithm of Tomas,
 Rosenthal and Smarandache (IEEE Trans. IT 58(1), 2012), so their results
@@ -204,7 +205,7 @@ def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
     unknown_times), r = k * len(unknown_times)."""
     fld, k = code.field, code.k
     sub, mul = fld._vsub, fld._vmul
-    cols = [list(zip(*g.to_packed())) for g in code.G.coeffs]  # cols[s][c] = G_s[:, c]
+    cols = [list(zip(*g._rows)) for g in code.G.coeffs]  # cols[s][c] = G_s[:, c]
     at, known = {}, {}  # unknown time -> column; known nonzero time -> values
     unknown_times: list[int] = []
     for ut in range(v_start - code.G.degree, v_start + width):
@@ -250,10 +251,10 @@ def _solve(fld, rows: list[list[int]], r: int, ops: _Ops | None, message: str):
     return x, [all(not row[i] for row in ker) for i in range(r)]
 
 
-def _fill_codeword_blocks(code: ConvCode, work: ErasureStream, known_u: dict,
+def _fill_codeword_blocks(code: ConvCode, gs, work: ErasureStream, known_u: dict,
                           ubound, t0: int, t1: int) -> None:
-    """Re-encode blocks t0..t1 from known message coefficients, filling
-    erasures and cross-checking received symbols."""
+    """Re-encode blocks t0..t1 from known message coefficients and gs, G's
+    coefficients as Elements, filling erasures and checking received symbols."""
     mu = code.G.degree
     for tb in range(t0, t1 + 1):
         if not 0 <= tb < len(work.blocks):
@@ -263,11 +264,10 @@ def _fill_codeword_blocks(code: ConvCode, work: ErasureStream, known_u: dict,
             uval = _u_value(code, known_u, ubound, tb - s)
             if uval is None:
                 raise NonUnique(f"message coefficient {tb - s} still unknown")
-            g = code.G.coeff(s)
             for r in range(code.k):
                 ur = uval[r]
                 if ur.val:
-                    row = g.data[r]
+                    row = gs[s][r]
                     for c in range(code.n):
                         acc[c] = acc[c] + ur * row[c]
         blk = work.blocks[tb]
@@ -422,6 +422,7 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
     work = stream.copy()
     ubound = message_degree_bound(code, stream)
     known_u: dict[int, tuple[Element, ...]] = {}
+    gs = [g.data for g in code.G.coeffs]
 
     def window(t, j):
         rows, r, unknown_times = _gm_system(code, work, known_u, ubound, t, j + 1)
@@ -442,7 +443,7 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
             return rec, None
         for i, ut in enumerate(unknown_times[:prefix]):
             known_u[ut] = tuple(Element(fld, v) for v in x[i * k:(i + 1) * k])
-        _fill_codeword_blocks(code, work, known_u, ubound, t, covered)
+        _fill_codeword_blocks(code, gs, work, known_u, ubound, t, covered)
         return rec, covered + 1
 
     def attempt(t, j):
@@ -452,7 +453,7 @@ def gm_decode_forward(code: ConvCode, stream: ErasureStream,
         known_u.update(out.values)
         # the widened variant pins the mu history blocks as well
         first = t - (mu if out.variant == "extended" else 0)
-        _fill_codeword_blocks(code, work, known_u, ubound, first, t + j)
+        _fill_codeword_blocks(code, gs, work, known_u, ubound, first, t + j)
         return out.record, first
 
     windows, lost = _slide(code, work, mu, max_delay, distances, guard,
@@ -482,7 +483,7 @@ def _pc_system(code: ConvCode, stream: ErasureStream, t: int, j: int):
     def solve(ops):
         fld, r = code.field, len(unknowns)
         sub, mul = fld._vsub, fld._vmul
-        hs = [h.to_packed() for h in code.H.coeffs]
+        hs = [h._rows for h in code.H.coeffs]
         at = {u: c for c, u in enumerate(unknowns)}
         rows = []
         for tr in range(t, t + j + 1):
@@ -605,7 +606,7 @@ def extract_message(code: ConvCode,
             raise ValueError(f"block {tb} still has erasures")
     ubound = message_degree_bound(code, stream)
     top = T if ubound is None else max(0, min(T, ubound + 1))
-    gs = [g.to_packed() for g in code.G.coeffs]
+    gs = [g._rows for g in code.G.coeffs]
     res = _solve_packed(fld, [row + [int(i == j) for j in range(k)]
                               for i, row in enumerate(gs[0])], code.n, k)
     if res is None:

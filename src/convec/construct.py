@@ -80,9 +80,9 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
             f"construction needs GF({p}^{N}) but the cap is {max_extension_degree}; "
             f"pass max_extension_degree={N} to build anyway")
     fld = field(p, N)
-    alpha = fld.el(p)
     layout = alpha_exponent_layout(n, k, mu)
-    grids = [[[(alpha ** (1 << layout[i][r][c])).val for c in range(n)]
+    # alpha = x, whose packed value is p
+    grids = [[[fld._vpow(p, 1 << layout[i][r][c]) for c in range(n)]
               for r in range(k)] for i in range(mu + 1)]
     G = PolyMatrix.from_packed(fld, grids)
     if rank(G.coeff(mu)) != k:
@@ -213,7 +213,7 @@ def random_code(n: int, k: int, delta: int, q: int, seed: int,
     top = max(degs)
     tried = 0
     while tried < attempts:
-        grids = [[[fld.random_element(rng).val if i <= degs[r] else 0
+        grids = [[[rng.randrange(fld.q) if i <= degs[r] else 0
                    for _ in range(n)] for r in range(k)] for i in range(top + 1)]
         G = PolyMatrix.from_packed(fld, grids)
         if G.is_zero:

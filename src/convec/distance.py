@@ -84,8 +84,7 @@ def _check_search_size(q: int, dims: int, budget: int | None) -> None:
 def _min_weight(mat: Mat, nonzero_prefix: int) -> int:
     """Minimal weight of x*mat over x with some nonzero entry among the
     first nonzero_prefix coordinates."""
-    fld = mat.field
-    rows = mat.to_packed()
+    fld, rows = mat.field, mat._rows
     r, width = mat.nrows, mat.ncols
     best = width + 1
 

@@ -1,13 +1,18 @@
 """Dense exact linear algebra over a finite field.
 
-Matrices are lists of rows of field Elements.  Everything is exact; there is
-no pivoting strategy beyond "first nonzero", which is all a field needs.
-Each row pivots on the first nonzero entry it keeps after reduction against
-the rows before it, so the caller's row order decides the pivot values,
-though never the reduced row echelon form, which is unique.  ``_rref``
-inverts each distinct pivot value once per call, from a dict that lives
-for that call only, and a pivot value of 1 is neither inverted nor scaled
-by.
+Everything is exact; there is no pivoting strategy beyond "first nonzero",
+which is all a field needs.  Each row pivots on the first nonzero entry it
+keeps after reduction against the rows before it, so the caller's row order
+decides the pivot values, though never the reduced row echelon form, which
+is unique.  ``_rref`` inverts each distinct pivot value once per call, from
+a dict that lives for that call only, and a pivot value of 1 is neither
+inverted nor scaled by.
+
+A Mat stores rows of packed ints.  ``Mat(...)`` checks each Element entry
+in once and ``from_packed`` the range of each value; the matrices derived
+from checked ones (slices, transposes, products and solver results) take
+their new rows unchecked through ``Mat._wrap``.  Elements come out only
+through ``data``, a fresh view on each read.
 
 Elimination runs on packed ints through two routines of one shape.
 ``_reduce`` reduces a vector against a basis of normalised vectors keyed by
@@ -15,28 +20,25 @@ pivot and adds it as a new one when it is independent; det, minor,
 solve_right and right_kernel read values off that basis.  ``_independent``
 reduces against a basis kept unscaled, with no inverse, and only says
 whether the vector left the span; rank and the minor checks in distance.py
-ask no more.  Both go through the
-field's bound kernels (``_vmul``, ``_vsub``, ``_vinv``; exp/log tables for
-extension fields up to 2^8 elements), and a vector update reads only the
-basis vector's nonzero entries and skips pivots where the vector is
-already zero.  The public routines unpack the entries once, build a basis
-over the rows and pack the result back once.  codec builds the systems of
-both decoders (gm and pc windows and guards, whole-stream extraction) as
-packed rows for solve_right's core, _solve_packed, which hands back the
-solution and kernel as packed rows (X, K), or None when the system is
-inconsistent; only solve_right wraps them in Mats.  _solve_packed is the
-only reader of _rref's basis: right_kernel is it with no right-hand side,
-and codec's forward substitution takes G_0's right inverse from it, solving
-from the rows [G_0 | I].  The minor checks extend one unscaled basis column
-by column, over the columns of a packed kernel basis (_solve_packed with no
-right-hand side) when that is the narrower side.
+ask no more.  Both go through the field's bound kernels (``_vmul``,
+``_vsub``, ``_vinv``; exp/log tables for extension fields up to 2^8
+elements), and a vector update reads only the basis vector's nonzero
+entries and skips pivots where the vector is already zero.  Both reduce in
+place, so rank, det, right_kernel and the minor checks take a Mat's rows
+through ``to_packed``, a copy, and minor and solve_right copy out the
+entries they need: no reducer is handed a Mat's own rows.  codec builds the
+systems of both decoders (gm and pc windows and guards, whole-stream
+extraction) as packed rows for solve_right's core, _solve_packed, which
+hands back the solution and kernel as packed rows (X, K), or None when the
+system is inconsistent; only solve_right wraps them in Mats.  _solve_packed
+is the only reader of _rref's basis: right_kernel is it with no right-hand
+side, and codec's forward substitution takes G_0's right inverse from it,
+solving from the rows [G_0 | I].  The minor checks extend one unscaled
+basis column by column, over the columns of a packed kernel basis
+(_solve_packed with no right-hand side) when that is the narrower side.
 ``_vecmat`` is the one row vector times matrix loop on packed values: Mat
 and PolyMatrix products, codec's forward substitution and the column
 distance search all run through it.
-
-``Mat(...)`` checks that every entry is an Element of its field.  Matrices
-that this module derives from already-checked ones (slices, transposes,
-products and solver results) skip that check.
 
 The solver convention matches how the rest of the package states systems:
 ``solve_right(A, B)`` solves X * A = B for the row vector(s) X, i.e. the
@@ -53,73 +55,69 @@ from .gf import Element, Field
 
 
 class Mat:
-    __slots__ = ("field", "nrows", "ncols", "data")
+    """A matrix over field, stored as rows of packed ints.  ``data`` is a
+    fresh list of rows of Elements on each read, so writing into it leaves
+    the matrix as it is; ``to_packed`` is a fresh copy of the packed rows."""
+
+    __slots__ = ("field", "nrows", "ncols", "_rows")
+
+    def __new__(cls, *args, **kwargs):
+        # every Mat is allocated here, so that a patch of it can be undone
+        return object.__new__(cls)
 
     def __init__(self, field: Field, data: list[list[Element]], ncols: int | None = None):
-        self.field = field
-        self.data = data
-        self.nrows = len(data)
-        if self.nrows:
-            self.ncols = len(data[0])
-        elif ncols is not None:
-            self.ncols = ncols
-        else:
-            self.ncols = 0
-        for row in data:
-            if len(row) != self.ncols:
-                raise DimensionMismatch("ragged rows")
-            for e in row:
-                # the identity test is the fast path for entries of this field
-                if e.__class__ is not Element or e.field is not field:
-                    if not isinstance(e, Element) or e.field != field:
-                        raise FieldMismatch("matrix entry from a different field")
+        if not all(isinstance(e, Element) and e.field == field for row in data for e in row):
+            raise FieldMismatch("matrix entry from a different field")
+        self.field, self._rows = field, [[e.val for e in row] for row in data]
+        self.nrows, self.ncols = _shape(self._rows, ncols or 0)
 
     @classmethod
-    def _derived(cls, field: Field, data: list[list[Element]], ncols: int) -> "Mat":
-        """A matrix whose entries are known to be Elements of field."""
+    def _wrap(cls, field: Field, rows: list[list[int]], ncols: int) -> "Mat":
+        """The matrix that owns rows, packed values of field, unchecked."""
         out = cls.__new__(cls)
-        out.field = field
-        out.data = data
-        out.nrows = len(data)
-        out.ncols = ncols
+        out.field, out._rows, out.nrows, out.ncols = field, rows, len(rows), ncols
         return out
-
-    @classmethod
-    def _from_ints(cls, field: Field, rows: list[list[int]], ncols: int) -> "Mat":
-        return cls._derived(field, [[Element(field, v) for v in row] for row in rows], ncols)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Mat":
-        z = field.zero
-        return cls._derived(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._wrap(field, [[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Mat":
-        out = cls.zeros(field, n, n)
-        for i in range(n):
-            out.data[i][i] = field.one
-        return out
+        return cls._wrap(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_packed(cls, field: Field, grid) -> "Mat":
-        """Rows of packed integer values; convenient in tests and fixtures."""
-        return cls(field, [[field.el(v) for v in row] for row in grid],
-                   len(grid[0]) if grid else 0)
+        """Rows of packed integer values, each in range for field."""
+        rows = [list(row) for row in grid]
+        for v in (v for row in rows for v in row if not 0 <= v < field.q):
+            raise ValueError(f"packed value {v} out of range for {field}")
+        return cls._wrap(field, rows, _shape(rows, 0)[1])
+
+    @property
+    def data(self) -> list[list[Element]]:
+        fld = self.field
+        return [[Element(fld, v) for v in row] for row in self._rows]
 
     # -- basic ops ---------------------------------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, Mat) and self.field == other.field
                 and self.nrows == other.nrows and self.ncols == other.ncols
-                and self.data == other.data)
+                and self._rows == other._rows)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.field,
-                   [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-                   self.ncols)
+        if not isinstance(other, Mat):
+            raise TypeError("expected Mat")
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise DimensionMismatch("shape mismatch")
+        if self.field != other.field:
+            raise FieldMismatch(f"matrices over {self.field} and {other.field}")
+        add = self.field._vadd
+        return Mat._wrap(self.field, [[add(a, b) for a, b in zip(ra, rb)]
+                                      for ra, rb in zip(self._rows, other._rows)], self.ncols)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
@@ -129,38 +127,48 @@ class Mat:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}")
         if other.field != self.field:
             raise FieldMismatch(f"matrices over {self.field} and {other.field}")
-        fld, ot = self.field, other.to_packed()
-        return Mat._from_ints(fld, [_vecmat(fld, [0] * other.ncols, [a.val for a in row], ot)
-                                    for row in self.data], other.ncols)
+        fld, t = self.field, other.ncols
+        return Mat._wrap(fld, [_vecmat(fld, [0] * t, row, other._rows) for row in self._rows], t)
 
     def transpose(self) -> "Mat":
-        if self.nrows == 0:
-            # keep the column count as the new row count
-            return Mat._derived(self.field, [[] for _ in range(self.ncols)], 0)
-        return Mat._derived(self.field, [list(col) for col in zip(*self.data)], self.nrows)
+        # with no rows, the column count still becomes the row count
+        cols = [list(col) for col in zip(*self._rows)] or [[] for _ in range(self.ncols)]
+        return Mat._wrap(self.field, cols, self.nrows)
 
     def take_rows(self, idx) -> "Mat":
-        return Mat._derived(self.field, [list(self.data[i]) for i in idx], self.ncols)
+        rows = self._rows
+        return Mat._wrap(self.field, [list(rows[i]) for i in _indices("row", idx, self.nrows)],
+                         self.ncols)
 
     def take_cols(self, idx) -> "Mat":
-        idx = list(idx)
-        return Mat._derived(self.field, [[row[j] for j in idx] for row in self.data], len(idx))
+        idx = _indices("column", idx, self.ncols)
+        return Mat._wrap(self.field, [[row[j] for j in idx] for row in self._rows], len(idx))
 
     @property
     def is_zero(self) -> bool:
-        return all(e.is_zero for row in self.data for e in row)
+        return not any(any(row) for row in self._rows)
 
-    def to_packed(self):
-        return [[e.val for e in row] for row in self.data]
+    def to_packed(self) -> list[list[int]]:
+        return [list(row) for row in self._rows]
 
     def __repr__(self):
         return f"Mat({self.field!r}, {self.nrows}x{self.ncols})"
 
-    def _same_shape(self, other: "Mat"):
-        if not isinstance(other, Mat):
-            raise TypeError("expected Mat")
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise DimensionMismatch("shape mismatch")
+
+def _shape(rows: list[list[int]], ncols: int) -> tuple[int, int]:
+    # ncols is the width of a matrix with no rows
+    if rows:
+        ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise DimensionMismatch("ragged rows")
+    return len(rows), ncols
+
+
+def _indices(name: str, idx, n: int) -> list[int]:
+    idx = list(idx)
+    if any(not 0 <= i < n for i in idx):
+        raise IndexOutOfRange(f"{name} index out of range")
+    return idx
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +323,11 @@ def minor(a: Mat, rows, cols) -> Element:
     if len(rows) != len(cols):
         raise DimensionMismatch("minor needs equally many rows and columns")
     for name, idx, n in (("row", rows, a.nrows), ("column", cols, a.ncols)):
-        if any(not (0 <= i < n) for i in idx):
-            raise IndexOutOfRange(f"{name} index out of range")
+        _indices(name, idx, n)
         if any(x >= y for x, y in zip(idx, idx[1:])):
             raise IndexOutOfRange(f"{name} indices must be strictly increasing")
-    data = a.data
-    return _det(a.field, [[data[i][j].val for j in cols] for i in rows])
+    own = a._rows
+    return _det(a.field, [[own[i][j] for j in cols] for i in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +360,13 @@ def solve_right(a: Mat, b: Mat) -> SolveResult:
         raise DimensionMismatch(
             f"A has {a.ncols} columns but B has {b.ncols}")
     # work on [A^T | B^T], one row per column of A
-    lhs = a.data + b.data
     fld, r = a.field, a.nrows
-    res = _solve_packed(fld, [[row[j].val for row in lhs] for j in range(a.ncols)], r, b.nrows)
+    res = _solve_packed(fld, [list(col) for col in zip(*a._rows, *b._rows)], r, b.nrows)
     if res is None:
         return SolveResult("inconsistent", None, None)
     sol, ker = res
     return SolveResult("underdetermined" if ker else "unique",
-                       Mat._from_ints(fld, sol, r), Mat._from_ints(fld, ker, r))
+                       Mat._wrap(fld, sol, r), Mat._wrap(fld, ker, r))
 
 
 def _solve_packed(fld: Field, work: list[list[int]], r: int, t: int):
@@ -390,5 +396,4 @@ def _solve_packed(fld: Field, work: list[list[int]], r: int, t: int):
 
 def right_kernel(a: Mat) -> Mat:
     """Rows w with A * w^T = 0 (a basis of the right null space)."""
-    return Mat._from_ints(a.field, _solve_packed(a.field, a.to_packed(), a.ncols, 0)[1],
-                          a.ncols)
+    return Mat._wrap(a.field, _solve_packed(a.field, a.to_packed(), a.ncols, 0)[1], a.ncols)

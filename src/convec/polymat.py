@@ -203,7 +203,7 @@ class PolyMatrix:
         return Mat.zeros(self.field, self.nrows, self.ncols)
 
     def entry(self, i: int, j: int) -> Poly:
-        return Poly(self.field, [c.data[i][j] for c in self.coeffs])
+        return Poly(self.field, [Element(self.field, c._rows[i][j]) for c in self.coeffs])
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._compatible(other)
@@ -221,13 +221,12 @@ class PolyMatrix:
         fld, t = self.field, other.ncols
         if other.field != fld:
             raise FieldMismatch(f"matrices over {fld} and {other.field}")
-        bs = [b.to_packed() for b in other.coeffs]
         out = [[[0] * t for _ in range(self.nrows)] for _ in range(self.degree + other.degree + 1)]
         for i, a in enumerate(self.coeffs):
-            for r, x in enumerate(a.to_packed()):
-                for j, b in enumerate(bs):
-                    out[i + j][r] = _vecmat(fld, out[i + j][r], x, b)
-        return PolyMatrix(fld, self.nrows, t, [Mat._from_ints(fld, c, t) for c in out])
+            for r, x in enumerate(a._rows):
+                for j, b in enumerate(other.coeffs):
+                    out[i + j][r] = _vecmat(fld, out[i + j][r], x, b._rows)
+        return PolyMatrix(fld, self.nrows, t, [Mat._wrap(fld, c, t) for c in out])
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(self.field, self.ncols, self.nrows,
@@ -239,19 +238,16 @@ class PolyMatrix:
     def row_degrees(self) -> list[int]:
         degs = [-1] * self.nrows
         for d, c in enumerate(self.coeffs):
-            for i, row in enumerate(c.data):
-                if any(not e.is_zero for e in row):
+            for i, row in enumerate(c._rows):
+                if any(row):
                     degs[i] = d
         return degs
 
     def leading_row_matrix(self) -> Mat:
         """Row i holds the z^(rowdeg_i) coefficient of row i."""
-        degs = self.row_degrees()
-        zero_row = [self.field.zero] * self.ncols
-        rows = []
-        for i, d in enumerate(degs):
-            rows.append(list(self.coeff(d).data[i]) if d >= 0 else list(zero_row))
-        return Mat(self.field, rows, self.ncols)
+        rows = [list(self.coeffs[d]._rows[i]) if d >= 0 else [0] * self.ncols
+                for i, d in enumerate(self.row_degrees())]
+        return Mat._wrap(self.field, rows, self.ncols)
 
     def __eq__(self, other):
         return (isinstance(other, PolyMatrix) and self.field == other.field
@@ -392,7 +388,7 @@ class ConvCode:
 
     def to_json(self) -> dict:
         def mats(pm: PolyMatrix):
-            return [[[e.to_hex() for e in row] for row in c.data] for c in pm.coeffs]
+            return [[[format(v, "x") for v in row] for row in c._rows] for c in pm.coeffs]
 
         obj = {
             "field": self.field.to_json(),
@@ -413,7 +409,7 @@ class ConvCode:
 def code_from_json(obj: dict) -> ConvCode:
     """The code that ConvCode.to_json wrote; a value of the wrong JSON type
     raises ParseError and a missing key KeyError."""
-    from .gf import _json_int, _json_nested, _json_object, field_from_json
+    from .gf import _canonical, _json_int, _json_nested, _json_object, field_from_json
 
     _json_object(obj, "code")
     fld = field_from_json(obj["field"])
@@ -422,9 +418,8 @@ def code_from_json(obj: dict) -> ConvCode:
         grids = obj[key]
         if not _json_nested(grids, 3, str):
             raise ParseError(f"code {key} must be a list of grids of hex strings")
-        mats = [Mat(fld, [[fld.from_hex(h) for h in row] for row in g], ncols)
-                for g in grids]
-        return PolyMatrix(fld, nrows, ncols, mats)
+        return PolyMatrix(fld, nrows, ncols, [
+            Mat.from_packed(fld, [[_canonical(h, 16) for h in row] for row in g]) for g in grids])
 
     n, k = _json_int(obj, "n", "code"), _json_int(obj, "k", "code")
     G = pm("G", k, n)

@@ -116,15 +116,14 @@ def _build(pm: PolyMatrix, win: _Window) -> Mat:
     if win.depth < 0:
         raise ValueError("depth must be >= 0")
     bc = pm.ncols
-    zero = pm.field.zero
     data = []
     for r in range(win.rows):
-        rows = [[zero] * (win.span * bc) for _ in range(pm.nrows)]
+        rows = [[0] * (win.span * bc) for _ in range(pm.nrows)]
         for c, i in win.met(r).items():
-            for dst, src in zip(rows, pm.coeff(i).data):
+            for dst, src in zip(rows, pm.coeff(i)._rows):
                 dst[c * bc:(c + 1) * bc] = src
         data.extend(rows)
-    return Mat._derived(pm.field, data, win.span * bc)
+    return Mat._wrap(pm.field, data, win.span * bc)
 
 
 def generator_truncation(g: PolyMatrix, j: int) -> Mat:

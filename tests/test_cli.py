@@ -529,3 +529,20 @@ def test_negative_delay_error_json(ws, capsys, j):
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "ValueError", "message": "j must be >= 0"}
     assert not (tmp / "rep.json").exists()
+
+
+@pytest.mark.parametrize("engine", ["gm", "pc"])
+def test_code_entry_out_of_range_error_json(tmp_path, capsys, engine):
+    code = golden_codes()["gf16_mu2"]
+    doc = code.to_json()
+    doc["G"][0][0][0] = "10"  # 16, one past GF(16)
+    codef, noisy, rep = tmp_path / "code.json", tmp_path / "noisy.txt", tmp_path / "rep.json"
+    codef.write_text(json.dumps(doc))
+    noisy.write_text(ErasureStream.from_codeword(code.G).to_text())
+    assert run(["decode", "--engine", engine, "--code", codef, "--in", noisy,
+                "--report", rep]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {
+        "error": "ValueError", "message": "packed value 16 out of range for GF(2^4)"}
+    assert not rep.exists()

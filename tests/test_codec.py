@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from fractions import Fraction
@@ -22,6 +23,12 @@ from convec.codec import (
     pc_decode_forward,
     pc_guard_recover,
     recovering_rates,
+)
+from convec.distance import (
+    L_of,
+    is_mdp,
+    verify_complete_jmdp_via_g,
+    verify_complete_jmdp_via_h,
 )
 from convec.errors import (
     InconsistentStream,
@@ -602,11 +609,40 @@ def test_extract_message_round_trip(c5):
         assert val[0] == want
 
 
+@pytest.mark.parametrize("name", ["gf2_522", "gf5_mu1", "gf27_mu1"])
+def test_decoding_and_verifying_leave_the_code_unchanged(name):
+    # the code's coefficient Mats own their packed rows; a routine that
+    # reduced them in place would change the code without any error
+    code = golden_codes()[name]
+    want = json.dumps(code.to_json(), sort_keys=True)
+    rng = random.Random(23)
+    u = rand_message(code.field, rng, 24, code.k)
+    clean = ErasureStream.from_codeword(code.encode(u))
+    s = clean.copy()
+    for t in range(len(s)):
+        for pos in range(code.n):
+            # a dense burst in the middle forces guard attempts
+            if rng.random() < (0.9 if 8 <= t < 12 else 0.15):
+                s.blocks[t][pos] = None
+    solvers = {w.solver for decode in (gm_decode_forward, pc_decode_forward)
+               for w in decode(code, s).windows}
+    assert {"gm_guard_window", "pc_guard"} <= solvers, solvers
+    extract_message(code, clean)
+    assert code.flags.delay_free
+    is_mdp(code)
+    j = L_of(code.n, code.k, code.delta)
+    verify_complete_jmdp_via_g(code, j)
+    if code.delta % (code.n - code.k) == 0:  # the parity band needs n-k | delta
+        verify_complete_jmdp_via_h(code, j)
+    assert json.dumps(code.to_json(), sort_keys=True) == want
+
+
 def test_decoding_builds_no_sliding_matrix(monkeypatch):
     # both engines read the code's coefficients directly, in forward windows,
     # guard attempts and message extraction alike; only the verifiers build
     # sliding matrices.  The solver hands them packed rows, so decoding
-    # builds no Mat at all; encoding the test's inputs still may
+    # builds no Mat at all; encoding the test's inputs still may.  Every
+    # Mat, checked or not, is made by Mat.__new__
     def refuse(*args):
         raise AssertionError("decoding built a sliding matrix")
 
@@ -615,8 +651,7 @@ def test_decoding_builds_no_sliding_matrix(monkeypatch):
 
     def decoding(fn, *args):
         with monkeypatch.context() as m:
-            m.setattr(Mat, "__init__", no_mat)
-            m.setattr(Mat, "_derived", classmethod(no_mat))
+            m.setattr(Mat, "__new__", no_mat)
             return fn(*args)
 
     monkeypatch.setattr(sliding, "_build", refuse)

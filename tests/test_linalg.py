@@ -28,6 +28,7 @@ from convec.linalg import (
     right_kernel,
     solve_right,
 )
+from convec.polymat import PolyMatrix
 
 
 def _perm_det(a: Mat):
@@ -182,6 +183,29 @@ def test_stack_and_slice():
     assert a.take_rows([1]).to_packed() == [[0, 1, 0, 0]]
 
 
+@pytest.mark.parametrize("take,bad", [("take_rows", -1), ("take_rows", 2),
+                                      ("take_cols", -1), ("take_cols", 4)])
+def test_take_refuses_indices_out_of_range(take, bad):
+    # a negative index used to count from the end, one past it to raise a
+    # bare IndexError
+    a = Mat.from_packed(field(2), [[1, 0, 1, 1], [0, 1, 0, 0]])
+    name = "row" if take == "take_rows" else "column"
+    with pytest.raises(IndexOutOfRange, match=f"^{name} index out of range$"):
+        getattr(a, take)([0, bad])
+
+
+def test_data_is_a_fresh_view():
+    F = field(3)
+    a = Mat.from_packed(F, [[1, 2], [0, 1]])
+    view = a.data
+    view[0][0] = F.zero
+    view.append([F.one, F.one])
+    assert a.to_packed() == [[1, 2], [0, 1]] and a.data == [[F.one, F.el(2)], [F.zero, F.one]]
+    rows = a.to_packed()
+    rows[1][1] = 2
+    assert a.to_packed() == [[1, 2], [0, 1]]
+
+
 def test_matmul_shapes():
     F = field(2)
     a = Mat.zeros(F, 2, 3)
@@ -288,12 +312,19 @@ def test_solve_and_kernels_satisfy_their_equations(p, m, data):
     ma, mb = Mat(F, a), Mat(F, b)
     s = min(r, c)
     sq = Mat(F, [row[:s] for row in a[:s]])
-    before = [m.to_packed() for m in (ma, mb, sq)]
+    bt = Mat(F, [list(col) for col in zip(*b)])
+    # no routine may reduce a matrix's own packed rows in place
+    mats = (ma, mb, sq, bt)
+    before = [m.to_packed() for m in mats]
     res = solve_right(ma, mb)
     rk = rank(ma)
     right = right_kernel(ma).data
     assert det(sq) == _perm_det(sq)
-    assert [m.to_packed() for m in (ma, mb, sq)] == before
+    assert minor(ma, range(s), range(s)) == _perm_det(sq)
+    assert (ma * bt).data == _product(a, bt.data, F)
+    prod = PolyMatrix(F, r, c, [ma, ma]) * PolyMatrix(F, c, t, [bt])
+    assert [m.data for m in prod.coeffs] == [_product(a, bt.data, F)] * len(prod.coeffs)
+    assert [m.to_packed() for m in mats] == before
     at = [list(col) for col in zip(*a)]
     assert len(right) == c - rk
     assert all(row == [F.zero] * r for row in _product(right, at, F))

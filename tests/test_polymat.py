@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from convec import field
 from convec.errors import DegreeMismatch, DimensionMismatch, FieldMismatch, RankDeficient
+from convec.gf import Element
 from convec.linalg import Mat
 from convec.polymat import (
     ConvCode,
@@ -20,6 +21,7 @@ from convec.polymat import (
     full_size_minors,
     poly_gcd,
 )
+from test_golden_decode import codes as golden_codes
 
 
 def _rand_poly(fld, rng, dmax):
@@ -189,22 +191,23 @@ def test_product_fields():
 
 
 def test_encode_builds_one_mat_per_coefficient(code522, msg522, monkeypatch):
+    # every Mat, checked or not, is made by Mat.__new__; the product works
+    # on packed values, so it makes no Element either
     built = []
-    init, derived = Mat.__init__, Mat._derived.__func__
 
-    def counted_init(self, *args, **kwargs):
-        built.append("init")
-        init(self, *args, **kwargs)
+    def counted_new(cls, *args, **kwargs):
+        built.append(cls)
+        return object.__new__(cls)
 
-    def counted_derived(cls, *args, **kwargs):
-        built.append("derived")
-        return derived(cls, *args, **kwargs)
+    def no_element(*args):
+        raise AssertionError("encoding built an Element")
 
-    monkeypatch.setattr(Mat, "__init__", counted_init)
-    monkeypatch.setattr(Mat, "_derived", classmethod(counted_derived))
+    monkeypatch.setattr(Mat, "__new__", counted_new)
+    monkeypatch.setattr(Element, "__init__", no_element)
     v = code522.encode(msg522)
+    monkeypatch.undo()
     assert v.degree == 4
-    assert len(built) <= msg522.degree + code522.G.degree + 1
+    assert 0 < len(built) <= msg522.degree + code522.G.degree + 1
 
 
 def test_degree_delta_reference(code522):
@@ -365,4 +368,21 @@ def test_code_json_refuses_non_canonical_hex(code522, entry):
     doc = code522.to_json()
     doc["G"][0][0][0] = entry  # each used to load as 1
     with pytest.raises(ValueError, match=re.escape(f"{entry!r} is not in canonical form")):
+        code_from_json(doc)
+
+
+@pytest.mark.parametrize("bad", [16, -1])
+def test_packed_values_out_of_range_raise(bad):
+    F = field(2, 4)
+    msg = f"^packed value {bad} out of range for GF\\(2\\^4\\)$"
+    with pytest.raises(ValueError, match=msg):
+        Mat.from_packed(F, [[bad]])
+    with pytest.raises(ValueError, match=msg):
+        PolyMatrix.from_packed(F, [[[1, 0]], [[0, bad]]])
+
+
+def test_code_json_refuses_entry_out_of_range():
+    doc = golden_codes()["gf16_mu2"].to_json()
+    doc["G"][0][0][0] = "10"
+    with pytest.raises(ValueError, match=re.escape("packed value 16 out of range for GF(2^4)")):
         code_from_json(doc)

@@ -312,10 +312,11 @@ def _has_perfect_matching(mat: Mat, cols) -> bool:
     """Kuhn's augmenting paths: each row of mat gets its own column of cols
     through a nonzero entry."""
     owner: dict[int, int] = {}
+    data = mat.data  # a fresh Element view on each read
 
     def augment(row, seen):
         for c in cols:
-            if mat.data[row][c - 1].val and c not in seen:
+            if data[row][c - 1].val and c not in seen:
                 seen.add(c)
                 if c not in owner or augment(owner[c], seen):
                     owner[c] = row
