@@ -317,7 +317,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, KeyError, json.JSONDecodeError, ImportError) as exc:
+    except (ValueError, KeyError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

@@ -27,7 +27,7 @@ import random
 
 from .distance import L_of, is_mdp, verify_complete_jmdp_via_g
 from .errors import DivisibilityViolated, FieldTooLarge, RankDeficient, SearchExhausted
-from .gf import Field, _factorint, field
+from .gf import Field, _isprime, field
 from .linalg import rank
 from .polymat import ConvCode, PolyMatrix
 
@@ -178,12 +178,22 @@ def staircase_certificate(n: int, k: int, delta: int) -> dict:
 # seeded random search
 # ---------------------------------------------------------------------------
 
+def _iroot(q: int, m: int) -> int:
+    """floor(q^(1/m)) for q >= 1 by Newton's method on ints, from above."""
+    r = 1 << -(-q.bit_length() // m)
+    while (s := ((m - 1) * r + q // r ** (m - 1)) // m) < r:
+        r = s
+    return r
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    fac = _factorint(q)
-    if len(fac) != 1:
-        raise ValueError(f"q = {q} is not a prime power")
-    (p, m), = fac.items()
-    return p, m
+    """(p, m) with q = p^m and p prime: the m-th root of q is prime for at
+    most one m."""
+    for m in range(1, max(q, 1).bit_length() + 1):
+        p = _iroot(q, m)
+        if p ** m == q and _isprime(p):
+            return p, m
+    raise ValueError(f"q = {q} is not a prime power")
 
 
 def _row_degrees(k: int, delta: int) -> list[int]:

@@ -33,11 +33,10 @@ kernel.  The tables are an acceleration only: a packed value means the same
 element whichever kernel computed it, and whichever generator the tables
 were built from.
 
-``sympy`` is imported only for numbers of at least SMALL_INT = 2^32;
-smaller ones are tested and factored by trial division.  Building and
-using a field therefore loads it only for a prime p of at least 2^32: the
-other numbers a field factors, q - 1 for its generator and m in Rabin's
-test, are smaller.
+The module needs only the standard library.  A field's p is tested by
+Baillie-PSW, exact below 2^64 and a probable-prime verdict above.  The
+numbers a field factors, q - 1 for its generator and m in Rabin's test,
+are small, and trial division factors them; it refuses n >= SMALL_INT.
 
 Modulus selection with ``modulus=None`` ("auto") picks the monic irreducible
 of degree m with the smallest packed value among those with a nonzero
@@ -79,6 +78,7 @@ names no generator, matches a code built with a nonstandard one.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Iterator
 
 from .errors import (
@@ -95,8 +95,7 @@ from .errors import (
 # q - 2 times through the polynomial kernel, which at this cap costs a few
 # milliseconds
 TABLE_MAX_Q = 1 << 8
-# numbers below this are tested and factored by trial division; sympy is
-# imported only for larger ones
+# _factorint, trial division alone, refuses numbers from this one on
 SMALL_INT = 1 << 32
 # for p = 2, the degree up to which the irreducibility test runs Ben-Or's
 # products before Rabin's test finishes a survivor by squarings
@@ -108,11 +107,14 @@ _WINDOW_BITS = 10
 
 
 # ---------------------------------------------------------------------------
-# primality and factoring: trial division below SMALL_INT, sympy above
+# primality (Baillie-PSW) and factoring (trial division below SMALL_INT)
 # ---------------------------------------------------------------------------
 
-def _trial_factor(n: int) -> dict[int, int]:
-    """Complete factorization of 1 <= n < SMALL_INT by trial division."""
+def _factorint(n: int) -> dict[int, int]:
+    """Complete factorization of 1 <= n < SMALL_INT by trial division; a
+    larger n raises ValueError before any work."""
+    if n >= SMALL_INT:
+        raise ValueError(f"{n} is too large to factor by trial division")
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -125,18 +127,61 @@ def _trial_factor(n: int) -> dict[int, int]:
     return out
 
 
-def _factorint(n: int) -> dict[int, int]:
-    if n < SMALL_INT:
-        return _trial_factor(n)
-    import sympy
-    return dict(sympy.factorint(n))
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a, t = a % n, 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n & 7 in (3, 5):
+                t = -t
+        a, n = n, a
+        if a & n & 3 == 3:
+            t = -t
+        a %= n
+    return t if n == 1 else 0
 
 
 def _isprime(n: int) -> bool:
-    if n < SMALL_INT:
-        return n >= 2 and _trial_factor(n) == {n: 1}
-    import sympy
-    return bool(sympy.isprime(n))
+    """Baillie-PSW (Baillie-Wagstaff and Pomerance-Selfridge-Wagstaff, Math.
+    Comp. 35, 1980): trial division by the primes up to 47, a strong
+    probable-prime test to base 2, and a strong Lucas test with Selfridge's
+    parameters D (the first of 5, -7, 9, -11, ... with (D/n) = -1), P = 1
+    and Q = (1 - D)/4.  Exact below 2^64; above, no composite that passes
+    is known."""
+    for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        if n % d == 0:
+            return n == d
+    if n < 53 * 53:
+        return n > 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    x = pow(2, (n - 1) >> s, n)
+    if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+        return False
+    if math.isqrt(n) ** 2 == n:  # no D with (D/n) = -1 exists
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:  # |D| < n shares a factor with n
+            return False
+        D = 2 - D if D < 0 else -D - 2
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1  # n + 1 = d * 2^s, d odd
+    # U_k, V_k and Q^k mod n from k = 1 up to d, top bit of d first
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V  # twice U_(k+1) and V_(k+1)
+            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -477,19 +522,18 @@ def _small_remainders(v: int) -> list[int]:
     return rem[n:]
 
 
-@functools.lru_cache(maxsize=32)
 def _xm_residues(m: int) -> tuple[int, ...]:
     """x^m mod P for each P of _SMALL of degree below m, in its order:
-    shared by every candidate of one modulus search."""
+    computed once per modulus search and shared by its candidates."""
     rems = _small_remainders(_xpow2(m, _TREE[1]))
     return tuple(r for a, r in zip(_SMALL, rems) if a.bit_length() <= m)
 
 
-def _sieve(m: int, base: int, n: int) -> list[int]:
+def _sieve(xm: tuple[int, ...], base: int, n: int) -> list[int]:
     """The low parts low = base + j, 0 <= j < n, for which x^m + low has no
     irreducible factor of degree at most min(_SIEVE_DEGREE, m - 1), in
-    increasing order; n is 1 or a power of two up to 2^_WINDOW_BITS, and
-    n divides base.
+    increasing order, where xm is _xm_residues(m); n is 1 or a power of two
+    up to 2^_WINDOW_BITS, and n divides base.
 
     P divides x^m + low exactly when low = x^m mod P, mod P.  Since base is
     a multiple of n, base + j = base ^ j, so the j struck by P are s ^ kP
@@ -499,7 +543,7 @@ def _sieve(m: int, base: int, n: int) -> list[int]:
     one of the small irreducibles.
     """
     struck = bytearray(n)
-    for a, mults, r, b in zip(_SMALL, _MULTIPLES, _xm_residues(m), _small_remainders(base)):
+    for a, mults, r, b in zip(_SMALL, _MULTIPLES, xm, _small_remainders(base)):
         s = r ^ b
         if s < n:  # always so unless n = 1
             for v in mults[:n >> (a.bit_length() - 1) or 1]:
@@ -615,7 +659,7 @@ def _irreducible(p: int, m: int, f: int) -> bool:
     on to Ben-Or and Rabin.  Even m skips the parity sieve: :func:`_disc_mod8`
     divides by m mod 8, a unit only for odd m.
     """
-    if p == 2 and not _sieve(m, f ^ (1 << m), 1):
+    if p == 2 and not _sieve(_xm_residues(m), f ^ (1 << m), 1):
         return False
     return _irreducible_tail(p, m, f)
 
@@ -785,9 +829,9 @@ class Field:
             # an irreducible of degree m exists, so the windows never pass
             # low = 2^m
             n = 1 << min(_WINDOW_BITS, m)
-            base = 0
+            base, xm = 0, _xm_residues(m)
             while True:
-                for low in _sieve(m, base, n):
+                for low in _sieve(xm, base, n):
                     if low & 1 and _irreducible_tail(2, m, (1 << m) | low):
                         return _coeffs((1 << m) | low, 2)
                 base += n
@@ -890,7 +934,9 @@ class Field:
     # -- element constructors -------------------------------------------
 
     def el(self, val: int) -> Element:
-        """Element from its packed base-p value."""
+        """Element from its packed base-p value, an int (not a bool)."""
+        if type(val) is not int:
+            raise TypeError(f"packed value {val!r} is not an int")
         if not (0 <= val < self.q):
             raise ValueError(f"packed value {val} out of range for {self}")
         return Element(self, val)

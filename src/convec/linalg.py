@@ -90,9 +90,11 @@ class Mat:
 
     @classmethod
     def from_packed(cls, field: Field, grid) -> "Mat":
-        """Rows of packed integer values, each in range for field."""
+        """Rows of packed values, each an int (not a bool) in range for field."""
         rows = [list(row) for row in grid]
-        for v in (v for row in rows for v in row if not 0 <= v < field.q):
+        for v in (v for row in rows for v in row if type(v) is not int or not 0 <= v < field.q):
+            if type(v) is not int:
+                raise TypeError(f"packed value {v!r} is not an int")
             raise ValueError(f"packed value {v} out of range for {field}")
         return cls._wrap(field, rows, _shape(rows, 0)[1])
 

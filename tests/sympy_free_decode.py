@@ -4,10 +4,9 @@ GF(2^193) at j = L, write both as JSON with their metadata, and check
 that sympy was never imported.  The first certificate walks the column sets
 on the band's kernel side, the second on the band's own columns.
 
-Fields below 2^32 elements are built with trial division alone, and a field
-above 2^8 elements designates no generator, so nothing factors its q - 1:
-decoding, the construction, the minor check and writing a construct file
-must all run in a Python that has no sympy installed:
+The library imports only the standard library, so decoding, the
+construction, the minor check and writing a construct file must all run
+in a Python that has nothing else installed:
 
     python -m venv --without-pip /tmp/bare
     PYTHONPATH=src /tmp/bare/bin/python tests/sympy_free_decode.py

@@ -80,8 +80,8 @@ def test_provenance_flag_set_explicitly(cold_fields):
 def test_setup_does_no_factoring(cold_fields, monkeypatch):
     # building, certifying, writing and loading a construct code, or
     # parsing a large-field stream header, tests and factors only numbers
-    # that trial division handles, and imports no sympy: q - 1 of a large
-    # field is never factored
+    # below 2^32, and imports no sympy: q - 1 of a large field is never
+    # factored
     def small(fn):
         def refuse(n):
             assert n < gf.SMALL_INT, f"{fn.__name__} of a {n.bit_length()}-bit number"
@@ -337,6 +337,27 @@ def test_random_code_argument_guards():
         random_code(2, 1, 1, 8, seed=0, want="best")
     with pytest.raises(DivisibilityViolated):
         random_code(3, 2, 3, 8, seed=0, want="complete")
+
+
+@pytest.mark.parametrize("q,want", [
+    (16, (2, 4)), (27, (3, 3)), (2 ** 40, (2, 40)), (3 ** 30, (3, 30)),
+    ((2 ** 31 - 1) ** 2, (2 ** 31 - 1, 2)), (2 ** 61 - 1, (2 ** 61 - 1, 1))])
+def test_prime_power(q, want):
+    assert construct._prime_power(q) == want
+
+
+@pytest.mark.parametrize("q", [12, 2 ** 32 * 3, 1])
+def test_prime_power_refuses(q):
+    with pytest.raises(ValueError, match="not a prime power"):
+        construct._prime_power(q)
+
+
+def test_random_code_over_large_fields(monkeypatch):
+    # a prime q of 2^32 or more, and q = 2^40, with no sympy to import
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    for q, m in ((2 ** 61 - 1, 1), (2 ** 40, 40)):
+        code = random_code(2, 1, 1, q, 0)
+        assert (code.field.q, code.field.m, code.delta) == (q, m, 1)
 
 
 def test_built_code_encodes(built311):

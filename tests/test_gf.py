@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import ZZ
+from sympy.ntheory.primetest import is_strong_lucas_prp
 from sympy.polys.galoistools import gf_irreducible_p
 
 from convec import field, gf
@@ -456,6 +457,11 @@ def test_finish_with_short_prefix_past_the_sieve(prefix, monkeypatch):
             assert not _irreducible(2, f.bit_length() - 1, f), bin(f)
 
 
+def sieve(m: int, base: int, n: int) -> list[int]:
+    """gf._sieve over the window base..base + n - 1 for degree m."""
+    return gf._sieve(gf._xm_residues(m), base, n)
+
+
 @pytest.mark.parametrize("d", [5, 6, 7, 8, 9])
 def test_sieve_then_first_gcd_reject_small_factors_at_large_m(d):
     # f = g * r * G1^15 of degree 520, whose smallest factor g has degree d:
@@ -467,7 +473,7 @@ def test_sieve_then_first_gcd_reject_small_factors_at_large_m(d):
         f = ref_mul(f, G1)
     assert f.bit_length() - 1 == 520
     low = f ^ (1 << 520)
-    assert gf._sieve(520, low, 1) == ([] if d <= 8 else [low])
+    assert sieve(520, low, 1) == ([] if d <= 8 else [low])
     assert not _irreducible(2, 520, f)
 
 
@@ -507,7 +513,7 @@ def test_small_irreducibles():
 @pytest.mark.parametrize("m", [3, 5, 8, 9, 16, 17, 33, 64, 769])
 def test_window_sieve_matches_trial_division(m):
     n = 1 << min(10, m)
-    survivors = gf._sieve(m, 0, n)
+    survivors = sieve(m, 0, n)
     assert survivors == sorted(set(survivors))
     for low in range(1, n, 2):
         assert (low not in survivors) == has_small_factor(m, low), (m, bin(low))
@@ -517,27 +523,27 @@ def test_window_sieve_matches_trial_division(m):
 @pytest.mark.parametrize("m,base", [(33, 5 << 10), (769, 3 << 10), (769, 1 << 700)],
                          ids=["m33-5x2^10", "m769-3x2^10", "m769-2^700"])
 def test_window_sieve_with_a_base(m, base):
-    survivors = gf._sieve(m, base, 1 << 10)
+    survivors = sieve(m, base, 1 << 10)
     assert survivors == [low for low in range(base, base + (1 << 10))
                          if not has_small_factor(m, low)]
 
 
 def test_window_of_one():
     m = 769
-    assert gf._sieve(m, 0b1000, 1) == []  # constant term 0: x divides it
+    assert sieve(m, 0b1000, 1) == []  # constant term 0: x divides it
     # x^2 + x + 1 is its one factor of degree at most 8
     f = ref_mul(0b111, (1 << (m - 2)) | 0b1000111)
     assert [a for a in SMALL_IRREDUCIBLES if ref_rem(f, a) == 0] == [0b111]
-    assert gf._sieve(m, f ^ (1 << m), 1) == []
+    assert sieve(m, f ^ (1 << m), 1) == []
     for low in (AUTO[m] ^ (1 << m), DENSE[m] ^ (1 << m)):
-        assert gf._sieve(m, low, 1) == [low]
+        assert sieve(m, low, 1) == [low]
     rng = random.Random(7)
     for _ in range(20):  # long low parts, far past the window
         low = rng.getrandbits(m)
-        assert gf._sieve(m, low, 1) == ([] if has_small_factor(m, low) else [low])
+        assert sieve(m, low, 1) == ([] if has_small_factor(m, low) else [low])
     for a in SMALL_IRREDUCIBLES:  # f is itself a small irreducible
         d = a.bit_length() - 1
-        assert gf._sieve(d, a ^ (1 << d), 1) == [a ^ (1 << d)]
+        assert sieve(d, a ^ (1 << d), 1) == [a ^ (1 << d)]
         assert _irreducible(2, d, a)
 
 
@@ -810,10 +816,55 @@ def test_fields_without_tables_sampled(p, m):
     assert (F.alpha is None) == ("primitive" not in F.to_json()) == (F.q > TABLE_MAX_Q)
 
 
+# Baillie-PSW's hard cases: composites that pass its base-2 half (strong
+# base-2 pseudoprimes, the later ones strong to every prime base up to 17
+# or 37) or its Lucas half (strong Lucas pseudoprimes), and Carmichael
+# numbers, which pass every Fermat test to a base prime to them
+STRONG_BASE2_PSEUDOPRIMES = [
+    2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281,
+    74665, 80581, 85489, 88357, 90751, 1373653, 25326001, 3215031751,
+    2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+    318665857834031151167461]
+STRONG_LUCAS_PSEUDOPRIMES = [
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519, 75077, 97439]
+CARMICHAEL = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 41041, 62745,
+              101101, 512461, 1050985, 9890881, 3215031751, 2199733160881]
+MERSENNE_EXPONENTS = [61, 89, 107, 127, 521, 607, 1279]
+
+
+def strong_base2(n: int) -> bool:
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    return pow(2, d, n) == 1 or any(pow(2, d << r, n) == n - 1 for r in range(s))
+
+
 def test_small_number_theory_matches_sympy():
     for n in list(range(1, 3000)) + [2 ** 31 - 1, 2 ** 32 - 5, 65536 * 65521, 3 ** 20 - 1]:
         assert _factorint(n) == sympy.factorint(n), n
+    for n in range(-2, 200_000):
         assert _isprime(n) == sympy.isprime(n), n
-    for n in (2 ** 32 + 15, 2 ** 61 - 1, 2 ** 64 - 1):
-        assert _factorint(n) == sympy.factorint(n), n
+    # trial division alone: a number of 2^32 or more is refused at once
+    for n in (2 ** 32, 2 ** 32 + 15, 2 ** 61 - 1, 2 ** 64 - 1):
+        with pytest.raises(ValueError):
+            _factorint(n)
+    assert all(strong_base2(n) for n in STRONG_BASE2_PSEUDOPRIMES)
+    assert all(is_strong_lucas_prp(n) for n in STRONG_LUCAS_PSEUDOPRIMES)
+    assert all(pow(2, n - 1, n) == 1 for n in CARMICHAEL)
+    for n in STRONG_BASE2_PSEUDOPRIMES + STRONG_LUCAS_PSEUDOPRIMES + CARMICHAEL:
+        assert not sympy.isprime(n) and not _isprime(n), n
+    for n in (2 ** 32 - 5, 2 ** 32 + 15, 2 ** 64 - 59, 2 ** 64 + 13, 2 ** 64 - 1):
         assert _isprime(n) == sympy.isprime(n), n
+    for e in MERSENNE_EXPONENTS:
+        assert _isprime(2 ** e - 1) and not _isprime(2 ** e + 1), e
+    for p in (2 ** 31 - 1, 2 ** 61 - 1):  # perfect squares and cubes of primes
+        assert not _isprime(p * p) and not _isprime(p ** 3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(33, 400).flatmap(lambda b: st.integers(1 << (b - 2), (1 << (b - 1)) - 1)))
+def test_isprime_matches_sympy_on_large_odd_ints(h):
+    n = 2 * h + 1  # odd, of 33 to 400 bits
+    assert _isprime(n) == sympy.isprime(n), n
+    p = sympy.nextprime(n)  # random odd ints are rarely prime
+    assert _isprime(p) and not _isprime(p * sympy.nextprime(p)), n

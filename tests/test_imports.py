@@ -1,18 +1,51 @@
-"""Decoding over a small field never imports sympy.
+"""The library runs on the standard library alone.
 
-``sympy`` is imported only for numbers of at least 2^32, so a GF(27)
-decode through the command line runs without it.  The check runs in a
-fresh interpreter, since this test session imports sympy itself.
+Every import in ``src/convec`` names a standard-library module or the
+package itself, and a GF(27) decode, two constructions and their
+certificates run in a fresh interpreter without sympy, which this test
+session imports for its oracles.  The library keeps one cache at module
+level, the field cache.
 """
 
 from __future__ import annotations
 
+import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import convec
+from convec import gf
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_library_imports_only_the_standard_library():
+    found = []
+    for path in sorted((ROOT / "src" / "convec").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue  # relative imports stay inside the package
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []
+
+
+def test_one_module_level_cache():
+    cached = []
+    for info in pkgutil.iter_modules(convec.__path__, "convec."):
+        module = importlib.import_module(info.name)
+        cached += [(info.name, name) for name, obj in vars(module).items()
+                   if hasattr(obj, "cache_clear") and obj is not gf._cached_field]
+    assert cached == []
+    assert hasattr(gf._cached_field, "cache_clear")
 
 
 def test_gf27_decode_leaves_sympy_unimported():

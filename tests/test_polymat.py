@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -379,6 +380,19 @@ def test_packed_values_out_of_range_raise(bad):
         Mat.from_packed(F, [[bad]])
     with pytest.raises(ValueError, match=msg):
         PolyMatrix.from_packed(F, [[[1, 0]], [[0, bad]]])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, Fraction(1), "1", None],
+                         ids=["1.5", "2.0", "True", "Fraction", "str", "None"])
+def test_packed_values_that_are_not_ints_raise(bad):
+    # only an int (not a bool, though bool subclasses int) is a packed value
+    F = field(5)
+    msg = f"^packed value {re.escape(repr(bad))} is not an int$"
+    for build in (lambda: F.el(bad), lambda: Poly.from_packed(F, [1, bad]),
+                  lambda: Mat.from_packed(F, [[1, 2], [bad, 0]]),
+                  lambda: PolyMatrix.from_packed(F, [[[1, 0]], [[0, bad]]])):
+        with pytest.raises(TypeError, match=msg):
+            build()
 
 
 def test_code_json_refuses_entry_out_of_range():
