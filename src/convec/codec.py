@@ -14,7 +14,8 @@ rank deficient, _pc_system for pc windows and pc guard attempts.  _solve
 returns packed values, (x, pinned), so decoding builds no sliding matrix
 and no Mat; Elements are made for the symbols a window fills, for guard
 values, for the recovered message and, once per gm decode, for the view of
-G that re-encodes recovered blocks.
+G that re-encodes recovered blocks.  Otherwise extract_message reads the
+message off in one packed pass of forward substitution in scatter form.
 
 Both run one sliding-window driver, _slide, the algorithm of Tomas,
 Rosenthal and Smarandache (IEEE Trans. IT 58(1), 2012), so their results
@@ -53,7 +54,7 @@ from .errors import (
     NoParityCheck,
 )
 from .gf import Element
-from .linalg import _solve_packed, _vecmat, rank
+from .linalg import _solve_packed, rank
 from .polymat import ConvCode, PolyMatrix
 from .distance import L_of, _require_delay_free, column_bound
 from .stream import ErasureStream
@@ -588,27 +589,32 @@ def extract_message(code: ConvCode,
     (n or field not the code's), ValueError (a block with erasures),
     InconsistentStream (not a codeword) or NonUnique (message not pinned).
 
-    Every block is checked for erasures before anything is solved.  When G_0
-    has rank k (every delay-free code) the system is block-triangular with
-    injective diagonal blocks, so the message is unique if it exists and is
-    read off by forward substitution (_substitute) through a right inverse
-    of G_0: _solve_packed solves X G_0^T = I from the rows [G_0 | I], and
-    since its free variables are 0 the nonzero rows of X^T sit at k pivot
-    columns P of G_0 and form G_0[:, P]^-1.  Otherwise, when that system is
-    inconsistent, the whole stream is one _gm_system window, blocks 0 .. T-1
-    with no known history, solved once.
+    One pass reads each block's packed values and checks it for erasures
+    before anything is solved.  When G_0 has rank k (every delay-free code)
+    the system is block-triangular with injective diagonal blocks, so the
+    message is unique if it exists and is read off by forward substitution
+    through a right inverse of G_0: _solve_packed solves X G_0^T = I from
+    the rows [G_0 | I], and its free variables are 0, so the nonzero rows of
+    X^T sit at k pivot columns P of G_0 and form G_0[:, P]^-1.  In scatter
+    form u_t = (v_t - h_t)[P] G_0[:, P]^-1 from the pending history sum h_t,
+    u_t G_s joins the pending sums of blocks t+s (a ring of mu + 1 rows), and
+    h_t + u_t G_0 = v_t must hold whole; u_t = 0 for t >= top.  Otherwise the
+    whole stream is one _gm_system window, blocks 0 .. T-1, solved once.
     """
     _check_match(code, stream)
-    fld, k = code.field, code.k
-    T = len(stream.blocks)
+    fld, n, k = code.field, code.n, code.k
+    v = []
     for tb, blk in enumerate(stream.blocks):
-        if any(v is None for v in blk):
+        vals = [e.val for e in blk if e is not None]
+        if len(vals) < len(blk):
             raise ValueError(f"block {tb} still has erasures")
+        v.append(vals)
+    T = len(v)
     ubound = message_degree_bound(code, stream)
     top = T if ubound is None else max(0, min(T, ubound + 1))
     gs = [g._rows for g in code.G.coeffs]
     res = _solve_packed(fld, [row + [int(i == j) for j in range(k)]
-                              for i, row in enumerate(gs[0])], code.n, k)
+                              for i, row in enumerate(gs[0])], n, k)
     if res is None:
         rows, r, _ = _gm_system(code, stream, {}, ubound, 0, T)
         x, pinned = _solve(fld, rows, r, None, "blocks are not a codeword window")
@@ -616,33 +622,35 @@ def extract_message(code: ConvCode,
             raise NonUnique("window too short to pin the message down")
         u = [x[t * k:(t + 1) * k] for t in range(top)]
     else:
+        add, sub, mul = fld._vadd, fld._vsub, fld._vmul
         right = list(zip(*res[0]))  # X^T, n rows of length k
-        pivots = [p for p, row in enumerate(right) if any(row)]
-        v = [[e.val for e in blk] for blk in stream.blocks]
-        u = _substitute(fld, gs, v, top, pivots, [right[p] for p in pivots])
+        # the nonzero entries of each row of G_0[:, P]^-1, and of row r of
+        # every G_s as (s, c, G_s[r][c])
+        inv = [(p, [(j, x) for j, x in enumerate(right[p]) if x])
+               for p in range(n) if any(right[p])]
+        nz = [[(s, c, g) for s, rows in enumerate(gs) for c, g in enumerate(rows[r]) if g]
+              for r in range(k)]
+        R = len(gs)
+        ring = [[0] * n for _ in range(R)]
+        u = []
+        for t, vt in enumerate(v):
+            acc = ring[t % R]
+            if t < top:
+                ut = [0] * k
+                for p, row in inv:
+                    d = sub(vt[p], acc[p])
+                    if d:
+                        for j, x in row:
+                            ut[j] = add(ut[j], mul(d, x))
+                pend = ring[t % R:] + ring[:t % R]  # blocks t .. t+mu
+                for a, row in zip(ut, nz):
+                    if a:
+                        for s, c, g in row:
+                            pend[s][c] = add(pend[s][c], mul(a, g))
+                u.append(ut)
+            if acc != vt:
+                raise InconsistentStream("blocks are not a codeword window")
+            ring[t % R] = [0] * n
     zeros = (fld.zero,) * k
     return {t: tuple(Element(fld, x) for x in u[t]) if t < top else zeros
             for t in range(T)}
-
-
-def _substitute(fld, gs, v, top: int, pivots: list[int], inv: list[list[int]]):
-    """Forward substitution through G_0 = gs[0], given pivot columns P of
-    G_0 and the rows inv of G_0[:, P]^-1, as extract_message reads them off
-    _solve_packed's right inverse: with the history sum
-    h_t = sum_{s>=1} u_{t-s} G_s, u_t = (v_t - h_t)[P] G_0[:, P]^-1, and
-    the whole block must agree, h_t + u_t G_0 = v_t; u_t = 0 for t >= top.
-    Returns u_0 .. u_{top-1} packed."""
-    sub = fld._vsub
-    u: list[list[int]] = []
-    for t, vt in enumerate(v):
-        acc = [0] * len(vt)
-        for s in range(max(1, t - top + 1), min(len(gs), t + 1)):
-            acc = _vecmat(fld, acc, u[t - s], gs[s])
-        if t < top:
-            ut = _vecmat(fld, [0] * len(pivots), [sub(vt[p], acc[p]) for p in pivots], inv)
-            acc = _vecmat(fld, acc, ut, gs[0])
-            u.append(ut)
-        if acc != vt:
-            raise InconsistentStream("blocks are not a codeword window")
-    return u
-

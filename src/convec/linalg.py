@@ -37,8 +37,7 @@ solving from the rows [G_0 | I].  The minor checks extend one unscaled
 basis column by column, over the columns of a packed kernel basis
 (_solve_packed with no right-hand side) when that is the narrower side.
 ``_vecmat`` is the one row vector times matrix loop on packed values: Mat
-and PolyMatrix products, codec's forward substitution and the column
-distance search all run through it.
+and PolyMatrix products and the column distance search run through it.
 
 The solver convention matches how the rest of the package states systems:
 ``solve_right(A, B)`` solves X * A = B for the row vector(s) X, i.e. the

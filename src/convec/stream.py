@@ -9,12 +9,14 @@ plain decimal, as to_text writes them; nothing else loads.
 from __future__ import annotations
 
 from .errors import LengthMismatch, ParseError
-from .gf import Field, field_from_ref
+from .gf import Element, Field, field_from_ref
 from .polymat import PolyMatrix
 
 
 class ErasureStream:
-    """Time-indexed length-n blocks; None marks an erased symbol."""
+    """Time-indexed length-n blocks; None marks an erased symbol.  The
+    constructor names the block of a wrong length (LengthMismatch), a symbol
+    that is not an Element (TypeError) or one of another field (ParseError)."""
 
     __slots__ = ("field", "n", "blocks", "origin_degree")
 
@@ -27,21 +29,29 @@ class ErasureStream:
             if len(row) != n:
                 raise LengthMismatch(f"block {t} has {len(row)} symbols, expected {n}")
             for e in row:
+                if e is not None and not isinstance(e, Element):
+                    raise TypeError(f"block {t} holds {e!r}, which is not an Element")
                 if e is not None and e.field != fld:
                     raise ParseError(f"block {t} holds a symbol from another field")
             clean.append(row)
-        self.field = fld
-        self.n = n
-        self.blocks = clean
-        self.origin_degree = origin_degree
+        self.field, self.n, self.blocks, self.origin_degree = fld, n, clean, origin_degree
+
+    @classmethod
+    def _wrap(cls, fld: Field, n: int, blocks: list, origin_degree: int | None):
+        """The stream over blocks as they are, which the caller built from fld."""
+        out = cls.__new__(cls)
+        out.field, out.n, out.blocks, out.origin_degree = fld, n, blocks, origin_degree
+        return out
 
     @classmethod
     def from_codeword(cls, v: PolyMatrix):
         """v's complete stream; the zero codeword's origin degree is -1."""
         if v.nrows != 1:
             raise LengthMismatch("expected a 1 x n codeword vector")
+        if v.ncols < 1:
+            raise ValueError("block length must be positive")
         blocks = [list(v.coeff(i).data[0]) for i in range(max(v.degree, 0) + 1)]
-        return cls(v.field, v.ncols, blocks, v.degree)
+        return cls._wrap(v.field, v.ncols, blocks, v.degree)
 
     def __len__(self) -> int:
         return len(self.blocks)
@@ -53,8 +63,8 @@ class ErasureStream:
                 and self.blocks == other.blocks)
 
     def copy(self) -> "ErasureStream":
-        return ErasureStream(self.field, self.n,
-                             [list(b) for b in self.blocks], self.origin_degree)
+        return ErasureStream._wrap(self.field, self.n,
+                                   [list(b) for b in self.blocks], self.origin_degree)
 
     @property
     def symbol_count(self) -> int:
@@ -123,7 +133,7 @@ class ErasureStream:
                     raise ParseError(
                         f"line {len(blocks) + 2}: bad symbol {t!r}") from None
             blocks.append(row)
-        return cls(fld, n, blocks, deg)
+        return cls._wrap(fld, n, blocks, deg)
 
 
 def _header_fields(line: str) -> dict[str, str]:

@@ -18,7 +18,7 @@ import tempfile
 
 import pytest
 
-from convec import field, linalg, sliding
+from convec import codec, field, linalg, sliding
 from convec.cli import main
 from convec.codec import (
     extract_message,
@@ -226,6 +226,109 @@ def test_extraction_work_is_linear_in_the_stream_length(monkeypatch):
     assert (fld._vmul, linalg._reduce) == originals
     for counts in (products, walked):
         assert all(b <= 2.3 * a for a, b in zip(counts, counts[1:])), counts
+
+
+def random_code_over(fld, rng, k, mu, delay_free):
+    """A (3, k) code of memory mu with seeded random coefficients, whose G_0
+    has rank k when delay_free and rank k - 1 (its last row zero) otherwise."""
+    want = k if delay_free else k - 1
+    while True:
+        grids = [[[rng.randrange(fld.q) for _ in range(3)] for _ in range(k)]
+                 for _ in range(mu + 1)]
+        if not delay_free:
+            grids[0][-1] = [0, 0, 0]
+        if linalg.rank(Mat.from_packed(fld, grids[0])) == want and any(map(any, grids[mu])):
+            return ConvCode(3, k, PolyMatrix.from_packed(fld, grids))
+
+
+def random_code_streams(delay_free):
+    """(code, kind, stream, message) over GF(7), GF(16) and GF(9), the
+    prime, binary and general kernels, for k, mu in {1, 2}, each stream with
+    its origin degree and without: a clean codeword, the same with one
+    symbol corrupted, and the codeword cut mu + 1 blocks short."""
+    rng = random.Random(3636 + delay_free)
+    for fld in (field(7), field(2, 4), field(3, 2)):
+        for k in (1, 2):
+            for mu in (1, 2):
+                code = random_code_over(fld, rng, k, mu, delay_free)
+                for blocks in (1, 6):
+                    u, s = encoded(code, rng, blocks)
+                    for deg in (s.origin_degree, None):
+                        clean = s.copy()
+                        clean.origin_degree = deg
+                        yield code, "clean", clean, u
+                        yield code, "corrupted", tampered(clean, rng), u
+                        if blocks > 1:
+                            cut = ErasureStream(fld, 3, clean.blocks[:-mu - 1], deg)
+                            yield code, "truncated", cut, u
+
+
+@pytest.mark.parametrize("delay_free", [True, False], ids=["delay-free", "rank-deficient-g0"])
+def test_extraction_matches_dense_route_on_random_codes(delay_free, monkeypatch):
+    # the fallback through _gm_system runs exactly when G_0 is rank deficient
+    fallbacks = []
+
+    def gm_system(*args, gm_system=codec._gm_system):
+        fallbacks.append(args[0])
+        return gm_system(*args)
+
+    monkeypatch.setattr(codec, "_gm_system", gm_system)
+    kinds = set()
+    for code, kind, s, u in random_code_streams(delay_free):
+        want = outcome(dense_extract, code, s)
+        got = outcome(extract_message, code, s)
+        assert got == want, (code.field, code.k, code.G.degree, kind)
+        if kind == "truncated" and not delay_free:
+            assert got == (NonUnique, "window too short to pin the message down")
+        elif kind != "corrupted" and delay_free:  # G_0 pins the message, or its prefix
+            assert all(got[t] == (tuple(u.coeff(t).data[0]) if t <= u.degree else
+                                  (code.field.zero,) * code.k) for t in got)
+        kinds.add((kind, type(got).__name__ if isinstance(got, dict) else got[0].__name__))
+        assert bool(fallbacks) is not delay_free
+        fallbacks.clear()
+    # one corrupted symbol contradicts the code unless a codeword of the
+    # listed blocks has that weight: then both routes read another message
+    assert ("corrupted", "InconsistentStream") in kinds
+    assert {kind for kind, _ in kinds} == {"clean", "corrupted", "truncated"}
+
+
+def test_erasure_in_the_last_block_is_refused_before_any_solve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("extraction solved before checking for erasures")
+
+    code = random_code(3, 1, 2, 16, seed=0, want="mdp")
+    _, s = encoded(code, random.Random(6), 10)
+    s.blocks[-1][1] = None
+    monkeypatch.setattr(codec, "_solve_packed", refuse)
+    monkeypatch.setattr(linalg, "_solve_packed", refuse)
+    with pytest.raises(ValueError, match=f"^block {len(s.blocks) - 1} still has erasures$"):
+        extract_message(code, s)
+
+
+def test_extraction_work_on_the_stream_workload_code(monkeypatch):
+    # the (3,1,2) GF(16) code of the stream benchmark, a clean stream of
+    # 100 message blocks: one pivot solve and mu + 1 row scatters per
+    # block, counted in products through the field's bound kernel, and no
+    # vector-matrix product rebuilt per term
+    code = random_code(3, 1, 2, 16, seed=0, want="mdp")
+    fld = code.field
+    u, s = encoded(code, random.Random(100), 100)
+    count = [0]
+
+    def mul(a, b, mul=fld._vmul):
+        count[0] += 1
+        return mul(a, b)
+
+    def refuse(*args):
+        raise AssertionError("extraction called _vecmat")
+
+    monkeypatch.setattr(fld, "_vmul", mul)
+    for module in (linalg, codec):  # codec would call its own import
+        monkeypatch.setattr(module, "_vecmat", refuse, raising=False)
+    got = extract_message(code, s)
+    monkeypatch.undo()
+    assert [got[t] for t in range(100)] == [tuple(u.coeff(t).data[0]) for t in range(100)]
+    assert count[0] == 973
 
 
 def test_extraction_leaves_no_band_on_the_code(monkeypatch):

@@ -2,8 +2,9 @@
 
 Every import in ``src/convec`` names a standard-library module or the
 package itself, and a GF(27) decode, two constructions and their
-certificates run in a fresh interpreter without sympy, which this test
-session imports for its oracles.  The library keeps one cache at module
+certificates, and the command-line construct, verify and modulus checks of
+``sympy_free_decode.py`` run in a fresh interpreter without sympy, which
+this test session imports for its oracles.  The library keeps one cache at module
 level, the field cache.
 """
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from convec import field
+from convec.gf import Field
 from convec.errors import LengthMismatch, NotPrime, ParseError
 from convec.polymat import PolyMatrix
 from convec.stream import ErasureStream
@@ -62,6 +63,30 @@ def test_foreign_symbol_rejected(gf2):
     gf3 = field(3)
     with pytest.raises(ParseError):
         ErasureStream(gf2, 2, [[gf3.one, gf2.zero]])
+
+
+@pytest.mark.parametrize("symbol", [1, True, "1", 1.0], ids=["int", "bool", "str", "float"])
+def test_symbol_that_is_not_an_element_is_a_type_error(symbol):
+    fld = field(2, 4)
+    with pytest.raises(TypeError, match=f"^block 1 holds {re.escape(repr(symbol))}, "):
+        ErasureStream(fld, 3, [[fld.one, None, fld.zero], [fld.one, symbol, None]])
+
+
+def test_copy_and_from_text_compare_no_field(code522, msg522, monkeypatch):
+    # both build every symbol from the stream's own field, so no symbol's
+    # field is checked again
+    s = ErasureStream.from_codeword(code522.encode(msg522))
+    s.blocks[1][3] = None
+    text = s.to_text()
+
+    def refuse(self, other):
+        raise AssertionError("a Field was compared")
+
+    monkeypatch.setattr(Field, "__eq__", refuse)
+    c = s.copy()
+    parsed = ErasureStream.from_text(text)
+    monkeypatch.undo()
+    assert c == s == parsed
 
 
 def test_text_round_trip(code522, msg522, mask522, gf2):
