@@ -7,10 +7,13 @@ right-hand side, and keeps the longest uniquely determined message prefix.
 The parity-check decoder (pc) recovers erased codeword symbols from the
 syndrome equations of the window and leaves message extraction to a
 separate step.  Each engine states its system through one builder as packed
-[A^T | B^T] rows read straight from the packed rows of the code's
-coefficient Mats, and solves them through one metered _solve: _gm_system
-for gm windows, gm guard attempts and whole-stream extraction when G_0 is
-rank deficient, _pc_system for pc windows and pc guard attempts.  _solve
+[A^T | B^T] rows read straight from the code's packed coefficients, and
+solves them through one metered _solve: _gm_system for gm windows, gm guard
+attempts and whole-stream extraction when G_0 is rank deficient, _pc_system
+for pc windows and pc guard attempts.  The facts about G that shape gm's
+systems are fixed when the ConvCode is built, and decoding only reads them:
+G's column view (code._g_cols), whether G_0 has rank k (the delay-free
+check) and whether G_mu does (message_degree_bound).  _solve
 returns packed values, (x, pinned), so decoding builds no sliding matrix
 and no Mat; Elements are made for the symbols a window fills, for guard
 values, for the recovered message and, once per gm decode, for the view of
@@ -54,7 +57,7 @@ from .errors import (
     NoParityCheck,
 )
 from .gf import Element
-from .linalg import _solve_packed, rank
+from .linalg import _solve_packed
 from .polymat import ConvCode, PolyMatrix
 from .distance import L_of, _require_delay_free, column_bound
 from .stream import ErasureStream
@@ -165,12 +168,9 @@ class DecodeReport:
 
 def message_degree_bound(code: ConvCode, stream: ErasureStream) -> int | None:
     """deg u implied by deg v, when the top generator coefficient is injective."""
-    if stream.origin_degree is None:
+    if stream.origin_degree is None or not code._gmu_full_rank:
         return None
-    mu = code.G.degree
-    if rank(code.G.coeff(mu)) < code.k:
-        return None
-    return stream.origin_degree - mu
+    return stream.origin_degree - code.G.degree
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +206,7 @@ def _gm_system(code: ConvCode, stream: ErasureStream, known_u: dict,
     unknown_times), r = k * len(unknown_times)."""
     fld, k = code.field, code.k
     sub, mul = fld._vsub, fld._vmul
-    cols = [list(zip(*g._rows)) for g in code.G.coeffs]  # cols[s][c] = G_s[:, c]
+    cols = code._g_cols  # cols[s][c] = G_s[:, c]
     at, known = {}, {}  # unknown time -> column; known nonzero time -> values
     unknown_times: list[int] = []
     for ut in range(v_start - code.G.degree, v_start + width):

@@ -28,7 +28,6 @@ import random
 from .distance import L_of, is_mdp, verify_complete_jmdp_via_g
 from .errors import DivisibilityViolated, FieldTooLarge, RankDeficient, SearchExhausted
 from .gf import Field, _isprime, field
-from .linalg import rank
 from .polymat import ConvCode, PolyMatrix
 
 
@@ -84,10 +83,7 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
     # alpha = x, whose packed value is p
     grids = [[[fld._vpow(p, 1 << layout[i][r][c]) for c in range(n)]
               for r in range(k)] for i in range(mu + 1)]
-    G = PolyMatrix.from_packed(fld, grids)
-    if rank(G.coeff(mu)) != k:
-        raise RankDeficient("top coefficient block lost rank; construction invalid")
-    code = ConvCode(n, k, G, metadata={"provenance": {
+    code = ConvCode(n, k, PolyMatrix.from_packed(fld, grids), metadata={"provenance": {
         "construction": "doubling-exponent staircase",
         "N": N,
         "bound_general": general,
@@ -95,6 +91,8 @@ def build_complete_mdp(n: int, k: int, delta: int, p: int,
         "alpha": "x",
         "field": fld.ref(),
     }})
+    if not code._gmu_full_rank:
+        raise RankDeficient("top coefficient block lost rank; construction invalid")
     assert code.delta == delta
     return code
 

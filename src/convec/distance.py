@@ -39,7 +39,7 @@ from .errors import (
     NoParityCheck,
     NotDelayFree,
 )
-from .linalg import Mat, _independent, _solve_packed, _vecmat, rank
+from .linalg import Mat, _independent, _solve_packed, _vecmat
 from .polymat import ConvCode
 from .sliding import check_window, generator_truncation, walk_bounded
 
@@ -64,7 +64,7 @@ def singleton_bound(n: int, k: int, delta: int) -> int:
 
 
 def _require_delay_free(code: ConvCode):
-    if rank(code.G.eval_at_zero()) < code.k:
+    if not code._g0_full_rank:
         raise NotDelayFree("rank of G(0) is below k")
 
 

@@ -332,6 +332,12 @@ class ConvCode:
 
     The parity-check matrix is optional and always supplied, never derived;
     when present it is validated against G (H * G^T = 0, H(0) full row rank).
+
+    Construction also fixes the facts about G that decoding and the checks
+    read: whether G_0 has rank k (_g0_full_rank: the code is delay-free),
+    whether G_mu does (_gmu_full_rank: deg u follows from deg v), and G's
+    column view _g_cols, _g_cols[s][c] = G_s[:, c] as a tuple of packed
+    values.  Decoding reads them and stores nothing on the code.
     """
 
     def __init__(self, n: int, k: int, G: PolyMatrix, H: PolyMatrix | None = None,
@@ -349,6 +355,9 @@ class ConvCode:
         self.field = G.field
         self._minors = full_size_minors(G)
         self.delta = _max_minor_degree(self._minors)
+        self._g0_full_rank = rank(G.coeffs[0]) == k
+        self._gmu_full_rank = rank(G.coeffs[-1]) == k
+        self._g_cols = [list(zip(*g._rows)) for g in G.coeffs]
         if H is not None:
             if H.field != G.field:
                 raise FieldMismatch("G and H over different fields")
@@ -367,7 +376,7 @@ class ConvCode:
     @property
     def flags(self) -> StructuralFlags:
         if self._flags is None:
-            delay_free = rank(self.G.eval_at_zero()) == self.k
+            delay_free = self._g0_full_rank
             row_reduced = rank(self.G.leading_row_matrix()) == self.k
             g = Poly.zero(self.field)
             for p in self._minors.values():

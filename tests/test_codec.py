@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import time
@@ -9,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from convec import codec, field, sliding
+from convec import codec, distance, field, linalg, sliding
 from convec.channel import corrupt, parse_pattern
 from convec.codec import (
     DecodeReport,
@@ -41,7 +42,7 @@ from convec.linalg import Mat
 from convec.polymat import ConvCode, PolyMatrix, code_from_json
 from convec.stream import ErasureStream
 from convec.sliding import generator_band, parity_band
-from test_golden_decode import codes as golden_codes
+from test_golden_decode import _rate_third, _stored, codes as golden_codes, corpus_lines
 
 
 def erase(stream, mask):
@@ -671,6 +672,50 @@ def test_decoding_builds_no_sliding_matrix(monkeypatch):
         got = decoding(extract_message, code, clean)
         assert all(got[t] == tuple(u.coeff(t).data[0]) for t in range(u.degree + 1))
     assert {"gm", "pc", "gm_guard_window", "pc_guard"} <= solvers, solvers
+
+
+# sha256 of burst_reports(), pinned while every decode still took G's ranks
+# itself, so that reading them off the code changes no report
+BURST_DIGEST = "c23f3dff1c2204b19724ffed74de845db940458f0620eec018bfece359fb8d48"
+
+
+def burst_reports() -> str:
+    """Both engines' canonical reports, guard on, on seeded streams shaped
+    like the burst benchmark: a (3,1,2) code over GF(27), 30 message
+    blocks, 5% background erasures and one erased run of 15 to 21 symbols,
+    more than any forward window absorbs.  Returns their sha256."""
+    fld = field(3, 3)
+    code = _rate_third(fld, (1, 5, 17), (2, 11, 3), (1, 22, 8))
+    rng = random.Random(2727)
+    h = hashlib.sha256()
+    for _ in range(4):
+        u = rand_message(fld, rng, 29)
+        s = ErasureStream.from_codeword(code.encode(u))
+        total = len(s) * 3
+        run, start = rng.randrange(15, 22), rng.randrange(3, total - 30)
+        for idx in range(total):
+            if start <= idx < start + run or rng.random() < 0.05:
+                s.blocks[idx // 3][idx % 3] = None
+        for decode in (gm_decode_forward, pc_decode_forward):
+            rep = decode(code, s)
+            assert rep.lost_intervals or decode is pc_decode_forward
+            h.update(json.dumps(rep.to_json(), sort_keys=True).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_decoding_takes_no_rank(monkeypatch):
+    # whether G_0 and G_mu have rank k is fixed when the code is built, so
+    # no window, guard attempt, degree bound or delay-free check takes a
+    # rank; the golden corpus and burst-shaped streams decode as before
+    def refuse(*args):
+        raise AssertionError("decoding took a rank")
+
+    for module in (linalg, codec, distance):  # codec and distance would call their own import
+        monkeypatch.setattr(module, "rank", refuse, raising=False)
+    want, got = _stored(), corpus_lines()
+    assert len(got) == len(want)
+    assert [json.loads(line)["case"] for w, line in zip(want, got) if w != line] == []
+    assert burst_reports() == BURST_DIGEST
 
 
 def test_band_cache_stays_bounded_across_stream_lengths(pair_2_1, monkeypatch):

@@ -11,9 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from convec import field
-from convec.errors import DegreeMismatch, DimensionMismatch, FieldMismatch, RankDeficient
+from convec.codec import gm_decode_forward, message_degree_bound
+from convec.errors import (
+    DegreeMismatch,
+    DimensionMismatch,
+    FieldMismatch,
+    NotDelayFree,
+    RankDeficient,
+)
 from convec.gf import Element
-from convec.linalg import Mat
+from convec.linalg import Mat, rank
+from convec.stream import ErasureStream
 from convec.polymat import (
     ConvCode,
     Poly,
@@ -306,6 +314,60 @@ def test_structural_flags_known_cases():
     ]))
     assert not c3.flags.row_reduced
     del g3
+
+
+def _facts_code(fld, rng, k, mu, deficient):
+    """A (3, k) code of memory mu with seeded coefficients; deficient names
+    the coefficient, 0 or mu, whose last row is made a multiple of its first
+    (zero when k = 1), so that it has rank below k.  G_mu is nonzero, so it
+    can be deficient only when k > 1."""
+    while True:
+        grids = [[[rng.randrange(fld.q) for _ in range(3)] for _ in range(k)]
+                 for _ in range(mu + 1)]
+        if deficient is not None:
+            g, a = grids[deficient], rng.randrange(fld.q) if k > 1 else 0
+            g[-1] = [fld._vmul(a, x) for x in g[0]]
+        if not any(map(any, grids[mu])):
+            continue
+        try:
+            return ConvCode(3, k, PolyMatrix.from_packed(fld, grids))
+        except RankDeficient:  # no nonzero full-size minor
+            continue
+
+
+def test_construction_facts_match_a_direct_computation():
+    # ConvCode fixes G_0's and G_mu's full rank and G's column view once;
+    # each must agree with rank and transpose over every kernel, and the
+    # two rank facts must still decide NotDelayFree and the degree bound
+    rng = random.Random(3737)
+    seen = set()
+    for fld in (field(2), field(7), field(2, 4), field(3, 3), field(2, 41)):
+        for k in (1, 2):
+            for mu in (1, 2):
+                for deficient in (None, 0, mu)[:3 if k > 1 else 2]:
+                    code = _facts_code(fld, rng, k, mu, deficient)
+                    G = code.G
+                    g0 = rank(G.coeff(0)) == k
+                    gmu = rank(G.coeff(mu)) == k
+                    assert (code._g0_full_rank, code._gmu_full_rank) == (g0, gmu)
+                    assert code.flags.delay_free is g0
+                    assert code._g_cols == [
+                        [tuple(col) for col in c.transpose()._rows] for c in G.coeffs]
+                    if deficient == 0:
+                        assert not g0
+                    if deficient == mu:
+                        assert not gmu
+                    seen.add((g0, gmu))
+                    u = PolyMatrix.from_packed(fld, [[[rng.randrange(fld.q) for _ in range(k)]]
+                                                     for _ in range(4)])
+                    s = ErasureStream.from_codeword(code.encode(u))
+                    assert s.origin_degree is not None
+                    bound = message_degree_bound(code, s)
+                    assert bound == (s.origin_degree - mu if gmu else None)
+                    if not g0:
+                        with pytest.raises(NotDelayFree):
+                            gm_decode_forward(code, s)
+    assert {(True, True), (False, True), (True, False)} <= seen
 
 
 def test_noncatastrophic_implies_delay_free():

@@ -48,6 +48,12 @@ def test_parse_run_refuses_other_output():
         record_bench.parse_run(without_passes)
 
 
+def test_progress_line_shows_passes_and_memory_beside_the_rate():
+    run = record_bench.parse_run(canned(2, 26093.485370924413, passes=57))
+    assert record_bench.progress_line("burst", 2, run) == (
+        "burst seed 2: work_per_s 26093.5 passes 57 peak_rss_mb 22.0")
+
+
 def test_summarise_takes_medians_over_seeds():
     runs = {"stream": {s: record_bench.parse_run(canned(s, w, passes=p))
                        for s, w, p in ((3, 30.0, 9), (1, 10.0, 8), (2, 40.0, 12))}}

@@ -9,7 +9,8 @@ each, from the root of this checkout.  The file keeps the environment
 across runs), and per workload the median over seeds of every metric
 run.py prints, each seed's values, its `exact` counts and its `passes`, the
 number of passes run.py fitted into run_seconds (peak_rss_mb grows with it,
-since run.py keeps every pass's reports).
+since run.py keeps every pass's reports).  Each run prints a progress line
+with its work_per_s, passes and peak_rss_mb.
 
 The commit is the checkout's HEAD, so record after committing the sources
 the file describes; source_sha256 names them either way.  Exits 1 without
@@ -47,6 +48,14 @@ def parse_run(stdout: str) -> dict:
     if env is None or exact is None or passes is None or not metrics:
         raise ValueError("not the output of bench/run.py")
     return {"env": env, "exact": exact, "passes": passes, "metrics": metrics}
+
+
+def progress_line(workload: str, seed: int, run: dict) -> str:
+    """One run's progress line: work_per_s, and beside it passes and
+    peak_rss_mb, so that a memory move shows as the pass-count move it is."""
+    metrics = run["metrics"]
+    return (f"{workload} seed {seed}: work_per_s {metrics['work_per_s']['value']:.1f} "
+            f"passes {run['passes']} peak_rss_mb {metrics['peak_rss_mb']['value']:.1f}")
 
 
 def summarise(pr: int, seconds: float, runs: dict) -> dict:
@@ -92,8 +101,7 @@ def main(argv=None) -> int:
                       f"{proc.stderr}", file=sys.stderr)
                 return 1
             run = runs.setdefault(workload, {})[seed] = parse_run(proc.stdout)
-            print(f"{workload} seed {seed}: work_per_s "
-                  f"{run['metrics']['work_per_s']['value']:.1f}", flush=True)
+            print(progress_line(workload, seed, run), flush=True)
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(summarise(args.pr, seconds, runs), indent=2,
                                sort_keys=True) + "\n")
