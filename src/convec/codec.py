@@ -17,8 +17,9 @@ check) and whether G_mu does (message_degree_bound).  _solve
 returns packed values, (x, pinned), so decoding builds no sliding matrix
 and no Mat; Elements are made for the symbols a window fills, for guard
 values, for the recovered message and, once per gm decode, for the view of
-G that re-encodes recovered blocks.  Otherwise extract_message reads the
-message off in one packed pass of forward substitution in scatter form.
+G that re-encodes recovered blocks.  extract_message reads the message off
+in one packed pass of forward substitution in scatter form and makes one
+Element per distinct message value.
 
 Both run one sliding-window driver, _slide, the algorithm of Tomas,
 Rosenthal and Smarandache (IEEE Trans. IT 58(1), 2012), so their results
@@ -598,8 +599,12 @@ def extract_message(code: ConvCode,
     X^T sit at k pivot columns P of G_0 and form G_0[:, P]^-1.  In scatter
     form u_t = (v_t - h_t)[P] G_0[:, P]^-1 from the pending history sum h_t,
     u_t G_s joins the pending sums of blocks t+s (a ring of mu + 1 rows), and
-    h_t + u_t G_0 = v_t must hold whole; u_t = 0 for t >= top.  Otherwise the
-    whole stream is one _gm_system window, blocks 0 .. T-1, solved once.
+    h_t + u_t G_0 = v_t must hold whole; u_t = 0 for t >= top.  The products
+    of row r of every G_s by a value a are made once per distinct (r, a),
+    when u_t[r] = a first occurs.  Otherwise the whole stream is one
+    _gm_system window, blocks 0 .. T-1, solved once.  Either way each
+    distinct message value becomes one Element, shared by every u_t that
+    holds it.  A message over a small field holds few distinct values.
     """
     _check_match(code, stream)
     fld, n, k = code.field, code.n, code.k
@@ -632,6 +637,7 @@ def extract_message(code: ConvCode,
               for r in range(k)]
         R = len(gs)
         ring = [[0] * n for _ in range(R)]
+        scaled = [{} for _ in range(k)]  # per row r: a -> [(s, c, a G_s[r][c])]
         u = []
         for t, vt in enumerate(v):
             acc = ring[t % R]
@@ -643,14 +649,18 @@ def extract_message(code: ConvCode,
                         for j, x in row:
                             ut[j] = add(ut[j], mul(d, x))
                 pend = ring[t % R:] + ring[:t % R]  # blocks t .. t+mu
-                for a, row in zip(ut, nz):
+                for a, row, memo in zip(ut, nz, scaled):
                     if a:
-                        for s, c, g in row:
-                            pend[s][c] = add(pend[s][c], mul(a, g))
+                        terms = memo.get(a)
+                        if terms is None:
+                            terms = memo[a] = [(s, c, mul(a, g)) for s, c, g in row]
+                        for s, c, x in terms:
+                            pend[s][c] = add(pend[s][c], x)
                 u.append(ut)
             if acc != vt:
                 raise InconsistentStream("blocks are not a codeword window")
             ring[t % R] = [0] * n
+    made = {x: Element(fld, x) for x in set().union(*u)}
     zeros = (fld.zero,) * k
-    return {t: tuple(Element(fld, x) for x in u[t]) if t < top else zeros
+    return {t: tuple(map(made.__getitem__, u[t])) if t < top else zeros
             for t in range(T)}

@@ -104,11 +104,16 @@ class ErasureStream:
 
     @classmethod
     def from_text(cls, text: str) -> "ErasureStream":
-        lines = [ln.strip() for ln in text.splitlines()]
-        lines = [ln for ln in lines if ln]
-        if not lines or not lines[0].startswith("#"):
+        """The stream that to_text wrote.  Errors name the line as it stands
+        in text, blank lines counted.  Each distinct token is parsed once per
+        call and its Element shared by every symbol that repeats it: a stream
+        over a small field repeats few values (at most q + 1 distinct
+        tokens), while over a large one nearly every token is new."""
+        lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)]
+        lines = [(no, ln) for no, ln in lines if ln]
+        if not lines or not lines[0][1].startswith("#"):
             raise ParseError("missing stream header line")
-        fields = _header_fields(lines[0])
+        fields = _header_fields(lines[0][1])
         for key in ("n", "field", "deg"):
             if key not in fields:
                 raise ParseError(f"header lacks {key}=")
@@ -116,22 +121,21 @@ class ErasureStream:
         fld = field_from_ref(fields["field"])
         deg = None if fields["deg"] == "unknown" else _header_int(
             fields["deg"], "origin degree", -1)
+        symbols: dict[str, Element | None] = {"?": None}
         blocks = []
-        for ln in lines[1:]:
+        for no, ln in lines[1:]:
             toks = ln.split()
             if len(toks) != n:
-                raise LengthMismatch(
-                    f"line {len(blocks) + 2}: {len(toks)} tokens, expected {n}")
+                raise LengthMismatch(f"line {no}: {len(toks)} tokens, expected {n}")
             row = []
             for t in toks:
-                if t == "?":
-                    row.append(None)
-                    continue
-                try:
-                    row.append(fld.from_hex(t))
-                except ValueError:
-                    raise ParseError(
-                        f"line {len(blocks) + 2}: bad symbol {t!r}") from None
+                e = symbols.get(t, t)
+                if e is t:  # first seen here
+                    try:
+                        e = symbols[t] = fld.from_hex(t)
+                    except ValueError:
+                        raise ParseError(f"line {no}: bad symbol {t!r}") from None
+                row.append(e)
             blocks.append(row)
         return cls._wrap(fld, n, blocks, deg)
 

@@ -1,5 +1,5 @@
 """Shared fixtures: the small GF(2) reference code used across the suite,
-and a cold field cache."""
+a cold field cache and a count of the Elements a test builds."""
 
 from __future__ import annotations
 
@@ -17,6 +17,21 @@ def cold_fields(monkeypatch):
     cache = functools.lru_cache(maxsize=None)(gf.Field)
     monkeypatch.setattr(gf, "_cached_field", cache)
     return cache
+
+
+@pytest.fixture
+def element_builds(monkeypatch):
+    """The number of Elements built while the test runs, as builds[0], which
+    a test may reset: every Element.__init__ call counts."""
+    builds = [0]
+    init = gf.Element.__init__
+
+    def counted(self, fld, val):
+        builds[0] += 1
+        init(self, fld, val)
+
+    monkeypatch.setattr(gf.Element, "__init__", counted)
+    return builds
 
 
 @pytest.fixture(scope="session")

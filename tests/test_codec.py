@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from convec import codec, distance, field, linalg, sliding
-from convec.channel import corrupt, parse_pattern
+from convec.channel import PatternSpec, corrupt, parse_pattern
 from convec.codec import (
     DecodeReport,
     Rate,
@@ -25,6 +25,7 @@ from convec.codec import (
     pc_guard_recover,
     recovering_rates,
 )
+from convec.construct import random_code
 from convec.distance import (
     L_of,
     is_mdp,
@@ -38,6 +39,7 @@ from convec.errors import (
     NoParityCheck,
     NotDelayFree,
 )
+from convec.gf import field_from_ref
 from convec.linalg import Mat
 from convec.polymat import ConvCode, PolyMatrix, code_from_json
 from convec.stream import ErasureStream
@@ -787,3 +789,34 @@ def test_message_degree_bound(code522, msg522, gf2):
     u = PolyMatrix.from_packed(gf2, [[[1, 0]], [[0, 1]]])
     s2 = ErasureStream.from_codeword(lop.encode(u))
     assert message_degree_bound(lop, s2) is None
+
+
+# -- Elements built per decode -------------------------------------------------
+
+def test_elements_built_by_one_pc_decode(element_builds):
+    # parse, decode and report one seeded 100-block stream of the stream
+    # benchmark's (3,1,2) GF(16) code at 10% i.i.d. erasures, as `convec
+    # decode --engine pc` does; the counts let a change state its Element
+    # delta: parsing builds one per distinct token, decoding one per filled
+    # symbol and one per distinct message value, the report none
+    G = random_code(3, 1, 2, 16, seed=0, want="mdp").G
+    code = _rate_third(G.field, *([G.coeff(i).data[0][c].val for i in range(G.degree + 1)]
+                                  for c in range(3)))
+    rng = random.Random(38)
+    u = rand_message(code.field, rng, 99)
+    clean = ErasureStream.from_codeword(code.encode(u))
+    text = corrupt(clean, PatternSpec(kind="iid", prob=0.1, seed=rng.randrange(1 << 30))).to_text()
+    field_from_ref(code.field.ref())  # the header's field, built and cached
+    counts = []
+    element_builds[0] = 0
+    s = ErasureStream.from_text(text)
+    counts.append(element_builds[0])
+    rep = pc_decode_forward(code, s)
+    counts.append(element_builds[0] - sum(counts))
+    json.dumps(rep.to_json(), sort_keys=True)
+    counts.append(element_builds[0] - sum(counts))
+    assert rep.complete and rep.message() == u
+    assert counts[0] == len(set(text.split("\n", 1)[1].split()) - {"?"})
+    assert counts[1] == text.count("?") + len({e.val for m in rep.recovered_message.values()
+                                               for e in m})
+    assert counts == [16, 51, 0]

@@ -307,8 +307,9 @@ def test_erasure_in_the_last_block_is_refused_before_any_solve(monkeypatch):
 
 def test_extraction_work_on_the_stream_workload_code(monkeypatch):
     # the (3,1,2) GF(16) code of the stream benchmark, a clean stream of
-    # 100 message blocks: one pivot solve and mu + 1 row scatters per
-    # block, counted in products through the field's bound kernel, and no
+    # 100 message blocks: one pivot solve per block, and the mu + 1 rows of
+    # G scaled once per distinct nonzero message value (at most 15 x 9
+    # products), counted through the field's bound kernel, and no
     # vector-matrix product rebuilt per term
     code = random_code(3, 1, 2, 16, seed=0, want="mdp")
     fld = code.field
@@ -328,7 +329,74 @@ def test_extraction_work_on_the_stream_workload_code(monkeypatch):
     got = extract_message(code, s)
     monkeypatch.undo()
     assert [got[t] for t in range(100)] == [tuple(u.coeff(t).data[0]) for t in range(100)]
-    assert count[0] == 973
+    assert count[0] == 235
+
+
+def gm_system_extract(code, stream):
+    """The message from one _gm_system solve over the whole stream, the
+    route extract_message takes when G_0 is rank deficient."""
+    fld, k, T = code.field, code.k, len(stream.blocks)
+    rows, r, times = codec._gm_system(code, stream, {}, message_degree_bound(code, stream), 0, T)
+    x, pinned = codec._solve(fld, rows, r, None, "blocks are not a codeword window")
+    assert all(pinned)
+    got = {t: tuple(fld.el(v) for v in x[i * k:(i + 1) * k]) for i, t in enumerate(times)}
+    return {t: got.get(t, (fld.zero,) * k) for t in range(T)}
+
+
+def test_extraction_shares_work_between_repeated_message_values(monkeypatch):
+    # a delay-free k = 2 code over GF(16) whose message holds three values:
+    # G's rows are scaled once per distinct (row, value), at most 6 times,
+    # and each value is one Element, shared by every block that holds it
+    fld = field(2, 4)
+    rng = random.Random(38)
+    code = random_code_over(fld, rng, 2, 1, True)
+    T = 40
+    msg = [[rng.choice((1, 5, 9)) for _ in range(2)] for _ in range(T)]
+    u = PolyMatrix.from_packed(fld, [[row] for row in msg])
+    s = ErasureStream.from_codeword(code.encode(u))
+    count = [0]
+
+    def mul(a, b, mul=fld._vmul):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(fld, "_vmul", mul)
+    got = extract_message(code, s)
+    monkeypatch.undo()
+    assert got == gm_system_extract(code, s)
+    assert [[e.val for e in got[t]] for t in range(T)] == msg
+    assert len({id(e) for t in range(T) for e in got[t]}) == 3
+    # 6 products in the G_0 solve, k per pivot per block (160) and 6 scaled
+    # rows of (mu + 1) * n entries (36); scaling a row per block and value
+    # took 2 * T such rows (480)
+    assert count[0] == 6 + 160 + 36
+
+
+def test_inconsistency_is_raised_at_the_first_bad_block(monkeypatch):
+    # the stream workload code has one pivot, so extraction takes one
+    # difference per block until it stops: tampering with a later block
+    # as well changes nothing
+    code = random_code(3, 1, 2, 16, seed=0, want="mdp")
+    fld = code.field
+    _, clean = encoded(code, random.Random(9), 30)
+    count = [0]
+
+    def sub(a, b, sub=fld._vsub):
+        count[0] += 1
+        return sub(a, b)
+
+    def differences(*bad):
+        s = clean.copy()
+        for tb in bad:
+            s.blocks[tb][2] = s.blocks[tb][2] + fld.one
+        count[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(fld, "_vsub", sub)
+            with pytest.raises(InconsistentStream, match="^blocks are not a codeword window$"):
+                extract_message(code, s)
+        return count[0]
+
+    assert differences(4) == differences(4, 20) == differences(20) - 16
 
 
 def test_extraction_leaves_no_band_on_the_code(monkeypatch):

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from convec import field
-from convec.gf import Field
+from convec.gf import Field, field_from_ref
 from convec.errors import LengthMismatch, NotPrime, ParseError
 from convec.polymat import PolyMatrix
 from convec.stream import ErasureStream
@@ -110,16 +110,19 @@ def test_text_round_trip_unknown_degree(gf2):
     assert ErasureStream.from_text(text) == s
 
 
-def test_text_round_trip_extension_field():
-    f16 = field(2, 4)
+@pytest.mark.parametrize("fld", [field(7), field(2, 4), field(3, 2), field(2, 769)],
+                         ids=["prime", "binary", "general", "2^769"])
+def test_text_round_trip_extension_field(fld):
     rng = random.Random(5)
-    blocks = [[f16.el(rng.randrange(16)) for _ in range(3)] for _ in range(4)]
+    blocks = [[fld.el(rng.randrange(fld.q)) for _ in range(3)] for _ in range(4)]
     blocks[2][1] = None
-    s = ErasureStream(f16, 3, blocks, origin_degree=3)
-    back = ErasureStream.from_text(s.to_text())
-    assert back == s
+    s = ErasureStream(fld, 3, blocks, origin_degree=3)
+    text = s.to_text()
+    back = ErasureStream.from_text(text)
+    assert back == s and back.to_text() == text
     # symbols above 9 must have used hex digits
-    assert any(ch in "abcdef" for ch in s.to_text())
+    body = text.split("\n", 1)[1]
+    assert any(ch in "abcdef" for ch in body) is (fld.q > 10)
 
 
 @pytest.mark.parametrize("text, exc", [
@@ -206,6 +209,47 @@ def test_non_canonical_symbol_is_refused(token):
         ErasureStream.from_text(text)
     canonical = "#n=3 field=2^4:13 deg=unknown\n1 0 a\n"
     assert ErasureStream.from_text(canonical).to_text() == canonical
+
+
+@pytest.mark.parametrize("text, message", [
+    ("#n=3 field=2^4:13 deg=unknown\n\n1 2 3\n\n4 zz 6\n", "line 5: bad symbol 'zz'"),
+    ("\n\n#n=3 field=2^4:13 deg=unknown\n1 2\n", "line 4: 2 tokens, expected 3"),
+    ("#n=3 field=2^4:13 deg=unknown\n1 2 3\n4 zz 6\n", "line 3: bad symbol 'zz'"),
+], ids=["blank-lines-before-symbol", "leading-blank-lines", "no-blank-lines"])
+def test_from_text_errors_number_lines_as_they_stand(text, message):
+    with pytest.raises((ParseError, LengthMismatch), match=f"^{re.escape(message)}$"):
+        ErasureStream.from_text(text)
+
+
+def iid_text(fld, blocks, seed):
+    """The text of a stream over fld of `blocks` blocks of 3 uniform
+    symbols, each erased with probability 0.1."""
+    rng = random.Random(seed)
+    rows = [[None if rng.random() < 0.1 else fld.el(rng.randrange(fld.q))
+             for _ in range(3)] for _ in range(blocks)]
+    return ErasureStream(fld, 3, rows, blocks - 1).to_text()
+
+
+def test_from_text_builds_one_element_per_distinct_token(element_builds):
+    text = iid_text(field_from_ref("2^4:13"), 100, 11)  # the header's field, cached
+    tokens = set(text.split("\n", 1)[1].split()) - {"?"}
+    element_builds[0] = 0
+    s = ErasureStream.from_text(text)
+    assert element_builds[0] <= len(tokens) <= 16
+    assert s.to_text() == text
+    # equal symbols are one shared Element
+    assert len({id(e) for b in s.blocks for e in b if e is not None}) == len(tokens)
+
+
+def test_bad_token_is_named_at_its_first_line(element_builds):
+    # a repeated bad token is refused where it first stands, after the good
+    # tokens before it were parsed once each
+    text = "#n=3 field=2^4:13 deg=unknown\n1 2 3\n2 1 3\n3 g 1\ng 2 1\n"
+    field_from_ref("2^4:13")  # the header's field, built and cached
+    element_builds[0] = 0
+    with pytest.raises(ParseError, match="^line 4: bad symbol 'g'$"):
+        ErasureStream.from_text(text)
+    assert element_builds[0] == 3
 
 
 @pytest.mark.parametrize("ref", ["+2^0_4:+1_3", "02^4:13", "2^+4:13", "2^04:13",
