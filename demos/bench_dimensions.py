@@ -13,25 +13,20 @@ import random
 from convec.channel import corrupt, parse_pattern
 from convec.codec import gm_decode_forward, pc_decode_forward
 from convec.construct import random_code
-from convec.polymat import ConvCode, Poly, PolyMatrix
+from convec.polymat import ConvCode, Poly, PolyMatrix, full_size_minors
 from convec.stream import ErasureStream
 
 
-def entry(G, r, c):
-    return Poly(G.field, [G.coeff(i).data[r][c] for i in range(G.degree + 1)])
-
-
 def with_parity(code):
-    """Attach a parity check built from the generator entries."""
-    fld = code.field
+    """Attach a parity check built from the generator: from its entries at
+    rate 1/3, and as its signed full-size minors at rate 2/3."""
+    fld, G = code.field, code.G
     if code.k == 1:
-        g = [entry(code.G, 0, c) for c in range(3)]
+        g = [G.entry(0, c) for c in range(3)]
         rows = [[g[1], -g[0], Poly.zero(fld)], [g[2], Poly.zero(fld), -g[0]]]
     else:
-        e = [[entry(code.G, r, c) for c in range(3)] for r in range(2)]
-        rows = [[e[0][1] * e[1][2] - e[0][2] * e[1][1],
-                 -(e[0][0] * e[1][2] - e[0][2] * e[1][0]),
-                 e[0][0] * e[1][1] - e[0][1] * e[1][0]]]
+        minors = full_size_minors(G)
+        rows = [[minors[1, 2], -minors[0, 2], minors[0, 1]]]
     d = max(p.degree for row in rows for p in row)
     grids = [[[p.coeff(i).val for p in row] for row in rows] for i in range(d + 1)]
     return ConvCode(code.n, code.k, code.G, PolyMatrix.from_packed(fld, grids))

@@ -56,7 +56,9 @@ sieve before Ben-Or's products (the auto search tries no low part above
 degree 14 at any odd m measured, up to 4097): the discriminant of its 0/1
 lift to Z[x], taken mod 8 from the low part alone, rejects about half of
 the reducible ones that reach it.  All of these are exact and
-deterministic, so the sieves never change which modulus is chosen.
+deterministic, so the sieves never change which modulus is chosen.  The
+parity sieve's determinant is ``_det``, the package's one fraction-free
+elimination, which polymat also runs on polynomials for G's full-size minors.
 
 A field of at most TABLE_MAX_Q elements designates a generator alpha: the
 first element, in packed order starting at x (or at 1 for m = 1), whose
@@ -77,7 +79,6 @@ names no generator, matches a code built with a nonstandard one.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import Iterator
 
@@ -551,25 +552,28 @@ def _sieve(xm: tuple[int, ...], base: int, n: int) -> list[int]:
     return [base + j for j in range(n) if not struck[j]]
 
 
-def _det(rows: list[list[int]]) -> int:
-    """Determinant of a nonempty square integer matrix by Bareiss's
-    fraction-free elimination, whose divisions are exact; rows are
-    overwritten."""
-    sign, prev, n = 1, 1, len(rows)
+def _det(rows: list[list], one=1):
+    """Determinant of a nonempty square matrix over an integral domain by
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968); rows are
+    overwritten.  Entries need ``*``, ``-``, ``-x``, exact ``//`` and
+    truthiness as the zero test; one, the first divisor, is the ring's
+    identity.  Callers: :func:`_disc_mod8` on ints, and
+    polymat.full_size_minors on polynomials for G's full-size minors."""
+    negate, prev, n = False, one, len(rows)
     for k in range(n - 1):
-        if rows[k][k] == 0:
+        if not rows[k][k]:
             i = next((i for i in range(k + 1, n) if rows[i][k]), None)
             if i is None:
-                return 0
+                return rows[k][k]  # the ring's zero
             rows[k], rows[i] = rows[i], rows[k]
-            sign = -sign
+            negate = not negate
         rk, piv = rows[k], rows[k][k]
         for ri in rows[k + 1:]:
             c = ri[k]
             for j in range(k + 1, n):
                 ri[j] = (ri[j] * piv - c * rk[j]) // prev
         prev = piv
-    return sign * rows[-1][-1]
+    return -rows[-1][-1] if negate else rows[-1][-1]
 
 
 def _disc_mod8(m: int, low: int) -> int:
@@ -979,9 +983,18 @@ class Field:
         return f"GF({self.p}^{self.m})"
 
 
-@functools.lru_cache(maxsize=None)
 def _cached_field(p: int, m: int, modulus: tuple[int, ...] | None) -> Field:
-    return Field(p, m, modulus)
+    """The one Field of a request, filed also under the modulus an auto
+    request's search found, which is not tested again: field(p, m) and a
+    reference naming that modulus return one object in either order."""
+    fields = _cached_field.fields
+    f = fields.get((p, m, modulus)) or Field(p, m, modulus)
+    fields[p, m, modulus] = f = fields.setdefault((p, m, f.modulus), f)
+    return f
+
+
+_cached_field.fields = {}
+_cached_field.cache_clear = lambda: _cached_field.fields.clear()
 
 
 def field(p: int, m: int = 1, modulus=None) -> Field:

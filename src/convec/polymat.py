@@ -8,9 +8,9 @@ a 1 x s PolyMatrix.  ConvCode bundles a k x n generator with an optional
 The external degree (the "delta" of an (n, k, delta) code) is the maximal
 degree of the full-size minors of G, and G is non-catastrophic exactly when
 their gcd is a nonzero constant.  Both are read from one exact computation
-of the minors by fraction-free (Bareiss) elimination over F[z], which works
-over every field.  Each intermediate entry of that elimination is itself a
-minor of G, so its degree stays within the sum of the row degrees.
+of the minors by gf's fraction-free (Bareiss) elimination on Poly entries,
+which works over every field.  Each intermediate entry of that elimination
+is itself a minor of G, so its degree stays within the sum of row degrees.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .errors import (
     ParseError,
     RankDeficient,
 )
-from .gf import Element, Field
+from .gf import (Element, Field, _canonical, _det, _json_int, _json_nested, _json_object,
+                 field_from_json)
 from .linalg import Mat, _vecmat, rank
 
 
@@ -35,12 +36,18 @@ from .linalg import Mat, _vecmat, rank
 # ---------------------------------------------------------------------------
 
 class Poly:
-    """Polynomial over a field; coefficient tuple, constant term first."""
+    """Polynomial over a field: a tuple of its Elements, constant term
+    first.  ``//`` is exact division, and the zero polynomial is false."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: Field, coeffs):
         cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, Element):
+                raise TypeError(f"coefficient {c!r} is not an Element")
+            if c.field != field:
+                raise FieldMismatch(f"coefficient over {c.field}, not {field}")
         while cs and cs[-1].is_zero:
             cs.pop()
         self.field = field
@@ -65,6 +72,9 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def coeff(self, i: int) -> Element:
         if 0 <= i < len(self.coeffs):
@@ -120,6 +130,8 @@ class Poly:
         if not r.is_zero:
             raise DegreeMismatch("division expected to be exact was not")
         return q
+
+    __floordiv__ = exact_div
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -270,43 +282,16 @@ class PolyMatrix:
 # full-size minors and the external degree
 # ---------------------------------------------------------------------------
 
-def _bareiss_poly_det(entries: list[list[Poly]], field: Field) -> Poly:
-    """Fraction-free determinant of a square polynomial matrix."""
-    n = len(entries)
-    if n == 0:
-        return Poly.one(field)
-    m = [row[:] for row in entries]
-    prev = Poly.one(field)
-    negate = False
-    for l in range(n - 1):
-        if m[l][l].is_zero:
-            swap = next((i for i in range(l + 1, n) if not m[i][l].is_zero), None)
-            if swap is None:
-                return Poly.zero(field)
-            m[l], m[swap] = m[swap], m[l]
-            negate = not negate
-        for i in range(l + 1, n):
-            for j in range(l + 1, n):
-                num = m[l][l] * m[i][j] - m[i][l] * m[l][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][l] = Poly.zero(field)
-        prev = m[l][l]
-    d = m[n - 1][n - 1]
-    return -d if negate else d
-
-
 def full_size_minors(g: PolyMatrix) -> dict[tuple[int, ...], Poly]:
-    """All k x k minors of a k x n PolyMatrix as exact polynomials, by
-    fraction-free elimination over F[z].  Keys are 0-based column tuples."""
+    """All k x k minors of a k x n PolyMatrix as exact polynomials, by gf's
+    fraction-free elimination.  Keys are 0-based column tuples."""
     k, n = g.nrows, g.ncols
-    if k > n:
-        raise DimensionMismatch("wide matrix expected (k <= n)")
+    if not 0 < k <= n:
+        raise DimensionMismatch(f"need 0 < k <= n, got a {k} x {n} matrix")
     entries = [[g.entry(i, j) for j in range(n)] for i in range(k)]
-    out: dict[tuple[int, ...], Poly] = {}
-    for cols in itertools.combinations(range(n), k):
-        sub = [[row[j] for j in cols] for row in entries]
-        out[cols] = _bareiss_poly_det(sub, g.field)
-    return out
+    one = Poly.one(g.field)
+    return {cols: _det([[row[j] for j in cols] for row in entries], one)
+            for cols in itertools.combinations(range(n), k)}
 
 
 def _max_minor_degree(minors: dict[tuple[int, ...], Poly]) -> int:
@@ -418,8 +403,6 @@ class ConvCode:
 def code_from_json(obj: dict) -> ConvCode:
     """The code that ConvCode.to_json wrote; a value of the wrong JSON type
     raises ParseError and a missing key KeyError."""
-    from .gf import _canonical, _json_int, _json_nested, _json_object, field_from_json
-
     _json_object(obj, "code")
     fld = field_from_json(obj["field"])
 

@@ -3,8 +3,6 @@ a cold field cache and a count of the Elements a test builds."""
 
 from __future__ import annotations
 
-import functools
-
 import pytest
 
 from convec import field, gf
@@ -13,10 +11,9 @@ from convec.polymat import ConvCode, PolyMatrix
 
 @pytest.fixture
 def cold_fields(monkeypatch):
-    """A field cache of the test's own, empty at the start."""
-    cache = functools.lru_cache(maxsize=None)(gf.Field)
-    monkeypatch.setattr(gf, "_cached_field", cache)
-    return cache
+    """The field cache over a store of the test's own, empty at the start."""
+    monkeypatch.setattr(gf._cached_field, "fields", {})
+    return gf._cached_field
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from convec.errors import (
     NotDelayFree,
 )
 from convec.linalg import Mat, minor, rank, right_kernel
-from convec.polymat import ConvCode, Poly, PolyMatrix, code_from_json, poly_gcd
+from convec.polymat import ConvCode, PolyMatrix, code_from_json, full_size_minors
 from convec.sliding import (
     _bounds_for,
     count_nontrivial,
@@ -369,18 +369,6 @@ def test_duality_at_n_equal_2k(pair_2_1):
     assert agreements == 24 and 0 < passes < agreements
 
 
-def _det(rows):
-    """Determinant of a square list of Poly rows, by Laplace expansion."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = None
-    for c, a in enumerate(rows[0]):
-        term = a * _det([r[:c] + r[c + 1:] for r in rows[1:]])
-        term = -term if c % 2 else term
-        total = term if total is None else total + term
-    return total
-
-
 def with_minor_parity(code: ConvCode) -> ConvCode:
     """The code with H = (h_0 .. h_{n-1}), h_i = (-1)^i times G's minor
     without column i, for k = n - 1: each row of H G^T is the expansion of
@@ -388,8 +376,8 @@ def with_minor_parity(code: ConvCode) -> ConvCode:
     non-catastrophic."""
     n, k = code.n, code.k
     assert k == n - 1
-    entries = [[code.G.entry(r, c) for c in range(n)] for r in range(k)]
-    h = [_det([row[:i] + row[i + 1:] for row in entries]) for i in range(n)]
+    minors = full_size_minors(code.G)
+    h = [minors[tuple(c for c in range(n) if c != i)] for i in range(n)]
     h = [-p if i % 2 else p for i, p in enumerate(h)]
     top = max(p.degree for p in h)
     H = PolyMatrix.from_packed(code.field, [[[p.coeff(i).val for p in h]]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -231,6 +232,24 @@ def test_field_identity_ignores_generator():
     assert G.alpha.val == 2
     assert F == G and hash(F) == hash(G)
     assert F.alpha * G.one == F.alpha
+
+
+@pytest.mark.parametrize("p,m", [(2, 4), (3, 3), (2, 769)])
+def test_one_field_object_in_either_request_order(cold_fields, monkeypatch, p, m):
+    auto = field(p, m)
+    ref, spec = auto.ref(), auto.to_json()
+
+    def untested(*args):
+        raise AssertionError("the cached modulus was tested again")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(gf, "_irreducible", untested)
+        mp.setattr(gf, "_irreducible_tail", untested)
+        assert field_from_ref(ref) is auto and field_from_json(spec) is auto
+    cold_fields.cache_clear()
+    named = field_from_ref(ref)
+    assert named is not auto
+    assert field(p, m) is named and field_from_json(spec) is named
 
 
 # -- differential tests of the GF(2)[x] kernels --------------------------------
@@ -563,6 +582,36 @@ def test_auto_moduli_up_to_96():
 def lift(f: int):
     """f in GF(2)[x] as the integer polynomial with the same 0/1 coefficients."""
     return sympy.Poly([int(c) for c in bin(f)[2:]], sympy.Symbol("x"))
+
+
+def leibniz_det(rows):
+    """The sum over permutations of signed products of entries."""
+    n, total = len(rows), 0
+    for perm in itertools.permutations(range(n)):
+        term = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def test_det_matches_permutation_expansion():
+    rng = random.Random(39)
+    for n in range(1, 6):
+        cases = [[[rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(n)] for _ in range(n)]
+                 for _ in range(30)]
+        swap = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        swap[0][0], swap[-1][0] = 0, 5  # zero leading entry: rows swap
+        zero_column = [[0] + [rng.randint(-9, 9) for _ in range(n - 1)] for _ in range(n)]
+        u, v = [rng.randint(-9, 9) for _ in range(n)], [rng.randint(1, 9) for _ in range(n)]
+        rank_one = [[a * b for b in v] for a in u]
+        repeated = [row[:] for row in swap]
+        repeated[-1] = [3 * x for x in repeated[0]]
+        cases += [swap, zero_column, rank_one, repeated]
+        for a in cases:
+            assert gf._det([row[:] for row in a]) == leibniz_det(a), a
+        singular = [zero_column, rank_one, repeated] if n > 1 else [zero_column]
+        assert all(gf._det(a) == 0 for a in singular)
 
 
 def test_disc_mod8_matches_sympy():

@@ -5,7 +5,7 @@ package itself, and a GF(27) decode, two constructions and their
 certificates, and the command-line construct, verify and modulus checks of
 ``sympy_free_decode.py`` run in a fresh interpreter without sympy, which
 this test session imports for its oracles.  The library keeps one cache at module
-level, the field cache.
+level, the field cache, and emptying it leaves no Field behind.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import convec
@@ -39,14 +40,54 @@ def test_library_imports_only_the_standard_library():
     assert found == []
 
 
-def test_one_module_level_cache():
-    cached = []
-    for info in pkgutil.iter_modules(convec.__path__, "convec."):
-        module = importlib.import_module(info.name)
-        cached += [(info.name, name) for name, obj in vars(module).items()
-                   if hasattr(obj, "cache_clear") and obj is not gf._cached_field]
+def _cell_contents(cell):
+    try:
+        return cell.cell_contents
+    except ValueError:  # a cell not yet bound
+        return None
+
+
+def _holds_field(obj, seen) -> bool:
+    """Whether obj is a Field or reaches one through containers, a
+    function's attributes, defaults and closure, or a convec class's
+    namespace."""
+    if id(obj) in seen or isinstance(obj, types.ModuleType):
+        return False
+    seen.add(id(obj))
+    if isinstance(obj, gf.Field):
+        return True
+    if isinstance(obj, dict):
+        inner = [*obj, *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        inner = obj
+    elif isinstance(obj, types.FunctionType):
+        inner = [*vars(obj).values(), *(obj.__defaults__ or ()),
+                 *map(_cell_contents, obj.__closure__ or ())]
+    elif isinstance(obj, type) and obj.__module__.startswith("convec"):
+        inner = vars(obj).values()
+    else:
+        return False
+    return any(_holds_field(x, seen) for x in inner)
+
+
+def test_one_module_level_cache(cold_fields):
+    modules = [importlib.import_module(info.name)
+               for info in pkgutil.iter_modules(convec.__path__, "convec.")]
+    cached = [(module.__name__, name) for module in modules for name, obj in vars(module).items()
+              if hasattr(obj, "cache_clear") and obj is not gf._cached_field]
     assert cached == []
-    assert hasattr(gf._cached_field, "cache_clear")
+    # cold means cold: after cache_clear every way of asking for a field
+    # builds a new one, and no module global still holds a Field
+    requests = [lambda: gf.field(2, 4), lambda: gf.field_from_ref("2^4:13"),
+                lambda: gf.field_from_json({"p": 3, "m": 3})]
+    before = [request() for request in requests]
+    gf._cached_field.cache_clear()
+    assert all(request() is not old for request, old in zip(requests, before))
+    gf._cached_field.cache_clear()
+    seen: set[int] = set()
+    held = [(module.__name__, name) for module in modules
+            for name, obj in vars(module).items() if _holds_field(obj, seen)]
+    assert held == []
 
 
 def test_gf27_decode_leaves_sympy_unimported():

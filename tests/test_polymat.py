@@ -65,6 +65,18 @@ def test_exact_div_raises_on_remainder():
     z = Poly.from_packed(F, [0, 1])
     with pytest.raises(DegreeMismatch):
         (z * z + Poly.one(F)).exact_div(z)
+    with pytest.raises(DegreeMismatch):
+        (z * z + Poly.one(F)) // z
+    assert (z * z + z) // z == z + Poly.one(F)
+
+
+def test_poly_checks_its_coefficients():
+    F = field(2)
+    with pytest.raises(TypeError, match="coefficient 1 is not an Element"):
+        Poly(F, [1, 0])
+    with pytest.raises(FieldMismatch):
+        Poly(F, [field(3).one])
+    assert not Poly(F, [F.zero]) and Poly(F, [F.one])
 
 
 def test_polymatrix_trims_trailing_zeros():
@@ -261,25 +273,55 @@ def _det_at(g, cols, x):
     return total
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (5, 1), (2, 4), (3, 2)])
+def test_full_size_minors_need_0_lt_k_le_n():
+    F = field(2)
+    for k, n in ((0, 3), (3, 2)):
+        with pytest.raises(DimensionMismatch):
+            full_size_minors(PolyMatrix.zero(F, k, n))
+
+
+# GF(3), 2 x 3: entry (0, 0) is the zero polynomial, so the minors on
+# column 0 swap rows before eliminating
+ZERO_CORNER = [[[0, 1, 1], [1, 1, 0]], [[0, 0, 1], [1, 0, 1]]]
+# GF(5), 3 x 4: column 1 is twice column 0, so the minors on both columns
+# end early, on a zero pivot
+PROPORTIONAL = [[[1, 2, 0, 3], [3, 1, 1, 0], [0, 0, 2, 1]],
+                [[2, 4, 1, 0], [0, 0, 1, 4], [4, 3, 0, 1]]]
+
+
+@pytest.mark.parametrize("p,m,grids,zeros", [
+    pytest.param(2, 1, None, None, id="2-1"),
+    pytest.param(5, 1, None, None, id="5-1"),
+    pytest.param(2, 4, None, None, id="2-4"),
+    pytest.param(3, 2, None, None, id="3-2"),
+    pytest.param(3, 1, ZERO_CORNER, [], id="zero-corner"),
+    pytest.param(5, 1, PROPORTIONAL, [(0, 1, 2), (0, 1, 3)], id="proportional"),
+])
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_full_size_minors_evaluate_to_determinants(p, m, data):
+def test_full_size_minors_evaluate_to_determinants(p, m, grids, zeros, data):
     F = field(p, m)
-    k = data.draw(st.integers(1, 3))
-    n = data.draw(st.integers(k, k + 2))
-    d = data.draw(st.integers(0, 2))
-    vals = data.draw(st.lists(st.integers(0, F.q - 1), min_size=(d + 1) * k * n,
-                              max_size=(d + 1) * k * n))
-    grids = [[vals[(c * k + i) * n:(c * k + i + 1) * n] for i in range(k)]
-             for c in range(d + 1)]
+    if grids is None:
+        k = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(k, k + 2))
+        d = data.draw(st.integers(0, 2))
+        vals = data.draw(st.lists(st.integers(0, F.q - 1), min_size=(d + 1) * k * n,
+                                  max_size=(d + 1) * k * n))
+        grids = [[vals[(c * k + i) * n:(c * k + i + 1) * n] for i in range(k)]
+                 for c in range(d + 1)]
     g = PolyMatrix.from_packed(F, grids)
+    k, n = g.nrows, g.ncols
     minors = full_size_minors(g)
     assert list(minors) == list(itertools.combinations(range(n), k))
     for cols, poly in minors.items():
         for v in range(F.q):
             x = F.el(v)
             assert poly.eval(x) == _det_at(g, cols, x)
+    if zeros is not None:
+        assert [cols for cols, poly in minors.items() if poly.is_zero] == zeros
+        # delta is the largest degree among the nonzero minors alone
+        assert ConvCode(n, k, g).delta == max(
+            poly.degree for cols, poly in minors.items() if cols not in zeros) >= 0
 
 
 def test_structural_flags_reference(code522):
